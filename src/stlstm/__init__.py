@@ -29,7 +29,6 @@ from .data import (
     load_manifest,
     make_windows,
     normalize,
-    denormalize_target,
     synthetic_series,
     test_windows,
     train_windows,
@@ -48,7 +47,6 @@ from .metrics import EvalReport, comparison_csv, comparison_report, comparison_t
 from .model import (
     ModelParams,
     ModelSpec,
-    Prediction,
     block_diagonal_embed,
     dense_head,
     init_model_params,

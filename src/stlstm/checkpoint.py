@@ -25,7 +25,8 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
 )
-from .model import ModelParams, ModelSpec, zero_model_params
+from .cell import CELL_TENSOR_NAMES
+from .model import ModelParams, ModelSpec, param_count, zero_model_params
 
 HEADER = "stlstm-checkpoint v1"
 _SPEC_FIELDS = ("kind", "locations", "vars_per_location", "n1", "n2",
@@ -79,8 +80,11 @@ def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
     """Parse and validate a checkpoint; never returns a partial model."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a text checkpoint ({exc.reason})") from exc
     if not lines:
         raise CheckpointFormatError(f"{path}: empty checkpoint file")
     if lines[0] != HEADER:
@@ -92,12 +96,19 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
     if len(lines) < 2:
         raise CheckpointFormatError(f"{path}: truncated before the spec line")
     spec = _parse_spec_line(lines[1])
+    # a header line per tensor (layer-1 cells, layer 2, the two head tensors)
+    # and a line per value; checked before allocating, so a corrupt spec
+    # line cannot request a huge model
+    n_tensors = len(CELL_TENSOR_NAMES) * (spec.loc_cells + 1) + 2
+    needed = 2 + n_tensors + param_count(spec)["total"]
+    if len(lines) < needed:
+        raise CheckpointFormatError(
+            f"{path}: truncated: the spec implies {needed} lines, the file has {len(lines)}"
+        )
 
     params = zero_model_params(spec)
     pos = 2
     for name, arr in params.tensors():
-        if pos >= len(lines):
-            raise CheckpointFormatError(f"{path}: truncated before tensor {name}")
         fields = lines[pos].split()
         if len(fields) != 3:
             raise CheckpointFormatError(
@@ -120,13 +131,17 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
             )
         count = rows * cols
         pos += 1
-        if pos + count > len(lines):
-            raise CheckpointFormatError(f"{path}: truncated inside tensor {name}")
         try:
-            values = [float(lines[pos + j]) for j in range(count)]
+            values = np.array([float(lines[pos + j]) for j in range(count)], dtype=np.float64)
         except ValueError as exc:
             raise CheckpointFormatError(f"{path}: bad value in tensor {name}: {exc}") from exc
-        arr[...] = np.array(values, dtype=np.float64).reshape(arr.shape)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise CheckpointFormatError(
+                f"{path}:{pos + bad[0] + 1}: non-finite value {lines[pos + bad[0]]!r} "
+                f"in tensor {name}"
+            )
+        arr[...] = values.reshape(arr.shape)
         pos += count
     if any(line.strip() for line in lines[pos:]):
         raise CheckpointFormatError(f"{path}: trailing data after the last tensor")

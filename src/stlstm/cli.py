@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -30,8 +29,8 @@ from .data import (
 )
 from .errors import ConfigError, DivergenceError, StlstmError
 from .metrics import EvalReport, comparison_csv, comparison_report, comparison_text, mae, mse
-from .model import ModelSpec, Prediction, param_count
-from .train import TrainConfig, gradcheck, predict_batch, train_repeated
+from .model import ModelSpec, param_count
+from .train import FLOAT_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
 
 _SPEC_KEYS = ("kind", "locations", "vars_per_location", "n1", "n2",
               "activation", "seq_len", "horizon")
@@ -54,7 +53,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 def _normalize_kind(value: str) -> str:
@@ -65,8 +64,12 @@ def _normalize_kind(value: str) -> str:
 def read_config_file(path) -> dict:
     """Flat ``key = value`` text; keys are TrainConfig / ModelSpec field names."""
     known = {f.name for f in fields(TrainConfig)} | set(_SPEC_KEYS)
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text config file ({exc.reason})") from exc
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -80,15 +83,18 @@ def read_config_file(path) -> dict:
 
 
 def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
+    if value is None or not isinstance(value, str) or key in ("kind", "activation", "optimizer"):
         return value
     if key in _BOOL_KEYS:
-        return _parse_bool(value)
-    if key in ("learning_rate", "l2_lambda", "adam_beta1", "adam_beta2", "adam_eps"):
-        return float(value)
-    if key in ("kind", "activation", "optimizer"):
-        return value
-    return int(value)
+        parse, expected = _parse_bool, "a boolean"
+    elif key in FLOAT_FIELDS:
+        parse, expected = float, "a number"
+    else:
+        parse, expected = int, "an integer"
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
 
 
 def _resolve_settings(args) -> dict:
@@ -199,8 +205,7 @@ def cmd_train(args) -> int:
     tr = train_windows(ds, spec.seq_len, spec.horizon)
     te = (test_windows(ds, spec.seq_len, spec.horizon)
           if ds.test_start_idx is not None else None)
-    max_workers = int(os.environ.get("STLSTM_THREADS", "1"))
-    result = train_repeated(spec, config, tr, te, max_workers=max_workers)
+    result = train_repeated(spec, config, tr, te)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,13 +253,11 @@ def cmd_predict(args) -> int:
     spec, params, _, _, windows = _load_model_and_windows(args)
     X = np.stack([w.inputs for w in windows])
     values = predict_batch(spec, params, X)
-    preds = [Prediction(value=float(v), window_id=w.window_id)
-             for w, v in zip(windows, values)]
     lines = ["window_id,date,prediction"]
-    for w, p in zip(windows, preds):
-        lines.append(f"{p.window_id},{w.target_date.isoformat()},{p.value!r}")
+    for w, v in zip(windows, values):
+        lines.append(f"{w.window_id},{w.target_date.isoformat()},{float(v)!r}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(preds)} prediction(s) to {args.out}")
+    print(f"wrote {len(windows)} prediction(s) to {args.out}")
     return 0
 
 
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in ("locations", "vars_per_location", "n1", "n2", "seq_len", "horizon",
                 "epochs", "batch_size", "seed", "repeats"):
         _flag(p, key, type=int)
-    for key in ("learning_rate", "l2_lambda", "adam_beta1", "adam_beta2", "adam_eps"):
+    for key in FLOAT_FIELDS:
         _flag(p, key, type=float)
     _flag(p, "activation", choices=("tanh", "sigmoid"))
     _flag(p, "optimizer", choices=("sgd", "adam"))
@@ -419,8 +422,8 @@ def main(argv=None) -> int:
     except StlstmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
         return 2
 
 

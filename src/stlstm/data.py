@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +67,11 @@ def load_manifest(path) -> Manifest:
     locations: list[tuple[str, Path]] = []
     target = None
     test_start = test_end = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not a text manifest ({exc.reason})") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -141,7 +146,7 @@ def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], 
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
@@ -172,11 +177,16 @@ def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], 
                     )
             else:
                 try:
-                    data[r - 2, j] = float(text)
+                    value = float(text)
                 except ValueError as exc:
                     raise CsvFormatError(
                         f"{path}:{r}: unparseable cell {cell!r} in {variables[j]!r}"
                     ) from exc
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}:{r}: non-finite cell {cell!r} in {variables[j]!r}"
+                    )
+                data[r - 2, j] = value
     return dates, variables, data
 
 
@@ -264,17 +274,6 @@ def normalize(ds: Dataset) -> np.ndarray:
     safe = np.where(ds.norm_std > 0.0, ds.norm_std, 1.0)
     z = (flat - ds.norm_mean) / safe
     return np.where(ds.norm_std > 0.0, z, 0.0)
-
-
-def denormalize_target(ds: Dataset, z_value):
-    """Inverse z-score for the target column.
-
-    Window targets are emitted in raw units and never need this; it is
-    the inverse transform for anyone who normalizes targets themselves.
-    """
-    col = ds.target_column()
-    std = ds.norm_std[col] if ds.norm_std[col] > 0.0 else 1.0
-    return np.asarray(z_value) * std + ds.norm_mean[col]
 
 
 @dataclass

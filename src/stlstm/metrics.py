@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,10 +64,18 @@ class EvalReport:
     mse: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("predictions", "truths"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ReportError(f"report {self.model_kind}/{self.testset} has non-finite {name}")
         self.mae = mae(self.predictions, self.truths)
         self.mse = mse(self.predictions, self.truths)
-        # mean |e| can never exceed sqrt(mean e^2)
-        assert self.mae <= np.sqrt(self.mse) + 1e-12
+        # mean |e| can never exceed sqrt(mean e^2); the slack is relative
+        # because equal large errors round the two means differently
+        if not self.mae <= math.sqrt(self.mse) * (1.0 + 1e-12) + 1e-12:
+            raise ReportError(
+                f"report {self.model_kind}/{self.testset} breaks MAE <= sqrt(MSE): "
+                f"MAE={self.mae!r}, MSE={self.mse!r}"
+            )
 
     @property
     def n_windows(self) -> int:
@@ -94,16 +103,19 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        raw = json.loads(Path(path).read_text())
-        return cls(
-            model_kind=raw["model_kind"], horizon=raw["horizon"],
-            target=raw["target"], activation=raw["activation"],
-            testset=raw["testset"],
-            window_ids=[w["window_id"] for w in raw["windows"]],
-            dates=[w["date"] for w in raw["windows"]],
-            predictions=[w["prediction"] for w in raw["windows"]],
-            truths=[w["truth"] for w in raw["windows"]],
-        )
+        try:
+            raw = json.loads(Path(path).read_text())
+            return cls(
+                model_kind=raw["model_kind"], horizon=raw["horizon"],
+                target=raw["target"], activation=raw["activation"],
+                testset=raw["testset"],
+                window_ids=[w["window_id"] for w in raw["windows"]],
+                dates=[w["date"] for w in raw["windows"]],
+                predictions=[w["prediction"] for w in raw["windows"]],
+                truths=[w["truth"] for w in raw["windows"]],
+            )
+        except (ValueError, KeyError, TypeError, ReportError) as exc:
+            raise ReportError(f"{path}: not a valid evaluation report: {exc!r}") from exc
 
 
 @dataclass

@@ -9,6 +9,10 @@ location's slice of x_t; the per-location hidden states, concatenated
 in manifest order, feed the shared layer-2 cell. With the same total
 layer-1 width the second variant is the first with block-diagonal
 layer-1 weights, which ``block_diagonal_embed`` makes literal.
+
+Both kinds therefore share one code path: layer 1 is ``loc_cells``
+cells, cell k reading input slice k and producing hidden slice k, and
+``stacked`` is the single-cell case.
 """
 
 from __future__ import annotations
@@ -62,17 +66,27 @@ class ModelSpec:
         return self.locations * self.vars_per_location
 
     @property
+    def loc_cells(self) -> int:
+        """Layer-1 cells: one per location for st_stacked, a single one for stacked."""
+        return self.locations if self.kind == "st_stacked" else 1
+
+    @property
+    def loc_inputs(self) -> int:
+        """Input width of each layer-1 cell (its slice of x_t)."""
+        return self.input_dim // self.loc_cells
+
+    @property
     def loc_neurons(self) -> int:
-        """Layer-1 neurons per location cell (n1 for the stacked kind)."""
-        return self.n1 // self.locations if self.kind == "st_stacked" else self.n1
+        """Neurons of each layer-1 cell (its slice of the n1-wide hidden state)."""
+        return self.n1 // self.loc_cells
 
 
 @dataclass
 class ModelParams:
     """Full trainable parameter set for either kind.
 
-    ``layer1`` holds one cell for the stacked kind and one per location
-    for st_stacked; layer 2 always consumes an n1-wide input.
+    ``layer1`` holds ``spec.loc_cells`` cells (one for stacked, one per
+    location for st_stacked); layer 2 always consumes an n1-wide input.
     """
 
     layer1: list[CellParams]
@@ -109,17 +123,18 @@ def is_penalized(name: str) -> bool:
     return not leaf.startswith("b_")
 
 
-def _check_params(spec: ModelSpec, params: ModelParams) -> None:
+def check_params(spec: ModelSpec, params: ModelParams) -> None:
+    """Validate a caller's model once, where it enters (not on every batch)."""
     spec.validate()
-    n_cells = spec.locations if spec.kind == "st_stacked" else 1
-    d_cell = spec.vars_per_location if spec.kind == "st_stacked" else spec.input_dim
-    if len(params.layer1) != n_cells:
-        raise ShapeError(f"spec expects {n_cells} layer-1 cell(s), params carry {len(params.layer1)}")
+    if len(params.layer1) != spec.loc_cells:
+        raise ShapeError(
+            f"spec expects {spec.loc_cells} layer-1 cell(s), params carry {len(params.layer1)}"
+        )
     for k, cell in enumerate(params.layer1):
-        if cell.n != spec.loc_neurons or cell.d != d_cell:
+        if cell.n != spec.loc_neurons or cell.d != spec.loc_inputs:
             raise ShapeError(
                 f"layer-1 cell {k} is ({cell.n} x {cell.d}), spec expects "
-                f"({spec.loc_neurons} x {d_cell})"
+                f"({spec.loc_neurons} x {spec.loc_inputs})"
             )
         cell.validate()
     if params.layer2.n != spec.n2 or params.layer2.d != spec.n1:
@@ -139,11 +154,8 @@ def init_model_params(spec: ModelSpec, rng: np.random.Generator,
     """Draw fresh parameters in canonical tensor order (reproducible per rng)."""
     spec.validate()
     fb = 1.0 if forget_bias_init else 0.0
-    if spec.kind == "st_stacked":
-        layer1 = [init_cell_params(spec.loc_neurons, spec.vars_per_location, rng, fb)
-                  for _ in range(spec.locations)]
-    else:
-        layer1 = [init_cell_params(spec.n1, spec.input_dim, rng, fb)]
+    layer1 = [init_cell_params(spec.loc_neurons, spec.loc_inputs, rng, fb)
+              for _ in range(spec.loc_cells)]
     layer2 = init_cell_params(spec.n2, spec.n1, rng, fb)
     r = 1.0 / np.sqrt(spec.n2)
     w_dense = rng.uniform(-r, r, size=spec.n2)
@@ -153,11 +165,7 @@ def init_model_params(spec: ModelSpec, rng: np.random.Generator,
 def zero_model_params(spec: ModelSpec) -> ModelParams:
     """All-zero parameters (gradient accumulators, degenerate models)."""
     spec.validate()
-    if spec.kind == "st_stacked":
-        layer1 = [CellParams.zeros(spec.loc_neurons, spec.vars_per_location)
-                  for _ in range(spec.locations)]
-    else:
-        layer1 = [CellParams.zeros(spec.n1, spec.input_dim)]
+    layer1 = [CellParams.zeros(spec.loc_neurons, spec.loc_inputs) for _ in range(spec.loc_cells)]
     return ModelParams(layer1=layer1, layer2=CellParams.zeros(spec.n2, spec.n1),
                        w_dense=np.zeros(spec.n2), b_dense=np.zeros(1))
 
@@ -169,14 +177,6 @@ def random_model_params(spec: ModelSpec, rng: np.random.Generator,
     for _, arr in params.tensors():
         arr[...] = rng.uniform(-scale, scale, size=arr.shape)
     return params
-
-
-@dataclass
-class Prediction:
-    """A single scalar forecast in the target variable's raw units."""
-
-    value: float
-    window_id: int
 
 
 def dense_head(h: np.ndarray, w_dense: np.ndarray, b_dense: np.ndarray):
@@ -212,33 +212,25 @@ def model_forward(spec: ModelSpec, params: ModelParams, window
     ``window`` is a sequence of T input vectors of length
     locations*vars_per_location (or (B, .) batches of them). Returns the
     raw-scale prediction(s) and the full trace. Only the final layer-2
-    hidden state reaches the head.
+    hidden state reaches the head. ``params`` are trusted to match
+    ``spec``; ``check_params`` validates a model where it comes in.
     """
-    _check_params(spec, params)
     xs = _split_window(spec, window)
-
-    if spec.kind == "st_stacked":
-        m = spec.vars_per_location
-        per_loc_traces = []
-        h1_per_loc = []
-        for k, cell in enumerate(params.layer1):
-            xk = [x[..., k * m:(k + 1) * m] for x in xs]
-            traces, _ = sequence_forward(cell, xk, spec.activation)
-            per_loc_traces.append(traces)
-            h1_per_loc.append([tr.h for tr in traces])
-        # concatenate hidden states in manifest order at every step
-        h1_seq = [np.concatenate([h1_per_loc[k][t] for k in range(spec.locations)], axis=-1)
-                  for t in range(spec.seq_len)]
-    else:
-        traces, _ = sequence_forward(params.layer1[0], xs, spec.activation)
-        per_loc_traces = [traces]
-        h1_seq = [tr.h for tr in traces]
+    d = spec.loc_inputs
+    l1_traces = []
+    for k, cell in enumerate(params.layer1):
+        traces, _ = sequence_forward(cell, [x[..., k * d:(k + 1) * d] for x in xs],
+                                     spec.activation)
+        l1_traces.append(traces)
+    # concatenate hidden states in manifest order at every step
+    h1_seq = [np.concatenate([traces[t].h for traces in l1_traces], axis=-1)
+              for t in range(spec.seq_len)]
 
     l2_traces, l2_final = sequence_forward(params.layer2, h1_seq, spec.activation)
     pred = dense_head(l2_final.h, params.w_dense, params.b_dense)
     if np.ndim(pred) == 0:
         pred = float(pred)
-    return pred, ModelTrace(layer1=per_loc_traces, layer2=l2_traces)
+    return pred, ModelTrace(layer1=l1_traces, layer2=l2_traces)
 
 
 def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
@@ -249,7 +241,6 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
     single window, shape (B,) for a batch. Returns a ModelParams-shaped
     container of gradients.
     """
-    _check_params(spec, params)
     if len(trace.layer2) != spec.seq_len:
         raise ShapeError(
             f"trace has {len(trace.layer2)} layer-2 steps, spec.seq_len is {spec.seq_len}"
@@ -271,17 +262,12 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
     l2_grads, dh1_seq, _ = cell_backward(params.layer2, trace.layer2, dh2_seq,
                                          spec.activation)
 
-    if spec.kind == "st_stacked":
-        nc = spec.loc_neurons
-        l1_grads = []
-        for k, cell in enumerate(params.layer1):
-            dh_k = [dh1[..., k * nc:(k + 1) * nc] for dh1 in dh1_seq]
-            gk, _, _ = cell_backward(cell, trace.layer1[k], dh_k, spec.activation)
-            l1_grads.append(gk)
-    else:
-        g0, _, _ = cell_backward(params.layer1[0], trace.layer1[0], dh1_seq,
-                                 spec.activation)
-        l1_grads = [g0]
+    n = spec.loc_neurons
+    l1_grads = []
+    for k, cell in enumerate(params.layer1):
+        dh_k = [dh1[..., k * n:(k + 1) * n] for dh1 in dh1_seq]
+        gk, _, _ = cell_backward(cell, trace.layer1[k], dh_k, spec.activation)
+        l1_grads.append(gk)
 
     return ModelParams(layer1=l1_grads, layer2=l2_grads,
                        w_dense=g_w_dense, b_dense=g_b_dense)
@@ -297,7 +283,7 @@ def block_diagonal_embed(spec: ModelSpec, params: ModelParams
     Layer 2 and the head are copied verbatim, so the two models agree on
     every input.
     """
-    _check_params(spec, params)
+    check_params(spec, params)
     if spec.kind != "st_stacked":
         raise ConfigError("block_diagonal_embed expects an st_stacked model")
     c, m, nc = spec.locations, spec.vars_per_location, spec.loc_neurons

@@ -3,13 +3,12 @@
 One training run is fully deterministic given its seed: parameter
 initialization, epoch shuffles, and gradient accumulation all happen in
 a fixed order. Repeats differ only by seed (base seed + repeat index)
-and are independent, so they may run in parallel threads.
+and run one after another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .metrics import mae, median_low, mse
 from .model import (
     ModelParams,
     ModelSpec,
+    check_params,
     init_model_params,
     is_penalized,
     model_backward,
@@ -29,6 +29,7 @@ from .model import (
 )
 
 OPTIMIZERS = ("sgd", "adam")
+FLOAT_FIELDS = ("learning_rate", "l2_lambda", "adam_beta1", "adam_beta2", "adam_eps")
 
 
 @dataclass
@@ -53,6 +54,9 @@ class TrainConfig:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
             raise ConfigError("epochs, batch_size and repeats must all be >= 1")
+        for name in FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
 
@@ -163,6 +167,7 @@ def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
 
 def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.ndarray:
     """Raw-scale predictions for stacked windows X of shape (N, T, c*m)."""
+    check_params(spec, params)
     window = [X[:, t, :] for t in range(X.shape[1])]
     preds, _ = model_forward(spec, params, window)
     return np.atleast_1d(np.asarray(preds))
@@ -226,26 +231,17 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
 
 
 def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
-                   test_set: list[Window] | None = None,
-                   max_workers: int = 1) -> RepeatedResult:
+                   test_set: list[Window] | None = None) -> RepeatedResult:
     """Run ``config.repeats`` independent fits and report median test errors.
 
     Repeat r uses seed config.seed + r. Medians use the lower-middle
     element for even counts, so the reported value always belongs to an
     actual run. ``best_index`` points at the run achieving the median
-    MAE (ties broken by repeat order). Runs may execute concurrently;
-    results are merged by repeat index, so parallelism never changes
-    the outcome.
+    MAE (ties broken by repeat order).
     """
     config.validate()
-    seeds = [config.seed + r for r in range(config.repeats)]
-    if max_workers > 1 and config.repeats > 1:
-        with ThreadPoolExecutor(max_workers=min(max_workers, config.repeats)) as pool:
-            futures = [pool.submit(train_once, spec, config, train_set, s, test_set)
-                       for s in seeds]
-            runs = [f.result() for f in futures]
-    else:
-        runs = [train_once(spec, config, train_set, s, test_set) for s in seeds]
+    runs = [train_once(spec, config, train_set, config.seed + r, test_set)
+            for r in range(config.repeats)]
 
     median_mae = median_mse = None
     best_index = 0

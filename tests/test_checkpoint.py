@@ -119,3 +119,27 @@ def test_bad_value_is_a_parse_error(tmp_path, st_model):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_value_is_a_parse_error(tmp_path, st_model, token):
+    spec, params = st_model
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(spec, params, path)
+    lines = path.read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if line.startswith("layer2.b_f "))
+    lines[idx + 2] = token
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError, match=f"{path}:{idx + 3}: .*layer2.b_f"):
+        load_checkpoint(path)
+
+
+def test_spec_larger_than_the_file_fails_before_allocating(tmp_path, st_model):
+    spec, params = st_model
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(spec, params, path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace("n1=6", "n1=3000000000").replace("locations=3", "locations=1")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load_checkpoint(path)

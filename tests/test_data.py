@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stlstm import gen_synthetic, load_dataset, load_manifest, make_windows, test_windows, train_windows
-from stlstm.data import Manifest, denormalize_target, normalize, synthetic_series, windows_to_arrays
+from stlstm.data import normalize, synthetic_series, windows_to_arrays
 from stlstm.errors import (
     CsvFormatError,
     DataError,
@@ -87,6 +87,36 @@ def test_unparseable_cell_is_a_format_error(tmp_path):
     (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
     with pytest.raises(CsvFormatError, match="abc"):
         load_dataset(load_manifest(tmp_path / "m.txt"))
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "1e999", "Infinity", "-nan"])
+def test_non_finite_cell_is_a_format_error(tmp_path, token):
+    path = tmp_path / "a.csv"
+    path.write_text(f"date,temperature\n2020-01-01,1.0\n2020-01-02,{token}\n")
+    (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
+    with pytest.raises(CsvFormatError, match=r"a\.csv:3: .*'temperature'"):
+        load_dataset(load_manifest(tmp_path / "m.txt"))
+
+
+@pytest.mark.parametrize("token", ["na", "NaN", "null", " nan "])
+def test_missing_tokens_follow_the_missing_policy(tmp_path, token):
+    path = tmp_path / "a.csv"
+    path.write_text(f"date,temperature\n2020-01-01,1.5\n2020-01-02,{token}\n")
+    (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
+    manifest = load_manifest(tmp_path / "m.txt")
+    with pytest.raises(MissingValueError):
+        load_dataset(manifest)
+    assert load_dataset(manifest, missing_policy="ffill").values[1, 0, 0] == 1.5
+
+
+def test_undecodable_bytes_are_data_errors(tmp_path):
+    (tmp_path / "a.csv").write_bytes(b"date,temperature\n2020-01-01,\xff\n")
+    (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
+    with pytest.raises(DataError, match="a.csv"):
+        load_dataset(load_manifest(tmp_path / "m.txt"))
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfealpha,a.csv\n")
+    with pytest.raises(ManifestError, match="bad.txt"):
+        load_manifest(tmp_path / "bad.txt")
 
 
 def test_unknown_target_variable(tmp_path):
@@ -184,14 +214,6 @@ def test_constant_column_normalizes_to_zero(tmp_path):
     z = normalize(ds)
     assert np.array_equal(z[:, 0], np.zeros(10))
     assert np.all(np.isfinite(z))
-
-
-def test_denormalize_target_inverts_the_z_score(tmp_path):
-    ds = make_counting_dataset(tmp_path, 25)
-    col = ds.target_column()
-    raw = ds.flat()[:, col]
-    z = (raw - ds.norm_mean[col]) / ds.norm_std[col]
-    assert np.max(np.abs(denormalize_target(ds, z) - raw)) < 1e-12
 
 
 def test_manifest_order_defines_slice_order(tmp_path):

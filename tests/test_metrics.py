@@ -113,3 +113,32 @@ def test_report_invariant_rejects_impossible_pairs():
     rep = make_report("stacked", preds=tuple(rng.normal(size=50)),
                       truths=tuple(rng.normal(size=50)))
     assert rep.mae <= np.sqrt(rep.mse) + 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_rejects_non_finite_values(bad):
+    with pytest.raises(ReportError, match="non-finite"):
+        make_report("stacked", preds=(1.0, bad))
+    with pytest.raises(ReportError, match="non-finite"):
+        make_report("stacked", truths=(bad, 1.0))
+
+
+def test_report_invariant_tolerates_rounding_of_large_equal_errors():
+    # mean |e| rounds to 1000000.8000000002 here, sqrt(mean e^2) to 1000000.8
+    rep = make_report("stacked", preds=(1000000.8,) * 3, truths=(0.0,) * 3)
+    assert rep.mae > np.sqrt(rep.mse)
+
+
+def test_report_invariant_is_checked_without_assert(monkeypatch):
+    # a broken mae must be caught by an error that survives python -O
+    monkeypatch.setattr("stlstm.metrics.mae", lambda p, t: 10.0)
+    with pytest.raises(ReportError, match="sqrt"):
+        make_report("stacked")
+
+
+def test_malformed_report_json_is_a_report_error(tmp_path):
+    path = tmp_path / "rep.json"
+    for text in ("{", '{"model_kind": "stacked"}', "[]"):
+        path.write_text(text)
+        with pytest.raises(ReportError):
+            EvalReport.load(path)

@@ -16,7 +16,7 @@ from stlstm import (
     zero_model_params,
 )
 from stlstm.model import init_model_params, is_penalized
-from stlstm.train import gradcheck
+from stlstm.train import gradcheck, predict_batch
 
 
 def enumeration_count(spec):
@@ -90,6 +90,30 @@ def test_stacked_predictions_invariant_under_location_permutation():
     window_perm = [x[col_perm] for x in window]
     pred_perm, _ = model_forward(spec, permuted, window_perm)
     assert abs(pred - pred_perm) < 1e-12
+
+
+def test_layer1_layout_lives_in_the_spec():
+    st = ModelSpec(kind="st_stacked", locations=5, vars_per_location=3, n1=20, n2=8)
+    stacked = ModelSpec(kind="stacked", locations=5, vars_per_location=3, n1=20, n2=8)
+    assert (st.loc_cells, st.loc_inputs, st.loc_neurons) == (5, 3, 4)
+    assert (stacked.loc_cells, stacked.loc_inputs, stacked.loc_neurons) == (1, 15, 20)
+    for spec in (st, stacked):
+        cells = init_model_params(spec, np.random.default_rng(0)).layer1
+        assert len(cells) == spec.loc_cells
+        assert all((c.n, c.d) == (spec.loc_neurons, spec.loc_inputs) for c in cells)
+
+
+def test_params_are_validated_where_a_model_comes_in():
+    spec = ModelSpec(kind="st_stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=3)
+    X = np.zeros((2, spec.seq_len, spec.input_dim))
+    for wrong in (ModelSpec(kind="st_stacked", locations=2, vars_per_location=2, n1=6, n2=3),
+                  ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3),
+                  ModelSpec(kind="st_stacked", locations=2, vars_per_location=2, n1=4, n2=5)):
+        params = zero_model_params(wrong)
+        with pytest.raises(ShapeError):
+            predict_batch(spec, params, X)
+        with pytest.raises(ShapeError):
+            block_diagonal_embed(spec, params)
 
 
 # ---------------------------------------------------------------------------

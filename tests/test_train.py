@@ -136,17 +136,6 @@ def test_repeats_use_consecutive_seeds(tiny_data):
     assert result.runs[result.best_index].test_mae == result.median_mae
 
 
-def test_parallel_repeats_match_sequential(tiny_data):
-    spec, tr, te = tiny_data
-    cfg = TrainConfig(epochs=1, repeats=3, seed=7)
-    seq = train_repeated(spec, cfg, tr, te, max_workers=1)
-    par = train_repeated(spec, cfg, tr, te, max_workers=3)
-    assert seq.median_mae == par.median_mae
-    for a, b in zip(seq.runs, par.runs):
-        for (_, x), (_, y) in zip(a.params.tensors(), b.params.tensors()):
-            assert np.array_equal(x, y)
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 

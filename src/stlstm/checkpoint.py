@@ -26,16 +26,13 @@ from .errors import (
     ConfigError,
 )
 from .cell import CELL_TENSOR_NAMES
-from .model import ModelParams, ModelSpec, param_count, zero_model_params
+from .model import SPEC_FIELDS, ModelParams, ModelSpec, param_count, parse_field, zero_model_params
 
 HEADER = "stlstm-checkpoint v1"
-_SPEC_FIELDS = ("kind", "locations", "vars_per_location", "n1", "n2",
-                "activation", "seq_len", "horizon")
-_INT_FIELDS = ("locations", "vars_per_location", "n1", "n2", "seq_len", "horizon")
 
 
 def _spec_line(spec: ModelSpec) -> str:
-    return " ".join(f"{name}={getattr(spec, name)}" for name in _SPEC_FIELDS)
+    return " ".join(f"{name}={getattr(spec, name)}" for name in SPEC_FIELDS)
 
 
 def _parse_spec_line(line: str) -> ModelSpec:
@@ -45,21 +42,16 @@ def _parse_spec_line(line: str) -> ModelSpec:
             raise CheckpointFormatError(f"bad spec token {token!r} in checkpoint")
         key, value = token.split("=", 1)
         kv[key] = value
-    missing = [name for name in _SPEC_FIELDS if name not in kv]
+    missing = [name for name in SPEC_FIELDS if name not in kv]
     if missing:
         raise CheckpointFormatError(f"checkpoint spec line is missing {missing}")
-    extra = [key for key in kv if key not in _SPEC_FIELDS]
+    extra = [key for key in kv if key not in SPEC_FIELDS]
     if extra:
         raise CheckpointFormatError(f"checkpoint spec line has unknown keys {extra}")
     try:
-        spec = ModelSpec(**{k: (int(v) if k in _INT_FIELDS else v) for k, v in kv.items()})
-    except ValueError as exc:
-        raise CheckpointFormatError(f"non-integer spec value: {exc}") from exc
-    try:
-        spec.validate()
+        return ModelSpec(**{k: parse_field(SPEC_FIELDS, k, v) for k, v in kv.items()})
     except ConfigError as exc:
         raise CheckpointFormatError(f"checkpoint spec is invalid: {exc}") from exc
-    return spec
 
 
 def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:

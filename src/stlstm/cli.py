@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,31 +29,21 @@ from .data import (
 )
 from .errors import ConfigError, DivergenceError, StlstmError
 from .metrics import EvalReport, comparison_csv, comparison_report, comparison_text, mae, mse
-from .model import ModelSpec, param_count
-from .train import FLOAT_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
+from .model import SPEC_FIELDS, ModelSpec, param_count, parse_field
+from .train import CONFIG_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
 
-_SPEC_KEYS = ("kind", "locations", "vars_per_location", "n1", "n2",
-              "activation", "seq_len", "horizon")
-_SPEC_DEFAULTS = {"kind": "stacked", "n1": 20, "n2": 32, "activation": "tanh",
-                  "seq_len": 10, "horizon": 1}
-_BOOL_KEYS = ("forget_bias_init", "validation_holdout")
+# every config key and train flag: the ModelSpec and TrainConfig fields
+_FIELDS = {**SPEC_FIELDS, **CONFIG_FIELDS}
+# the CLI's defaults for the spec fields ModelSpec leaves without one
+_SPEC_DEFAULTS = {"kind": "stacked", "n1": 20, "n2": 32}
 
 
-def _flag(parser, key: str, **kwargs) -> None:
+def _flag(parser, key: str) -> None:
     """Register a config key as a flag under both dashed and raw spellings."""
     names = [f"--{key.replace('_', '-')}"]
     if "_" in key:
         names.append(f"--{key}")
-    parser.add_argument(*names, dest=key, default=None, **kwargs)
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = str(value).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
+    parser.add_argument(*names, dest=key, default=None)
 
 
 def _normalize_kind(value: str) -> str:
@@ -63,7 +53,6 @@ def _normalize_kind(value: str) -> str:
 
 def read_config_file(path) -> dict:
     """Flat ``key = value`` text; keys are TrainConfig / ModelSpec field names."""
-    known = {f.name for f in fields(TrainConfig)} | set(_SPEC_KEYS)
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -76,40 +65,30 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value
     return out
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str) or key in ("kind", "activation", "optimizer"):
-        return value
-    if key in _BOOL_KEYS:
-        parse, expected = _parse_bool, "a boolean"
-    elif key in FLOAT_FIELDS:
-        parse, expected = float, "a number"
-    else:
-        parse, expected = int, "an integer"
-    try:
-        return parse(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+def _coerce(key: str, value: str):
+    """A config-file or flag value, parsed as its field's type."""
+    return parse_field(_FIELDS, key, value)
 
 
 def _resolve_settings(args) -> dict:
     """defaults < config file < explicit CLI flags, all keys coerced."""
-    settings = {f.name: f.default for f in fields(TrainConfig)}
+    settings = {f.name: f.default for cls in (TrainConfig, ModelSpec) for f in fields(cls)
+                if f.default is not MISSING}
     settings.update(_SPEC_DEFAULTS)
     if getattr(args, "config", None):
         for key, value in read_config_file(args.config).items():
             settings[key] = _coerce(key, value)
-    for key in list(settings) + ["locations", "vars_per_location"]:
+    for key in _FIELDS:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             settings[key] = _coerce(key, cli_value)
-    if "kind" in settings and settings["kind"] is not None:
-        settings["kind"] = _normalize_kind(str(settings["kind"]))
+    settings["kind"] = _normalize_kind(settings["kind"])
     return settings
 
 
@@ -119,20 +98,14 @@ def _banner(command: str, items: dict) -> None:
 
 
 def _spec_from_settings(settings: dict, ds: Dataset) -> ModelSpec:
-    for key, actual in (("locations", len(ds.locations)),
-                        ("vars_per_location", len(ds.variables))):
+    data = {"locations": len(ds.locations), "vars_per_location": len(ds.variables)}
+    for key, actual in data.items():
         declared = settings.get(key)
-        if declared is not None and int(declared) != actual:
+        if declared is not None and declared != actual:
             raise ConfigError(
                 f"{key}={declared} disagrees with the manifest's data ({actual})"
             )
-    spec = ModelSpec(kind=settings["kind"], locations=len(ds.locations),
-                     vars_per_location=len(ds.variables),
-                     n1=int(settings["n1"]), n2=int(settings["n2"]),
-                     activation=settings["activation"],
-                     seq_len=int(settings["seq_len"]), horizon=int(settings["horizon"]))
-    spec.validate()
-    return spec
+    return ModelSpec(**{name: data.get(name, settings.get(name)) for name in SPEC_FIELDS})
 
 
 def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None):
@@ -191,9 +164,7 @@ def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     ds = load_dataset(manifest, missing_policy=args.missing_policy)
     spec = _spec_from_settings(settings, ds)
-    config = TrainConfig(**{f.name: _coerce(f.name, settings[f.name])
-                            for f in fields(TrainConfig)})
-    config.validate()
+    config = TrainConfig(**{name: settings[name] for name in CONFIG_FIELDS})
 
     banner_items = dict(settings)
     banner_items.update(manifest=args.manifest, out=args.out,
@@ -201,14 +172,14 @@ def cmd_train(args) -> int:
                         locations=spec.locations,
                         vars_per_location=spec.vars_per_location)
     _banner("train", banner_items)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
 
     tr = train_windows(ds, spec.seq_len, spec.horizon)
     te = (test_windows(ds, spec.seq_len, spec.horizon)
           if ds.test_start_idx is not None else None)
     result = train_repeated(spec, config, tr, te)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_lines = []
     for r, run in enumerate(result.runs):
         name = f"repeat{r}.ckpt"
@@ -219,6 +190,9 @@ def cmd_train(args) -> int:
         )
         log_lines.append(f"repeat={r} loss_curve=" +
                          " ".join(repr(v) for v in run.loss_curve))
+        if run.val_curve is not None:
+            log_lines.append(f"repeat={r} val_curve=" +
+                             " ".join(repr(v) for v in run.val_curve))
     best_name = f"repeat{result.best_index}.ckpt"
     (out_dir / "best.txt").write_text(best_name + "\n")
     log_lines.append(f"median_mae={result.median_mae!r} "
@@ -301,7 +275,6 @@ def cmd_gradcheck(args) -> int:
     spec = ModelSpec(kind=kind, locations=args.locations,
                      vars_per_location=args.vars, n1=args.n1, n2=args.n2,
                      activation=args.activation, seq_len=args.seq_len, horizon=1)
-    spec.validate()
     _banner("gradcheck", {"model_kind": kind, "activation": args.activation,
                           "seed": args.seed, "locations": args.locations,
                           "vars": args.vars, "n1": args.n1, "n2": args.n2,
@@ -320,7 +293,6 @@ def cmd_param_count(args) -> int:
     kind = _normalize_kind(args.kind)
     spec = ModelSpec(kind=kind, locations=args.locations, vars_per_location=args.vars,
                      n1=args.n1, n2=args.n2)
-    spec.validate()
     _banner("param-count", {"kind": kind, "locations": args.locations,
                             "vars": args.vars, "n1": args.n1, "n2": args.n2})
     counts = param_count(spec)
@@ -357,15 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-kind", "--model_kind", "--kind", dest="kind", default=None)
     p.add_argument("--missing-policy", "--missing_policy", dest="missing_policy",
                    choices=("error", "ffill"), default="error")
-    for key in ("locations", "vars_per_location", "n1", "n2", "seq_len", "horizon",
-                "epochs", "batch_size", "seed", "repeats"):
-        _flag(p, key, type=int)
-    for key in FLOAT_FIELDS:
-        _flag(p, key, type=float)
-    _flag(p, "activation", choices=("tanh", "sigmoid"))
-    _flag(p, "optimizer", choices=("sgd", "adam"))
-    for key in _BOOL_KEYS:
-        _flag(p, key)
+    for key in _FIELDS:
+        if key != "kind":
+            _flag(p, key)
     p.set_defaults(func=cmd_train)
 
     for name, func in (("predict", cmd_predict), ("evaluate", cmd_evaluate)):

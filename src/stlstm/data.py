@@ -93,7 +93,11 @@ def load_manifest(path) -> Manifest:
             if "," not in line:
                 raise ManifestError(f"{path}:{lineno}: expected 'location_name,path'")
             name, rel = line.split(",", 1)
-            locations.append((name.strip(), (path.parent / rel.strip()).resolve()))
+            try:
+                resolved = (path.parent / rel.strip()).resolve()
+            except ValueError as exc:  # e.g. an embedded NUL byte
+                raise ManifestError(f"{path}:{lineno}: bad location path {rel!r}: {exc}") from exc
+            locations.append((name.strip(), resolved))
     if target is None:
         raise ManifestError(f"{path}: manifest declares no target")
     test_range = (test_start, test_end) if test_start is not None else None
@@ -145,11 +149,16 @@ class Dataset:
 def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], list[str], np.ndarray]:
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
+    if len(rows) == 1:
+        raise CsvFormatError(f"{path}: header but no data rows")
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[0] != "date":
         raise CsvFormatError(f"{path}: header must be 'date,<var1>,...', got {header}")
@@ -192,7 +201,7 @@ def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], 
 
 def _check_date_axis(dates: list[dt.date], path: Path) -> None:
     for a, b in zip(dates, dates[1:]):
-        if b != a + dt.timedelta(days=1):
+        if (b - a).days != 1:  # not a + 1 day, which overflows after date.max
             raise DateAlignmentError(
                 f"{path}: date axis must advance one day at a time, "
                 f"found {a} followed by {b}"
@@ -257,8 +266,16 @@ def load_dataset(manifest: Manifest, missing_policy: str = "error") -> Dataset:
     train_rows = flat[:test_start_idx] if test_start_idx is not None else flat
     if train_rows.shape[0] == 0:
         raise DataError("no rows before the test range to compute normalization stats")
-    norm_mean = train_rows.mean(axis=0)
-    norm_std = train_rows.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_mean = train_rows.mean(axis=0)
+        norm_std = train_rows.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(norm_mean + norm_std))
+    if bad.size:
+        loc, var = divmod(int(bad[0]), len(variables0))
+        raise DataError(
+            f"{loc_names[loc]}:{variables0[var]}: values too large, their normalization "
+            "stats overflow float64"
+        )
 
     return Dataset(dates=dates0, values=values, locations=loc_names,
                    variables=variables0,

@@ -50,11 +50,12 @@ class CheckpointShapeError(CheckpointError):
 
 
 class DivergenceError(StlstmError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient; names where it happened."""
 
-    def __init__(self, epoch: int, message: str | None = None):
-        self.epoch = epoch
-        super().__init__(message or f"training diverged (non-finite loss) at epoch {epoch}")
+    def __init__(self, epoch: int, batch: int | None = None, tensor: str = "loss"):
+        self.epoch, self.batch, self.tensor = epoch, batch, tensor
+        where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"training diverged (non-finite {tensor}) at {where}")
 
 
 class ReportError(StlstmError):

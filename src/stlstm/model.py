@@ -17,7 +17,7 @@ cells, cell k reading input slice k and producing hidden slice k, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,35 @@ from .errors import ConfigError, ShapeError
 KINDS = ("stacked", "st_stacked")
 
 
+def _parse_bool(value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+# one text parser per field type; with postponed annotations a dataclass
+# Field.type is the annotation's text
+_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "bool": (_parse_bool, "a boolean"), "str": (str, "a string")}
+
+
+def field_types(cls) -> dict[str, str]:
+    """A dataclass's field table: {field name: type name}, in field order."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+def parse_field(types: dict[str, str], key: str, text: str):
+    """Parse ``text`` as the type the table gives ``key``; ConfigError names both."""
+    parse, expected = _PARSERS[types[key]]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+
+
 @dataclass
 class ModelSpec:
     """Architecture description shared by construction, training, and checkpoints."""
@@ -48,12 +77,15 @@ class ModelSpec:
     seq_len: int = 10
     horizon: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
         check_activation(self.activation)
-        for name in ("locations", "vars_per_location", "n1", "n2", "seq_len", "horizon"):
-            if int(getattr(self, name)) < 1:
+        for name, type_name in SPEC_FIELDS.items():
+            if type_name == "int" and getattr(self, name) < 1:
                 raise ConfigError(f"spec field {name} must be >= 1, got {getattr(self, name)}")
         if self.kind == "st_stacked" and self.n1 % self.locations != 0:
             raise ConfigError(
@@ -79,6 +111,9 @@ class ModelSpec:
     def loc_neurons(self) -> int:
         """Neurons of each layer-1 cell (its slice of the n1-wide hidden state)."""
         return self.n1 // self.loc_cells
+
+
+SPEC_FIELDS = field_types(ModelSpec)
 
 
 @dataclass
@@ -152,7 +187,6 @@ def check_params(spec: ModelSpec, params: ModelParams) -> None:
 def init_model_params(spec: ModelSpec, rng: np.random.Generator,
                       forget_bias_init: bool = False) -> ModelParams:
     """Draw fresh parameters in canonical tensor order (reproducible per rng)."""
-    spec.validate()
     fb = 1.0 if forget_bias_init else 0.0
     layer1 = [init_cell_params(spec.loc_neurons, spec.loc_inputs, rng, fb)
               for _ in range(spec.loc_cells)]
@@ -164,7 +198,6 @@ def init_model_params(spec: ModelSpec, rng: np.random.Generator,
 
 def zero_model_params(spec: ModelSpec) -> ModelParams:
     """All-zero parameters (gradient accumulators, degenerate models)."""
-    spec.validate()
     layer1 = [CellParams.zeros(spec.loc_neurons, spec.loc_inputs) for _ in range(spec.loc_cells)]
     return ModelParams(layer1=layer1, layer2=CellParams.zeros(spec.n2, spec.n1),
                        w_dense=np.zeros(spec.n2), b_dense=np.zeros(1))
@@ -315,7 +348,6 @@ def param_count(spec: ModelSpec) -> dict:
     Per cell with n neurons and input width d: 4 input matrices (n*d),
     4 recurrent matrices (n*n), 3 peepholes (n), 4 biases (n).
     """
-    spec.validate()
     c, m, n1, n2 = spec.locations, spec.vars_per_location, spec.n1, spec.n2
     if spec.kind == "st_stacked":
         layer1 = 4 * n1 * m + 4 * n1 * n1 // c + 3 * n1 + 4 * n1

@@ -21,6 +21,7 @@ from .model import (
     ModelParams,
     ModelSpec,
     check_params,
+    field_types,
     init_model_params,
     is_penalized,
     model_backward,
@@ -29,7 +30,6 @@ from .model import (
 )
 
 OPTIMIZERS = ("sgd", "adam")
-FLOAT_FIELDS = ("learning_rate", "l2_lambda", "adam_beta1", "adam_beta2", "adam_eps")
 
 
 @dataclass
@@ -47,6 +47,9 @@ class TrainConfig:
     forget_bias_init: bool = False
     validation_holdout: bool = False  # hold out the last 10% of training windows
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
@@ -54,11 +57,16 @@ class TrainConfig:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
         if self.epochs < 1 or self.batch_size < 1 or self.repeats < 1:
             raise ConfigError("epochs, batch_size and repeats must all be >= 1")
-        for name in FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, type_name in CONFIG_FIELDS.items():
+            if type_name == "float" and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
+
+
+CONFIG_FIELDS = field_types(TrainConfig)
 
 
 def l2_penalty(params: ModelParams) -> float:
@@ -176,8 +184,6 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
 def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
                seed: int, test_set: list[Window] | None = None) -> RunResult:
     """One deterministic run: init, shuffle, fit, optionally score the test set."""
-    spec.validate()
-    config.validate()
     if not train_set:
         raise ShapeError("train_once: no training windows")
     X, y = windows_to_arrays(train_set)
@@ -205,17 +211,22 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_losses = []
-        for lo in range(0, n, config.batch_size):
+        for batch, lo in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[lo:lo + config.batch_size]
             batch_loss, grads = _batch_loss_and_grads(spec, params, X[idx], y[idx],
                                                       config.l2_lambda)
             if not math.isfinite(batch_loss):
-                raise DivergenceError(epoch)
+                raise DivergenceError(epoch, batch)
+            # a finite loss can still carry overflowed gradients, which the
+            # optimizer would write into the parameters
+            for name, g in grads.tensors():
+                if not np.isfinite(g).all():
+                    raise DivergenceError(epoch, batch, f"gradient {name}")
             opt.step([arr for _, arr in grads.tensors()])
             epoch_losses.append(batch_loss)
         epoch_loss = float(np.mean(epoch_losses))
         if not math.isfinite(epoch_loss):
-            raise DivergenceError(epoch)
+            raise DivergenceError(epoch, tensor="epoch mean loss")
         curve.append(epoch_loss)
         if val_curve is not None:
             val_preds = predict_batch(spec, params, val_X)
@@ -239,7 +250,6 @@ def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: list[Window]
     actual run. ``best_index`` points at the run achieving the median
     MAE (ties broken by repeat order).
     """
-    config.validate()
     runs = [train_once(spec, config, train_set, config.seed + r, test_set)
             for r in range(config.repeats)]
 
@@ -330,7 +340,6 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Intended
     for toy sizes; the cost is two forward passes per parameter.
     """
-    spec.validate()
     rng = np.random.default_rng(seed)
     params = random_model_params(spec, rng)
     X = rng.normal(0.0, 1.0, size=(n_windows, spec.seq_len, spec.input_dim))

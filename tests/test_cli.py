@@ -283,3 +283,46 @@ def test_subcommand_help_exits_zero(capsys):
         code, stdout, _ = run_cli([sub, "--help"], capsys)
         assert code == 0
         assert "usage" in stdout.lower()
+
+
+def test_unusable_out_fails_before_training(tmp_path, capsys, monkeypatch):
+    from stlstm import cli
+
+    def refuse(*_):
+        raise AssertionError("trained before --out was created")
+
+    monkeypatch.setattr(cli, "train_repeated", refuse)
+    manifest = gen_tiny(tmp_path, capsys)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(["train", "--manifest", str(manifest), "--out", str(taken),
+                            *TRAIN_FAST], capsys)
+    assert code == 2
+    assert "taken" in err
+
+
+def test_validation_curve_is_logged_only_with_the_holdout(tmp_path, capsys):
+    manifest = gen_tiny(tmp_path, capsys)
+    for holdout in ("false", "true"):
+        out = tmp_path / holdout
+        code, _, _ = run_cli(["train", "--manifest", str(manifest), "--out", str(out),
+                              "--validation-holdout", holdout, *TRAIN_FAST], capsys)
+        assert code == 0
+        lines = [line for line in (out / "run.log").read_text().splitlines()
+                 if "val_curve=" in line]
+        if holdout == "false":
+            assert lines == []
+        else:
+            assert [line.split()[0] for line in lines] == ["repeat=0", "repeat=1"]
+            assert all(len(line.split()) == 3 for line in lines)  # 2 epochs each
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "abc"), ("--n1", "2.5"),
+                                         ("--learning_rate", "fast"),
+                                         ("--validation-holdout", "maybe")])
+def test_flag_value_that_does_not_parse_exits_2(tmp_path, capsys, flag, value):
+    manifest = gen_tiny(tmp_path, capsys)
+    code, _, err = run_cli(["train", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                            flag, value], capsys)
+    assert code == 2
+    assert flag.lstrip("-").replace("-", "_") in err and value in err

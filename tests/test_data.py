@@ -305,3 +305,40 @@ def test_manifest_relative_paths(tmp_path):
     (sub / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
     manifest = load_manifest(sub / "m.txt")
     assert manifest.locations[0][1] == (sub / "a.csv").resolve()
+
+
+@pytest.mark.parametrize("test_range", [None, ("2020-01-01", "2020-01-02")])
+def test_header_only_csv_is_a_format_error(tmp_path, test_range):
+    # without a test range this reached a reshape of an empty array; with
+    # one, the date-alignment message indexed the empty date list
+    manifest = two_location_manifest(tmp_path, [], [], test_range=test_range)
+    with pytest.raises(CsvFormatError, match="a.csv: header but no data rows"):
+        load_dataset(load_manifest(manifest))
+
+
+def test_nul_byte_in_manifest_path_is_a_manifest_error(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("alpha,a\0.csv\ntarget=alpha:temperature\n")
+    with pytest.raises(ManifestError, match=f"{path}:1"):
+        load_manifest(path)
+
+
+def test_oversized_csv_field_is_a_format_error(tmp_path):
+    (tmp_path / "a.csv").write_text("date,temperature\n2020-01-01," + "1" * 200_000 + "\n")
+    (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
+    with pytest.raises(CsvFormatError, match="a.csv:2: field larger than field limit"):
+        load_dataset(load_manifest(tmp_path / "m.txt"))
+
+
+def test_date_axis_ending_at_date_max_is_an_alignment_error(tmp_path):
+    (tmp_path / "a.csv").write_text("date,temperature\n9999-12-31,1.0\n2020-01-01,2.0\n")
+    (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
+    with pytest.raises(DateAlignmentError, match="9999-12-31 followed by 2020-01-01"):
+        load_dataset(load_manifest(tmp_path / "m.txt"))
+
+
+def test_overflowing_normalization_stats_are_a_data_error(tmp_path):
+    # every cell is finite, but their sum is not
+    manifest = two_location_manifest(tmp_path, [(1.0, 2.0)] * 3, [(1e308, 2.0)] * 3)
+    with pytest.raises(DataError, match="beta:temperature"):
+        load_dataset(load_manifest(manifest))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stlstm import (
+    ConfigError,
     DivergenceError,
     ModelSpec,
     TrainConfig,
@@ -162,3 +163,48 @@ def test_penalty_gradient_is_exactly_2_lambda_w():
             assert np.array_equal(g, np.zeros_like(g))
         else:
             assert np.array_equal(g, 2.0 * lam * w)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
+    # a huge head and layer-2 weights give a finite loss (~4e305) whose
+    # layer-1 gradients overflow; unchecked, Adam writes NaN into the
+    # parameters and a one-batch run reports nothing
+    import datetime as dt
+
+    from stlstm import train
+    from stlstm.data import Window
+    from stlstm.model import init_model_params
+
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=8, n2=3, seq_len=6)
+    rng = np.random.default_rng(8)
+    params = init_model_params(spec, rng)
+    params.w_dense[:] = 1e153
+    for name, arr in params.layer2.tensors():
+        if name.startswith("W_"):
+            arr *= 1e3
+    X = rng.normal(size=(8, 6, 4))
+    y = rng.normal(size=8)
+    windows = [Window(inputs=X[k], target=float(y[k]), window_id=k,
+                      target_date=dt.date(2020, 1, 1)) for k in range(8)]
+    monkeypatch.setattr(train, "init_model_params", lambda *_: params)
+    cfg = TrainConfig(epochs=1, batch_size=8, l2_lambda=0.0, repeats=1)
+    with pytest.raises(DivergenceError) as err:
+        train_once(spec, cfg, windows, seed=0)
+    assert (err.value.epoch, err.value.batch) == (1, 1)
+    assert err.value.tensor.startswith("gradient layer1.")
+    assert "epoch 1, batch 1" in str(err.value) and "layer1." in str(err.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ModelSpec(kind="other", locations=1, vars_per_location=1, n1=2, n2=2),
+    lambda: ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=2,
+                      activation="relu"),
+    lambda: ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=2, horizon=0),
+    lambda: TrainConfig(optimizer="rmsprop"),
+    lambda: TrainConfig(learning_rate=float("nan")),
+    lambda: TrainConfig(seed=-1),
+], ids=["kind", "activation", "horizon", "optimizer", "learning_rate", "seed"])
+def test_an_invalid_spec_or_config_cannot_be_built(build):
+    with pytest.raises(ConfigError):
+        build()

@@ -1,4 +1,4 @@
-"""Peephole LSTM cell: forward step, unrolled sequence, and exact BPTT.
+"""Peephole LSTM layer engine and its single-cell API.
 
 Gate equations, with ``g`` the configurable inner activation and sigma
 the logistic function:
@@ -14,10 +14,17 @@ time (diagonal connections), so they are stored as vectors. ``g``
 replaces both the cell-candidate nonlinearity and the cell-output
 nonlinearity; the three gates always use sigma.
 
-All arrays are float64. State and input arrays may carry a leading
-batch axis -- shape (B, n) instead of (n,) -- and every function here
-treats the two layouts identically, which is what lets training batch
-windows while tests drive single vectors through the same code path.
+``layer_forward`` and ``layer_backward`` are the one implementation of
+these equations. They run K independent cells of equal shape at once
+on packed gates (``LayerParams``): the input projection of all T steps
+is one batched matmul before the recurrence, each step adds one batched
+matmul of h, and the weight gradients are one matmul each after the
+backward time loop. ``cell_forward``, ``sequence_forward`` and
+``cell_backward`` are the per-cell API over the same engine with K=1.
+
+All arrays are float64. In the per-cell API, state and input arrays may
+carry a leading batch axis -- shape (B, n) instead of (n,) -- and both
+layouts are treated identically.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
-
 from .errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("tanh", "sigmoid")
+GATES = "ifco"      # packing order of the four gates along the 4n axis
+PEEPHOLES = "ifo"   # packing order of the three peepholes (the candidate has none)
 
 
 def check_activation(act: str) -> str:
@@ -38,11 +45,25 @@ def check_activation(act: str) -> str:
     return act
 
 
-def inner_activation(act: str, x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function as (1 + tanh(x/2)) / 2; ``out`` may be ``x``.
+
+    numpy evaluates this several times faster than scipy's expit, and its
+    absolute error stays within 1.1e-16 of the exact value (expit's:
+    1.7e-16); only the relative error of values below ~1e-8 is larger.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
+def inner_activation(act: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the inner activation g (``act`` checked by the caller)."""
     if act == "tanh":
-        return np.tanh(x)
-    return expit(x)
+        return np.tanh(x, out=out)
+    return sigmoid(x, out=out)
 
 
 def inner_activation_deriv(act: str, out: np.ndarray) -> np.ndarray:
@@ -59,7 +80,9 @@ class CellParams:
     Input matrices ``W_x*`` have shape (n, d), recurrent matrices
     ``W_h*`` shape (n, n); peepholes ``w_c*`` and biases ``b_*`` are
     length-n vectors. The candidate path (``*_c`` tensors) has no
-    peephole.
+    peephole. A model's cells are views into its packed layers
+    (``LayerParams.cell``); a cell built from loose arrays is packed
+    when it enters a model.
     """
 
     W_xi: np.ndarray
@@ -119,6 +142,71 @@ def _tensor_shape(name: str, n: int, d: int) -> tuple:
     return (n,)  # peepholes and biases
 
 
+@dataclass
+class LayerParams:
+    """The packed tensors of K cells with n neurons and input width d each.
+
+    ``Wx`` is (K, 4n, d), ``Wh`` (K, 4n, n) and ``b`` (K, 4n), with the
+    gates in the order i, f, c, o along the 4n axis; ``wc`` is (K, 3, n),
+    the peepholes in the order i, f, o. Cell k's gate g is the row block
+    ``[g*n:(g+1)*n]`` of ``Wx[k]``, ``Wh[k]`` and ``b[k]``, so every
+    per-gate view that ``cell`` returns is C-contiguous.
+    """
+
+    Wx: np.ndarray
+    Wh: np.ndarray
+    wc: np.ndarray
+    b: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return self.Wx.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.Wh.shape[2]
+
+    @property
+    def d(self) -> int:
+        return self.Wx.shape[2]
+
+    def arrays(self) -> tuple:
+        return self.Wx, self.Wh, self.wc, self.b
+
+    def cell(self, k: int) -> CellParams:
+        """Cell k as per-gate views into the packed tensors."""
+        n = self.n
+        views = {}
+        for g, gate in enumerate(GATES):
+            rows = slice(g * n, (g + 1) * n)
+            views[f"W_x{gate}"] = self.Wx[k, rows]
+            views[f"W_h{gate}"] = self.Wh[k, rows]
+            views[f"b_{gate}"] = self.b[k, rows]
+        for j, gate in enumerate(PEEPHOLES):
+            views[f"w_c{gate}"] = self.wc[k, j]
+        return CellParams(**views)
+
+    @classmethod
+    def zeros(cls, K: int, n: int, d: int) -> "LayerParams":
+        return cls(Wx=np.zeros((K, 4 * n, d)), Wh=np.zeros((K, 4 * n, n)),
+                   wc=np.zeros((K, 3, n)), b=np.zeros((K, 4 * n)))
+
+    @classmethod
+    def pack(cls, cells: list[CellParams]) -> "LayerParams":
+        """Copy loose cells of one shape into a fresh packed layer."""
+        for cell in cells:
+            cell.validate()
+        n, d = cells[0].n, cells[0].d
+        if any((cell.n, cell.d) != (n, d) for cell in cells):
+            raise ShapeError(f"cells of one layer differ in shape: "
+                             f"{[(cell.n, cell.d) for cell in cells]}")
+        layer = cls.zeros(len(cells), n, d)
+        for k, cell in enumerate(cells):
+            for (_, dst), (_, src) in zip(layer.cell(k).tensors(), cell.tensors()):
+                dst[...] = src
+        return layer
+
+
 def init_cell_params(n: int, d: int, rng: np.random.Generator,
                      forget_bias: float = 0.0) -> CellParams:
     """Fresh trainable parameters.
@@ -127,16 +215,20 @@ def init_cell_params(n: int, d: int, rng: np.random.Generator,
     and biases start at zero, except the forget bias which may be
     raised to encourage early memory retention.
     """
-    out = {}
-    for name in CELL_TENSOR_NAMES:
-        shape = _tensor_shape(name, n, d)
+    p = CellParams.zeros(n, d)
+    init_cell_into(p, rng, forget_bias)
+    return p
+
+
+def init_cell_into(p: CellParams, rng: np.random.Generator, forget_bias: float = 0.0) -> None:
+    """Draw a cell's initial values in place, in canonical tensor order."""
+    for name, arr in p.tensors():
         if name.startswith("W_"):
-            r = 1.0 / np.sqrt(shape[1])
-            out[name] = rng.uniform(-r, r, size=shape)
+            r = 1.0 / np.sqrt(arr.shape[1])
+            arr[...] = rng.uniform(-r, r, size=arr.shape)
         else:
-            out[name] = np.zeros(shape)
-    out["b_f"] = np.full(n, float(forget_bias))
-    return CellParams(**out)
+            arr[...] = 0.0
+    p.b_f[...] = float(forget_bias)
 
 
 @dataclass
@@ -153,8 +245,154 @@ class CellState:
 
 
 @dataclass
+class LayerTrace:
+    """Every intermediate of a layer's forward pass, stacked over T steps and K cells.
+
+    ``x`` is the (K, T, B, d) input. The rest is time-major, so that each
+    step reads and writes contiguous blocks: ``gates`` (T, 4, K, B, n)
+    holds i, f, z = g(candidate) and o after their nonlinearities; ``c``
+    and ``h`` (T+1, K, B, n) start with the initial state; ``g_c``
+    (T, K, B, n) is g(c_t).
+    """
+
+    x: np.ndarray
+    gates: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+    g_c: np.ndarray
+
+
+def _by_gate(W: np.ndarray, transpose: bool) -> np.ndarray:
+    """(K, 4n, m) packed matrices as a contiguous (4, K, n, m) stack, or (4, K, m, n) transposed."""
+    K, four_n, m = W.shape
+    W4 = W.reshape(K, 4, four_n // 4, m).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(W4.transpose(0, 1, 3, 2) if transpose else W4)
+
+
+def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | None = None,
+                  keep_trace: bool = True) -> tuple[np.ndarray, CellState, LayerTrace | None]:
+    """Run K cells over inputs X of shape (K, T, B, d) at once.
+
+    Returns the hidden states (T, K, B, n), the final state ((K, B, n)
+    arrays) and, with ``keep_trace``, the trace ``layer_backward``
+    needs. Without it, gates, cell states and g(c) live in per-step
+    scratch. ``init`` (arrays of shape (K, B, n)) defaults to the zero
+    state.
+    """
+    K, T, B, d = X.shape
+    n = p.n
+    # the input projection of every step, one batched matmul: (4, K, T*B, n)
+    P = np.matmul(X.reshape(1, K, T * B, d), _by_gate(p.Wx, transpose=True))
+    P += p.b.reshape(K, 4, 1, n).transpose(1, 0, 2, 3)
+    WhT = _by_gate(p.Wh, transpose=True)
+    w_if = np.ascontiguousarray(p.wc[:, :2].transpose(1, 0, 2))[:, :, None, :]  # (2, K, 1, n)
+    w_o = p.wc[:, 2, None, :]
+
+    gs, cs = (T, T + 1) if keep_trace else (1, 2)
+    G = np.empty((gs, 4, K, B, n))
+    C = np.empty((cs, K, B, n))
+    GC = np.empty((gs, K, B, n))
+    H = np.empty((T + 1, K, B, n))
+    C[0] = 0.0 if init is None else init.c
+    H[0] = 0.0 if init is None else init.h
+
+    for t in range(T):
+        a = G[t % gs]
+        np.matmul(H[t], WhT, out=a)
+        a += P[:, :, t * B:(t + 1) * B]
+        c_prev, c = C[t % cs], C[(t + 1) % cs]
+        a_if = a[:2]
+        a_if += c_prev * w_if
+        sigmoid(a_if, out=a_if)
+        i, f, z, o = a
+        inner_activation(act, z, out=z)
+        np.multiply(f, c_prev, out=c)
+        c += i * z
+        o += c * w_o
+        sigmoid(o, out=o)
+        g_c = inner_activation(act, c, out=GC[t % gs])
+        np.multiply(o, g_c, out=H[t + 1])
+
+    final = CellState(c=C[T % cs], h=H[T])
+    trace = LayerTrace(x=X, gates=G, c=C, h=H, g_c=GC) if keep_trace else None
+    return H[1:], final, trace
+
+
+def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
+                   dc_final: np.ndarray | None = None, grads: LayerParams | None = None,
+                   need_dx: bool = True
+                   ) -> tuple[LayerParams, np.ndarray | None, CellState]:
+    """Reverse-mode gradients through K unrolled cells.
+
+    ``dH`` (T, K, B, n) is the loss gradient arriving directly at each
+    h_t and ``dc_final`` (K, B, n) an optional one on the last cell
+    state. Parameter gradients are written into ``grads`` (a fresh
+    LayerParams by default). Returns (parameter gradients, input
+    gradients (K, T, B, d) or None without ``need_dx``, initial-state
+    gradients).
+
+    The output gate's peephole reads the current-step c, so its
+    pre-activation gradient is formed before c's gradient is complete;
+    the i/f peepholes read the previous c and therefore feed the
+    gradient flowing one step back. The pre-activation gradients dA of
+    every step are kept, so each weight gradient is one matmul after
+    the time loop.
+    """
+    X, G, C, H = trace.x, trace.gates, trace.c, trace.h
+    K, T, B, d = X.shape
+    n = p.n
+    if grads is None:
+        grads = LayerParams.zeros(K, n, d)
+    Wh = _by_gate(p.Wh, transpose=False)
+    w_ci, w_cf, w_co = (p.wc[:, j, None, :] for j in range(3))
+    dA = np.empty((T, 4, K, B, n))
+    dh_next = np.zeros((K, B, n))
+    dc_next = np.zeros((K, B, n)) if dc_final is None else np.array(dc_final, dtype=np.float64)
+
+    for t in range(T - 1, -1, -1):
+        i, f, z, o = G[t]
+        da_i, da_f, dz_pre, da_o = dA[t]
+        g_c, c_prev = trace.g_c[t], C[t]
+        dh = dH[t] + dh_next
+
+        # h = o * g(c): the o branch first, since o's peephole feeds dc.
+        np.multiply(dh, g_c, out=da_o)
+        da_o *= o
+        da_o *= 1.0 - o
+        dc = dh * o * inner_activation_deriv(act, g_c) + dc_next + da_o * w_co
+
+        # c = f * c_prev + i * z
+        np.multiply(dc, z, out=da_i)
+        da_i *= i
+        da_i *= 1.0 - i
+        np.multiply(dc, c_prev, out=da_f)
+        da_f *= f
+        da_f *= 1.0 - f
+        np.multiply(dc, i, out=dz_pre)
+        dz_pre *= inner_activation_deriv(act, z)
+
+        dc_next = dc * f + da_i * w_ci + da_f * w_cf
+        dh_next = np.matmul(dA[t], Wh).sum(axis=0)
+
+    # (T, 4, K, B, n) -> (K, T*B, 4n): each cell's gradients in packed gate order
+    dAk = dA.transpose(2, 0, 3, 1, 4).reshape(K, T * B, 4 * n)
+    dAkT = dAk.transpose(0, 2, 1)
+    np.matmul(dAkT, X.reshape(K, T * B, d), out=grads.Wx)
+    np.matmul(dAkT, H[:T].transpose(1, 0, 2, 3).reshape(K, T * B, n), out=grads.Wh)
+    dAk.sum(axis=1, out=grads.b)
+    # i and f peek at c_prev, o at the current c
+    np.sum(dA[:, :2] * C[:T, None], axis=(0, 3), out=grads.wc[:, :2].transpose(1, 0, 2))
+    np.sum(dA[:, 3] * C[1:], axis=(0, 2), out=grads.wc[:, 2])
+    dX = np.matmul(dAk, p.Wx).reshape(K, T, B, d) if need_dx else None
+    return grads, dX, CellState(c=dc_next, h=dh_next)
+
+
+# ---------------------------------------------------------------------------
+# The single-cell API: K=1 adapters over the layer engine
+
+@dataclass
 class StepTrace:
-    """Every intermediate of one forward step, kept for the backward pass."""
+    """The intermediates of one cell's forward step."""
 
     x: np.ndarray
     c_prev: np.ndarray
@@ -162,82 +400,64 @@ class StepTrace:
     i: np.ndarray
     f: np.ndarray
     o: np.ndarray
-    z_pre: np.ndarray  # pre-activation cell candidate
-    z: np.ndarray      # g(z_pre)
+    z: np.ndarray  # g(candidate pre-activation)
     c: np.ndarray
-    g_c: np.ndarray    # g(c)
     h: np.ndarray
 
 
-def _check_step_shapes(p: CellParams, prev: CellState, x: np.ndarray) -> None:
-    if x.shape[-1] != p.d:
-        raise ShapeError(f"cell input has length {x.shape[-1]}, cell expects d={p.d}")
-    if prev.c.shape[-1] != p.n or prev.h.shape[-1] != p.n:
-        raise ShapeError(
-            f"cell state has widths c={prev.c.shape[-1]}, h={prev.h.shape[-1]}, "
-            f"cell expects n={p.n}"
-        )
-    if prev.c.shape != prev.h.shape or prev.c.shape[:-1] != x.shape[:-1]:
-        raise ShapeError(
-            f"state/input batch shapes disagree: c={prev.c.shape}, h={prev.h.shape}, x={x.shape}"
-        )
-
-
-def cell_forward(p: CellParams, prev: CellState, x: np.ndarray,
-                 act: str) -> tuple[CellState, StepTrace]:
-    """One time step of the cell equations listed in the module docstring."""
-    check_activation(act)
-    x = np.asarray(x, dtype=np.float64)
-    _check_step_shapes(p, prev, x)
-    c_prev, h_prev = prev.c, prev.h
-
-    i = expit(x @ p.W_xi.T + h_prev @ p.W_hi.T + c_prev * p.w_ci + p.b_i)
-    f = expit(x @ p.W_xf.T + h_prev @ p.W_hf.T + c_prev * p.w_cf + p.b_f)
-    z_pre = x @ p.W_xc.T + h_prev @ p.W_hc.T + p.b_c
-    z = inner_activation(act, z_pre)
-    c = f * c_prev + i * z
-    o = expit(x @ p.W_xo.T + h_prev @ p.W_ho.T + c * p.w_co + p.b_o)
-    g_c = inner_activation(act, c)
-    h = o * g_c
-
-    trace = StepTrace(x=x, c_prev=c_prev, h_prev=h_prev, i=i, f=f, o=o,
-                      z_pre=z_pre, z=z, c=c, g_c=g_c, h=h)
-    return CellState(c=c, h=h), trace
+def _as_layer_input(x_seq, d: int) -> tuple[np.ndarray, tuple]:
+    """Stack per-step inputs ((d,) or (B, d) each) into (1, T, B, d); also the step shape."""
+    xs = [np.asarray(x, dtype=np.float64) for x in x_seq]
+    if not xs:
+        raise ShapeError("sequence_forward: empty input sequence")
+    if any(x.shape != xs[0].shape for x in xs):
+        raise ShapeError(f"sequence steps differ in shape: {sorted({x.shape for x in xs})}")
+    if xs[0].ndim not in (1, 2) or xs[0].shape[-1] != d:
+        raise ShapeError(f"cell input has shape {xs[0].shape}, cell expects d={d}")
+    X = np.stack(xs)
+    return (X if X.ndim == 3 else X[:, None, :])[None], xs[0].shape
 
 
 def sequence_forward(p: CellParams, x_seq, act: str,
                      init: CellState | None = None) -> tuple[list[StepTrace], CellState]:
-    """Chain cell_forward over a whole input sequence.
+    """Run one cell over a whole input sequence.
 
     ``x_seq`` is a sequence of per-step inputs (each (d,) or (B, d)).
     ``init`` defaults to the zero state; windows are treated as
     independent samples, so there is no cross-window state.
     """
-    x_seq = list(x_seq)
-    if not x_seq:
-        raise ShapeError("sequence_forward: empty input sequence")
-    x0 = np.asarray(x_seq[0], dtype=np.float64)
-    if init is None:
-        batch = None if x0.ndim == 1 else x0.shape[0]
-        init = CellState.zeros(p.n, batch)
-    traces = []
-    state = init
-    for x in x_seq:
-        state, trace = cell_forward(p, state, x, act)
-        traces.append(trace)
-    return traces, state
+    check_activation(act)
+    X, x_shape = _as_layer_input(x_seq, p.d)
+    batched, B = len(x_shape) == 2, X.shape[2]
+    if init is not None:
+        if init.c.shape[-1] != p.n or init.h.shape[-1] != p.n:
+            raise ShapeError(
+                f"cell state has widths c={init.c.shape[-1]}, h={init.h.shape[-1]}, "
+                f"cell expects n={p.n}"
+            )
+        if init.c.shape != init.h.shape or init.c.shape[:-1] != x_shape[:-1]:
+            raise ShapeError(f"state/input batch shapes disagree: c={init.c.shape}, "
+                             f"h={init.h.shape}, x={x_shape}")
+        init = CellState(c=init.c.reshape(1, B, p.n), h=init.h.reshape(1, B, p.n))
+    _, final, tr = layer_forward(LayerParams.pack([p]), X, act, init)
+
+    def unbatch(a):  # (B, .) -> the caller's layout
+        return a if batched else a[0]
+
+    traces = [StepTrace(x=unbatch(tr.x[0, t]), c_prev=unbatch(tr.c[t, 0]),
+                        h_prev=unbatch(tr.h[t, 0]),
+                        i=unbatch(tr.gates[t, 0, 0]), f=unbatch(tr.gates[t, 1, 0]),
+                        o=unbatch(tr.gates[t, 3, 0]), z=unbatch(tr.gates[t, 2, 0]),
+                        c=unbatch(tr.c[t + 1, 0]), h=unbatch(tr.h[t + 1, 0]))
+              for t in range(X.shape[1])]
+    return traces, CellState(c=unbatch(final.c[0]), h=unbatch(final.h[0]))
 
 
-def _sum_batch(a: np.ndarray) -> np.ndarray:
-    """Reduce a per-sample quantity to a per-parameter one."""
-    return a if a.ndim == 1 else a.sum(axis=0)
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """outer(a, b), summed over the batch axis when present."""
-    if a.ndim == 1:
-        return np.outer(a, b)
-    return a.T @ b
+def cell_forward(p: CellParams, prev: CellState, x: np.ndarray,
+                 act: str) -> tuple[CellState, StepTrace]:
+    """One time step of the cell equations listed in the module docstring."""
+    traces, state = sequence_forward(p, [x], act, init=prev)
+    return state, traces[0]
 
 
 def cell_backward(p: CellParams, traces: list[StepTrace], dh_seq, act: str,
@@ -250,62 +470,38 @@ def cell_backward(p: CellParams, traces: list[StepTrace], dh_seq, act: str,
     ``dc_final`` an optional gradient on the last cell state. Returns
     (parameter gradients, per-step input gradients, initial-state
     gradients).
-
-    The output gate's peephole reads the current-step c, so its
-    pre-activation gradient must be formed before c's gradient is
-    complete; the i/f peepholes read the previous c and therefore feed
-    the gradient flowing one step back.
     """
     check_activation(act)
-    dh_seq = list(dh_seq)
+    dh_seq = [np.asarray(dh, dtype=np.float64) for dh in dh_seq]
     if len(dh_seq) != len(traces):
         raise ShapeError(
             f"cell_backward: got {len(dh_seq)} h-gradients for {len(traces)} steps"
         )
-    grads = CellParams.zeros(p.n, p.d)
-    dx_seq: list[np.ndarray] = [None] * len(traces)  # type: ignore[list-item]
-
-    dh_next = np.zeros_like(traces[-1].h)
-    dc_next = np.zeros_like(traces[-1].c) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-
-    for t in range(len(traces) - 1, -1, -1):
-        tr = traces[t]
-        dh_in = np.asarray(dh_seq[t], dtype=np.float64)
-        if dh_in.shape != tr.h.shape:
+    for t, (dh, tr) in enumerate(zip(dh_seq, traces)):
+        if dh.shape != tr.h.shape:
             raise ShapeError(
-                f"cell_backward: h-gradient at step {t} has shape {dh_in.shape}, "
+                f"cell_backward: h-gradient at step {t} has shape {dh.shape}, "
                 f"expected {tr.h.shape}"
             )
-        dh = dh_in + dh_next
+    batched = traces[0].h.ndim == 2
 
-        # h = o * g(c): the o branch first, since o's peephole feeds dc.
-        do = dh * tr.g_c
-        da_o = do * tr.o * (1.0 - tr.o)
-        dc = dh * tr.o * inner_activation_deriv(act, tr.g_c) + dc_next + da_o * p.w_co
+    def stack(arrays):  # T per-step (B, .) or (.,) arrays -> (T, 1, B, .)
+        out = np.stack(arrays)
+        return out[:, None] if batched else out[:, None, None]
 
-        # c = f * c_prev + i * z
-        da_i = dc * tr.z * tr.i * (1.0 - tr.i)
-        da_f = dc * tr.c_prev * tr.f * (1.0 - tr.f)
-        dz_pre = dc * tr.i * inner_activation_deriv(act, tr.z)
+    def unbatch(a):  # (B, .) -> the caller's layout
+        return a if batched else a[0]
 
-        dc_next = dc * tr.f + da_i * p.w_ci + da_f * p.w_cf
-        dh_next = da_i @ p.W_hi + da_f @ p.W_hf + dz_pre @ p.W_hc + da_o @ p.W_ho
-        dx_seq[t] = da_i @ p.W_xi + da_f @ p.W_xf + dz_pre @ p.W_xc + da_o @ p.W_xo
+    c = stack([traces[0].c_prev] + [tr.c for tr in traces])
+    trace = LayerTrace(
+        x=stack([tr.x for tr in traces]).transpose(1, 0, 2, 3),
+        gates=np.stack([stack([getattr(tr, g) for tr in traces]) for g in "ifzo"], axis=1),
+        c=c, h=stack([traces[0].h_prev] + [tr.h for tr in traces]),
+        g_c=inner_activation(act, c[1:]))
+    if dc_final is not None:
+        dc_final = np.asarray(dc_final, dtype=np.float64).reshape(1, -1, p.n)
+    grads, dX, dinit = layer_backward(LayerParams.pack([p]), trace, stack(dh_seq), act,
+                                      dc_final)
 
-        grads.W_xi += _outer(da_i, tr.x)
-        grads.W_hi += _outer(da_i, tr.h_prev)
-        grads.w_ci += _sum_batch(da_i * tr.c_prev)
-        grads.b_i += _sum_batch(da_i)
-        grads.W_xf += _outer(da_f, tr.x)
-        grads.W_hf += _outer(da_f, tr.h_prev)
-        grads.w_cf += _sum_batch(da_f * tr.c_prev)
-        grads.b_f += _sum_batch(da_f)
-        grads.W_xc += _outer(dz_pre, tr.x)
-        grads.W_hc += _outer(dz_pre, tr.h_prev)
-        grads.b_c += _sum_batch(dz_pre)
-        grads.W_xo += _outer(da_o, tr.x)
-        grads.W_ho += _outer(da_o, tr.h_prev)
-        grads.w_co += _sum_batch(da_o * tr.c)  # current-step peephole
-        grads.b_o += _sum_batch(da_o)
-
-    return grads, dx_seq, CellState(c=dc_next, h=dh_next)
+    dx_seq = [unbatch(dX[0, t]) for t in range(len(traces))]
+    return grads.cell(0), dx_seq, CellState(c=unbatch(dinit.c[0]), h=unbatch(dinit.h[0]))

@@ -12,23 +12,29 @@ layer-1 weights, which ``block_diagonal_embed`` makes literal.
 
 Both kinds therefore share one code path: layer 1 is ``loc_cells``
 cells, cell k reading input slice k and producing hidden slice k, and
-``stacked`` is the single-cell case.
+``stacked`` is the single-cell case. The layer engine in ``cell`` runs
+all of a layer's cells at once, on tensors packed into the model's one
+flat parameter buffer (``ModelParams``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .cell import (
-    CELL_TENSOR_NAMES,
     CellParams,
-    StepTrace,
-    cell_backward,
+    LayerParams,
+    LayerTrace,
     check_activation,
-    init_cell_params,
-    sequence_forward,
+    init_cell_into,
+    layer_backward,
+    layer_forward,
+    # not called here: benchmarks/workloads.py:instrument wraps model.sequence_forward by name
+    sequence_forward,  # noqa: F401
 )
 from .errors import ConfigError, ShapeError
 
@@ -116,18 +122,70 @@ class ModelSpec:
 SPEC_FIELDS = field_types(ModelSpec)
 
 
-@dataclass
 class ModelParams:
-    """Full trainable parameter set for either kind.
+    """Full trainable parameter set for either kind, in one flat float64 buffer.
 
-    ``layer1`` holds ``spec.loc_cells`` cells (one for stacked, one per
-    location for st_stacked); layer 2 always consumes an n1-wide input.
+    ``flat`` holds the penalized tensors first -- layer 1's and layer 2's
+    input matrices, recurrent matrices and peepholes, then ``w_dense`` --
+    and the biases after them, so ``penalized`` (``flat[:n_penalized]``)
+    is exactly what the L2 term covers. ``l1`` (``spec.loc_cells`` cells)
+    and ``l2`` (one cell) are the packed layers the engine runs;
+    ``layer1`` (one CellParams per layer-1 cell), ``layer2``, ``w_dense``
+    and ``b_dense`` (shape (1,)) are per-gate views into the same buffer,
+    so a write through any of them is a write to the model. Built from
+    loose cells, the model copies their values into a buffer of its own.
     """
 
-    layer1: list[CellParams]
-    layer2: CellParams
-    w_dense: np.ndarray
-    b_dense: np.ndarray  # shape (1,), kept as an array so optimizers update in place
+    def __init__(self, layer1: list[CellParams], layer2: CellParams,
+                 w_dense: np.ndarray, b_dense: np.ndarray):
+        l1, l2 = LayerParams.pack(list(layer1)), LayerParams.pack([layer2])
+        for name, arr, want in (("w_dense", w_dense, (l2.n,)), ("b_dense", b_dense, (1,))):
+            if np.shape(arr) != want:
+                raise ShapeError(f"{name} has shape {np.shape(arr)}, expected {want}")
+        self._carve((l1.K, l1.n, l1.d, l2.n, l2.d))
+        for dst, src in zip(self.l1.arrays() + self.l2.arrays(), l1.arrays() + l2.arrays()):
+            dst[...] = src
+        self.w_dense[...] = w_dense
+        self.b_dense[...] = b_dense
+
+    @classmethod
+    def from_flat(cls, layout: tuple, flat: np.ndarray | None = None) -> "ModelParams":
+        """A model whose tensors are views into ``flat`` (zeros by default).
+
+        ``layout`` is (K, n, d, n2, d2): K layer-1 cells of n neurons
+        reading d inputs each, and a layer 2 of n2 neurons reading d2.
+        """
+        params = cls.__new__(cls)
+        params._carve(layout, flat)
+        return params
+
+    def _carve(self, layout: tuple, flat: np.ndarray | None = None) -> None:
+        K, n, d, n2, d2 = layout
+        shapes = [(K, 4 * n, d), (K, 4 * n, n), (K, 3, n),         # penalized
+                  (1, 4 * n2, d2), (1, 4 * n2, n2), (1, 3, n2), (n2,),
+                  (K, 4 * n), (1, 4 * n2), (1,)]                     # biases
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        parts, end = [], 0
+        for shape, size in zip(shapes, sizes):
+            parts.append(flat[end:end + size].reshape(shape))
+            end += size
+        self.flat, self.layout = flat, layout
+        self.n_penalized = sum(sizes[:7])
+        self.penalized = flat[:self.n_penalized]
+        self.l1 = LayerParams(Wx=parts[0], Wh=parts[1], wc=parts[2], b=parts[7])
+        self.l2 = LayerParams(Wx=parts[3], Wh=parts[4], wc=parts[5], b=parts[8])
+        self.w_dense, self.b_dense = parts[6], parts[9]
+
+    # per-gate views, built on first use: gradient models rarely need them
+    @cached_property
+    def layer1(self) -> list[CellParams]:
+        return [self.l1.cell(k) for k in range(self.l1.K)]
+
+    @cached_property
+    def layer2(self) -> CellParams:
+        return self.l2.cell(0)
 
     def tensors(self):
         """Yield (name, array) in canonical order: layer-1 cells, layer 2, head."""
@@ -144,12 +202,7 @@ class ModelParams:
         yield "head.b_dense", self.b_dense
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            layer1=[c.copy() for c in self.layer1],
-            layer2=self.layer2.copy(),
-            w_dense=self.w_dense.copy(),
-            b_dense=self.b_dense.copy(),
-        )
+        return ModelParams.from_flat(self.layout, self.flat.copy())
 
 
 def is_penalized(name: str) -> bool:
@@ -161,46 +214,34 @@ def is_penalized(name: str) -> bool:
 def check_params(spec: ModelSpec, params: ModelParams) -> None:
     """Validate a caller's model once, where it enters (not on every batch)."""
     spec.validate()
-    if len(params.layer1) != spec.loc_cells:
+    K, n, d, n2, d2 = params.layout
+    if K != spec.loc_cells:
+        raise ShapeError(f"spec expects {spec.loc_cells} layer-1 cell(s), params carry {K}")
+    if (n, d) != (spec.loc_neurons, spec.loc_inputs):
         raise ShapeError(
-            f"spec expects {spec.loc_cells} layer-1 cell(s), params carry {len(params.layer1)}"
+            f"layer-1 cells are ({n} x {d}), spec expects "
+            f"({spec.loc_neurons} x {spec.loc_inputs})"
         )
-    for k, cell in enumerate(params.layer1):
-        if cell.n != spec.loc_neurons or cell.d != spec.loc_inputs:
-            raise ShapeError(
-                f"layer-1 cell {k} is ({cell.n} x {cell.d}), spec expects "
-                f"({spec.loc_neurons} x {spec.loc_inputs})"
-            )
-        cell.validate()
-    if params.layer2.n != spec.n2 or params.layer2.d != spec.n1:
-        raise ShapeError(
-            f"layer-2 cell is ({params.layer2.n} x {params.layer2.d}), spec expects "
-            f"({spec.n2} x {spec.n1})"
-        )
-    params.layer2.validate()
-    if params.w_dense.shape != (spec.n2,):
-        raise ShapeError(f"w_dense has shape {params.w_dense.shape}, expected ({spec.n2},)")
-    if params.b_dense.shape != (1,):
-        raise ShapeError(f"b_dense has shape {params.b_dense.shape}, expected (1,)")
+    if (n2, d2) != (spec.n2, spec.n1):
+        raise ShapeError(f"layer-2 cell is ({n2} x {d2}), spec expects ({spec.n2} x {spec.n1})")
 
 
 def init_model_params(spec: ModelSpec, rng: np.random.Generator,
                       forget_bias_init: bool = False) -> ModelParams:
     """Draw fresh parameters in canonical tensor order (reproducible per rng)."""
     fb = 1.0 if forget_bias_init else 0.0
-    layer1 = [init_cell_params(spec.loc_neurons, spec.loc_inputs, rng, fb)
-              for _ in range(spec.loc_cells)]
-    layer2 = init_cell_params(spec.n2, spec.n1, rng, fb)
+    params = zero_model_params(spec)
+    for cell in params.layer1 + [params.layer2]:
+        init_cell_into(cell, rng, fb)
     r = 1.0 / np.sqrt(spec.n2)
-    w_dense = rng.uniform(-r, r, size=spec.n2)
-    return ModelParams(layer1=layer1, layer2=layer2, w_dense=w_dense, b_dense=np.zeros(1))
+    params.w_dense[...] = rng.uniform(-r, r, size=spec.n2)
+    return params
 
 
 def zero_model_params(spec: ModelSpec) -> ModelParams:
     """All-zero parameters (gradient accumulators, degenerate models)."""
-    layer1 = [CellParams.zeros(spec.loc_neurons, spec.loc_inputs) for _ in range(spec.loc_cells)]
-    return ModelParams(layer1=layer1, layer2=CellParams.zeros(spec.n2, spec.n1),
-                       w_dense=np.zeros(spec.n2), b_dense=np.zeros(1))
+    return ModelParams.from_flat(
+        (spec.loc_cells, spec.loc_neurons, spec.loc_inputs, spec.n2, spec.n1))
 
 
 def random_model_params(spec: ModelSpec, rng: np.random.Generator,
@@ -221,11 +262,19 @@ def dense_head(h: np.ndarray, w_dense: np.ndarray, b_dense: np.ndarray):
 class ModelTrace:
     """Memoized intermediates of model_forward, consumed by model_backward."""
 
-    layer1: list[list[StepTrace]]  # one trace list per layer-1 cell
-    layer2: list[StepTrace]
+    layer1: LayerTrace  # all spec.loc_cells layer-1 cells, stacked
+    layer2: LayerTrace
+    batched: bool       # False for a single window of T vectors
+
+    @property
+    def final_hidden(self) -> np.ndarray:
+        """The last layer-2 hidden state: (n2,), or (B, n2) for a batch."""
+        h = self.layer2.h[-1, 0]
+        return h if self.batched else h[0]
 
 
-def _split_window(spec: ModelSpec, window) -> list[np.ndarray]:
+def _window_array(spec: ModelSpec, window) -> tuple[np.ndarray, bool]:
+    """Stack a window's T steps ((c*m,) or (B, c*m) each) into (T, B, c*m)."""
     xs = [np.asarray(x, dtype=np.float64) for x in window]
     if len(xs) != spec.seq_len:
         raise ShapeError(f"window has {len(xs)} steps, spec.seq_len is {spec.seq_len}")
@@ -235,7 +284,29 @@ def _split_window(spec: ModelSpec, window) -> list[np.ndarray]:
                 f"window step has length {x.shape[-1]}, expected "
                 f"locations*vars_per_location = {spec.input_dim}"
             )
-    return xs
+        if x.shape != xs[0].shape or x.ndim > 2:
+            raise ShapeError(f"window steps must all be (d,) or all (B, d), got {x.shape}")
+    X = np.stack(xs)
+    batched = X.ndim == 3
+    return (X if batched else X[:, None, :]), batched
+
+
+def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool):
+    X, batched = _window_array(spec, window)
+    T, B = X.shape[:2]
+    act = spec.activation
+    # layer-1 cell k reads input slice k: (T, B, K*d) -> (K, T, B, d)
+    X1 = np.ascontiguousarray(
+        X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3))
+    h1, _, trace1 = layer_forward(params.l1, X1, act, keep_trace=keep_trace)
+    # layer 2 reads the cells' hidden states side by side, in manifest order:
+    # (T, K, B, n) -> (1, T, B, K*n)
+    X2 = h1.transpose(0, 2, 1, 3).reshape(1, T, B, spec.n1)
+    _, final, trace2 = layer_forward(params.l2, X2, act, keep_trace=keep_trace)
+    pred = dense_head(final.h[0] if batched else final.h[0, 0], params.w_dense, params.b_dense)
+    if np.ndim(pred) == 0:
+        pred = float(pred)
+    return pred, (ModelTrace(trace1, trace2, batched) if keep_trace else None)
 
 
 def model_forward(spec: ModelSpec, params: ModelParams, window
@@ -248,22 +319,12 @@ def model_forward(spec: ModelSpec, params: ModelParams, window
     hidden state reaches the head. ``params`` are trusted to match
     ``spec``; ``check_params`` validates a model where it comes in.
     """
-    xs = _split_window(spec, window)
-    d = spec.loc_inputs
-    l1_traces = []
-    for k, cell in enumerate(params.layer1):
-        traces, _ = sequence_forward(cell, [x[..., k * d:(k + 1) * d] for x in xs],
-                                     spec.activation)
-        l1_traces.append(traces)
-    # concatenate hidden states in manifest order at every step
-    h1_seq = [np.concatenate([traces[t].h for traces in l1_traces], axis=-1)
-              for t in range(spec.seq_len)]
+    return _forward(spec, params, window, keep_trace=True)
 
-    l2_traces, l2_final = sequence_forward(params.layer2, h1_seq, spec.activation)
-    pred = dense_head(l2_final.h, params.w_dense, params.b_dense)
-    if np.ndim(pred) == 0:
-        pred = float(pred)
-    return pred, ModelTrace(layer1=l1_traces, layer2=l2_traces)
+
+def model_predict(spec: ModelSpec, params: ModelParams, window) -> np.ndarray | float:
+    """``model_forward``'s prediction(s), computed without keeping a trace."""
+    return _forward(spec, params, window, keep_trace=False)[0]
 
 
 def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
@@ -271,39 +332,31 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
     """Gradients of a scalar loss w.r.t. every parameter.
 
     ``dy`` is the loss gradient on the prediction(s): a scalar for a
-    single window, shape (B,) for a batch. Returns a ModelParams-shaped
-    container of gradients.
+    single window, shape (B,) for a batch. Returns a ModelParams of
+    gradients, laid out like ``params``.
     """
-    if len(trace.layer2) != spec.seq_len:
-        raise ShapeError(
-            f"trace has {len(trace.layer2)} layer-2 steps, spec.seq_len is {spec.seq_len}"
-        )
+    T, B = trace.layer2.x.shape[1:3]
+    if T != spec.seq_len:
+        raise ShapeError(f"trace has {T} layer-2 steps, spec.seq_len is {spec.seq_len}")
     dy = np.asarray(dy, dtype=np.float64)
-    h2_final = trace.layer2[-1].h
+    h2_final = trace.final_hidden
     if dy.shape != h2_final.shape[:-1]:
         raise ShapeError(
             f"loss gradient has shape {dy.shape}, predictions have shape {h2_final.shape[:-1]}"
         )
 
-    g_w_dense = dy * h2_final if dy.ndim == 0 else h2_final.T @ dy
-    g_b_dense = np.atleast_1d(np.sum(dy))
-    dh2_final = np.multiply.outer(dy, params.w_dense)
-
+    grads = zero_model_params(spec)
+    grads.w_dense[...] = dy * h2_final if dy.ndim == 0 else h2_final.T @ dy
+    grads.b_dense[0] = np.sum(dy)
     # head touches only the final step; earlier layer-2 h-grads are zero
-    dh2_seq = [np.zeros_like(tr.h) for tr in trace.layer2]
-    dh2_seq[-1] = dh2_seq[-1] + dh2_final
-    l2_grads, dh1_seq, _ = cell_backward(params.layer2, trace.layer2, dh2_seq,
-                                         spec.activation)
-
-    n = spec.loc_neurons
-    l1_grads = []
-    for k, cell in enumerate(params.layer1):
-        dh_k = [dh1[..., k * n:(k + 1) * n] for dh1 in dh1_seq]
-        gk, _, _ = cell_backward(cell, trace.layer1[k], dh_k, spec.activation)
-        l1_grads.append(gk)
-
-    return ModelParams(layer1=l1_grads, layer2=l2_grads,
-                       w_dense=g_w_dense, b_dense=g_b_dense)
+    dH2 = np.zeros((T, 1, B, spec.n2))
+    dH2[-1, 0] = np.multiply.outer(dy, params.w_dense)
+    _, dX2, _ = layer_backward(params.l2, trace.layer2, dH2, spec.activation, grads=grads.l2)
+    # (1, T, B, K*n) -> (T, K, B, n): each layer-1 cell's slice of layer 2's input gradient
+    dH1 = dX2[0].reshape(T, B, spec.loc_cells, spec.loc_neurons).transpose(0, 2, 1, 3)
+    layer_backward(params.l1, trace.layer1, dH1, spec.activation, grads=grads.l1,
+                   need_dx=False)
+    return grads
 
 
 def block_diagonal_embed(spec: ModelSpec, params: ModelParams
@@ -321,24 +374,22 @@ def block_diagonal_embed(spec: ModelSpec, params: ModelParams
         raise ConfigError("block_diagonal_embed expects an st_stacked model")
     c, m, nc = spec.locations, spec.vars_per_location, spec.loc_neurons
 
-    big = CellParams.zeros(spec.n1, spec.input_dim)
-    for name in CELL_TENSOR_NAMES:
-        target = getattr(big, name)
-        for k, cell in enumerate(params.layer1):
-            block = getattr(cell, name)
-            rows = slice(k * nc, (k + 1) * nc)
-            if name.startswith("W_x"):
-                target[rows, k * m:(k + 1) * m] = block
-            elif name.startswith("W_h"):
-                target[rows, k * nc:(k + 1) * nc] = block
-            else:
-                target[rows] = block
+    src = params.l1
+    big = LayerParams.zeros(1, spec.n1, spec.input_dim)
+    # gate rows g*n1 + k*nc .. : (4n1, .) seen as (4, c, nc, .)
+    Wx = big.Wx[0].reshape(4, c, nc, c, m)
+    Wh = big.Wh[0].reshape(4, c, nc, c, nc)
+    for k in range(c):
+        Wx[:, k, :, k, :] = src.Wx[k].reshape(4, nc, m)
+        Wh[:, k, :, k, :] = src.Wh[k].reshape(4, nc, nc)
+    big.b[0].reshape(4, c, nc)[...] = src.b.reshape(c, 4, nc).transpose(1, 0, 2)
+    big.wc[0].reshape(3, c, nc)[...] = src.wc.transpose(1, 0, 2)
 
     out_spec = ModelSpec(kind="stacked", locations=c, vars_per_location=m,
                          n1=spec.n1, n2=spec.n2, activation=spec.activation,
                          seq_len=spec.seq_len, horizon=spec.horizon)
-    out_params = ModelParams(layer1=[big], layer2=params.layer2.copy(),
-                             w_dense=params.w_dense.copy(), b_dense=params.b_dense.copy())
+    out_params = ModelParams(layer1=[big.cell(0)], layer2=params.layer2,
+                             w_dense=params.w_dense, b_dense=params.b_dense)
     return out_spec, out_params
 
 

@@ -26,6 +26,7 @@ from .model import (
     is_penalized,
     model_backward,
     model_forward,
+    model_predict,
     random_model_params,
 )
 
@@ -71,8 +72,7 @@ CONFIG_FIELDS = field_types(TrainConfig)
 
 def l2_penalty(params: ModelParams) -> float:
     """Sum of squares over weight matrices and peepholes (biases excluded)."""
-    return float(sum(np.sum(arr * arr) for name, arr in params.tensors()
-                     if is_penalized(name)))
+    return float(params.penalized @ params.penalized)
 
 
 def loss(preds, targets, params: ModelParams | None = None,
@@ -106,15 +106,34 @@ class Sgd:
 
 
 class Adam:
-    """Standard Adam with bias correction, updating tensors in place."""
+    """Standard Adam with bias correction, updating tensors in place.
+
+    Each step works through every tensor in chunks of ``CHUNK`` values
+    with two preallocated scratch buffers, so a model's flat parameter
+    buffer is stepped without temporaries and each chunk's six arrays
+    stay in cache. Tensors must be C-contiguous, as a model's are.
+    """
+
+    # 16k float64 values: six 128 KiB arrays per chunk. On a 4 MiB L2 a
+    # paper-scale stacked step took 1.75 ms chunked against 2.13 ms whole.
+    CHUNK = 1 << 14
 
     def __init__(self, arrays: list[np.ndarray], learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError("Adam updates C-contiguous arrays only")
         self.arrays = arrays
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
+        self.chunks = []  # per tensor: the (parameters, m, v) 1-D views of each chunk
+        for a, m, v in zip(arrays, self.m, self.v):
+            a, m, v = a.reshape(-1), m.reshape(-1), v.reshape(-1)
+            self.chunks.append([(a[lo:lo + self.CHUNK], m[lo:lo + self.CHUNK],
+                                 v[lo:lo + self.CHUNK]) for lo in range(0, a.size, self.CHUNK)])
+        size = min(self.CHUNK, max(a.size for a in arrays))
+        self.scratch = (np.empty(size), np.empty(size))
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
@@ -122,12 +141,29 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for arr, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            arr -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        for chunks, g in zip(self.chunks, grads):
+            g = g.reshape(-1)
+            lo = 0
+            for arr, m, v in chunks:
+                n = arr.size
+                gc, s, u = g[lo:lo + n], self.scratch[0][:n], self.scratch[1][:n]
+                lo += n
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+                m *= b1
+                np.multiply(gc, 1.0 - b1, out=s)
+                m += s
+                v *= b2
+                np.multiply(gc, gc, out=s)
+                s *= 1.0 - b2
+                v += s
+                # arr -= lr (m / corr1) / (sqrt(v / corr2) + eps)
+                np.divide(v, corr2, out=s)
+                np.sqrt(s, out=s)
+                s += self.eps
+                np.divide(m, corr1, out=u)
+                u *= self.lr
+                u /= s
+                arr -= u
 
 
 def _make_optimizer(config: TrainConfig, arrays: list[np.ndarray]):
@@ -167,9 +203,7 @@ def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
     dy = 2.0 * (np.asarray(preds) - yb) / yb.shape[0]
     grads = model_backward(spec, params, trace, dy)
     if l2_lambda != 0.0:
-        for (name, g), (_, w) in zip(grads.tensors(), params.tensors()):
-            if is_penalized(name):
-                g += 2.0 * l2_lambda * w
+        grads.penalized += 2.0 * l2_lambda * params.penalized
     return batch_loss, grads
 
 
@@ -177,8 +211,7 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     """Raw-scale predictions for stacked windows X of shape (N, T, c*m)."""
     check_params(spec, params)
     window = [X[:, t, :] for t in range(X.shape[1])]
-    preds, _ = model_forward(spec, params, window)
-    return np.atleast_1d(np.asarray(preds))
+    return np.atleast_1d(np.asarray(model_predict(spec, params, window)))
 
 
 def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
@@ -202,8 +235,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
 
     rng = np.random.default_rng(seed)
     params = init_model_params(spec, rng, config.forget_bias_init)
-    arrays = [arr for _, arr in params.tensors()]
-    opt = _make_optimizer(config, arrays)
+    opt = _make_optimizer(config, [params.flat])
 
     n = X.shape[0]
     curve: list[float] = []
@@ -219,10 +251,10 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
                 raise DivergenceError(epoch, batch)
             # a finite loss can still carry overflowed gradients, which the
             # optimizer would write into the parameters
-            for name, g in grads.tensors():
-                if not np.isfinite(g).all():
-                    raise DivergenceError(epoch, batch, f"gradient {name}")
-            opt.step([arr for _, arr in grads.tensors()])
+            if not np.isfinite(grads.flat).all():
+                name = next(name for name, g in grads.tensors() if not np.isfinite(g).all())
+                raise DivergenceError(epoch, batch, f"gradient {name}")
+            opt.step([grads.flat])
             epoch_losses.append(batch_loss)
         epoch_loss = float(np.mean(epoch_losses))
         if not math.isfinite(epoch_loss):

@@ -143,3 +143,26 @@ def test_spec_larger_than_the_file_fails_before_allocating(tmp_path, st_model):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointFormatError, match="truncated"):
         load_checkpoint(path)
+
+
+# Files saved by the per-tensor implementation that preceded the packed
+# parameter buffer, with that implementation's predictions on
+# default_rng(1).normal(size=(3, 4, 4)).
+V1_FILES = {
+    "stacked": [-0.17556556474877327, -0.15869294854132276, -0.17250091688355493],
+    "st_stacked": [0.13451630796982395, 0.1321119188359257, 0.13243591634863988],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(V1_FILES))
+def test_a_v1_file_from_before_packing_loads_predicts_and_resaves_identically(tmp_path, kind):
+    from pathlib import Path
+
+    from stlstm.train import predict_batch
+
+    path = Path(__file__).parent / "data" / f"v1_{kind}.ckpt"
+    spec, params = load_checkpoint(path)
+    X = np.random.default_rng(1).normal(size=(3, 4, 4))
+    assert np.max(np.abs(predict_batch(spec, params, X) - V1_FILES[kind])) < 1e-12
+    save_checkpoint(spec, params, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()

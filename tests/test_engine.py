@@ -1,0 +1,200 @@
+"""The fused layer engine and the packed parameter buffer.
+
+The engine runs K cells at once on packed gates; a model's per-gate
+tensors are views into one flat buffer. These tests pin both contracts:
+a K-cell layer is K single-cell runs, and every way of reaching a
+parameter (flat buffer, packed layer, per-gate view, ``tensors()``)
+reaches the same memory.
+"""
+
+import numpy as np
+import pytest
+
+from stlstm import (
+    CellState,
+    ModelParams,
+    ModelSpec,
+    cell_backward,
+    dense_head,
+    init_model_params,
+    model_forward,
+    random_model_params,
+    sequence_forward,
+)
+from stlstm.cell import LayerParams, LayerTrace, layer_backward, layer_forward
+from stlstm.model import is_penalized, model_predict
+from stlstm.train import Adam, predict_batch
+
+from test_cell import random_cell
+
+
+def random_layer(K, n, d, rng):
+    return LayerParams.pack([random_cell(n, d, rng) for _ in range(K)])
+
+
+# ---------------------------------------------------------------------------
+# engine: K cells at once == K single-cell runs
+
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("with_dc_final", [False, True])
+def test_k_cell_layer_equals_k_single_cell_runs(act, with_init, with_dc_final):
+    K, n, d, T, B = 3, 4, 2, 5, 6
+    rng = np.random.default_rng(10)
+    layer = random_layer(K, n, d, rng)
+    X = rng.normal(size=(K, T, B, d))
+    dH = rng.normal(size=(T, K, B, n))
+    init = CellState(c=rng.normal(size=(K, B, n)), h=rng.normal(size=(K, B, n))) if with_init else None
+    dc_final = rng.normal(size=(K, B, n)) if with_dc_final else None
+
+    H, final, trace = layer_forward(layer, X, act, init)
+    grads, dX, dinit = layer_backward(layer, trace, dH, act, dc_final)
+
+    for k in range(K):
+        cell = layer.cell(k)
+        init_k = None if init is None else CellState(c=init.c[k], h=init.h[k])
+        traces, final_k = sequence_forward(cell, list(X[k]), act, init=init_k)
+        assert max(np.max(np.abs(H[t, k] - tr.h)) for t, tr in enumerate(traces)) <= 1e-14
+        assert np.max(np.abs(final.c[k] - final_k.c)) <= 1e-14
+        g_k, dx_k, dinit_k = cell_backward(cell, traces, list(dH[:, k]), act,
+                                           dc_final=None if dc_final is None else dc_final[k])
+        for (name, a), (_, b) in zip(grads.cell(k).tensors(), g_k.tensors()):
+            assert np.max(np.abs(a - b)) <= 1e-14, name
+        assert max(np.max(np.abs(dX[k, t] - dx)) for t, dx in enumerate(dx_k)) <= 1e-14
+        assert np.max(np.abs(dinit.c[k] - dinit_k.c)) <= 1e-14
+        assert np.max(np.abs(dinit.h[k] - dinit_k.h)) <= 1e-14
+
+
+def test_trace_free_forward_matches_the_traced_one():
+    rng = np.random.default_rng(11)
+    layer = random_layer(2, 3, 4, rng)
+    X = rng.normal(size=(2, 7, 5, 4))
+    H, final, trace = layer_forward(layer, X, "tanh")
+    H_free, final_free, no_trace = layer_forward(layer, X, "tanh", keep_trace=False)
+    assert no_trace is None and isinstance(trace, LayerTrace)
+    assert np.array_equal(H, H_free)
+    assert np.array_equal(final.c, final_free.c) and np.array_equal(final.h, final_free.h)
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+def test_trace_free_predict_equals_model_forward_bit_for_bit(kind, act):
+    spec = ModelSpec(kind=kind, locations=3, vars_per_location=2, n1=6, n2=4,
+                     activation=act, seq_len=5)
+    rng = np.random.default_rng(12)
+    params = random_model_params(spec, rng)
+    X = rng.normal(size=(9, spec.seq_len, spec.input_dim))
+    window = [X[:, t, :] for t in range(spec.seq_len)]
+    traced, _ = model_forward(spec, params, window)
+    assert np.array_equal(model_predict(spec, params, window), traced)
+    assert np.array_equal(predict_batch(spec, params, X), traced)
+
+
+# ---------------------------------------------------------------------------
+# packing contract: one flat buffer, every tensor a view into it
+
+@pytest.fixture
+def st_model():
+    spec = ModelSpec(kind="st_stacked", locations=3, vars_per_location=2, n1=6, n2=4, seq_len=4)
+    return spec, init_model_params(spec, np.random.default_rng(13))
+
+
+def views_forward(spec, params, X):
+    """The model's forward pass through its per-gate views, one cell at a time."""
+    xs = [X[:, t, :] for t in range(spec.seq_len)]
+    d = spec.loc_inputs
+    per_cell = [sequence_forward(cell, [x[:, k * d:(k + 1) * d] for x in xs], spec.activation)[0]
+                for k, cell in enumerate(params.layer1)]
+    h1 = [np.concatenate([traces[t].h for traces in per_cell], axis=1)
+          for t in range(spec.seq_len)]
+    _, final = sequence_forward(params.layer2, h1, spec.activation)
+    return dense_head(final.h, params.w_dense, params.b_dense)
+
+
+def test_every_tensor_is_a_view_of_the_flat_buffer(st_model):
+    spec, params = st_model
+    total = 0
+    for name, arr in params.tensors():
+        assert np.shares_memory(arr, params.flat), name
+        assert arr.flags.c_contiguous, name
+        total += arr.size
+    assert total == params.flat.size
+
+
+def test_penalized_tensors_are_exactly_the_leading_slice(st_model):
+    _, params = st_model
+    base = params.flat.__array_interface__["data"][0]
+    for name, arr in params.tensors():
+        offset = (arr.__array_interface__["data"][0] - base) // arr.itemsize
+        inside = offset + arr.size <= params.n_penalized
+        assert inside == is_penalized(name), name
+        assert inside or offset >= params.n_penalized, name
+
+
+def test_an_optimizer_step_on_the_flat_buffer_shows_through_the_views(st_model):
+    _, params = st_model
+    before = [arr.copy() for arr in (params.layer1[1].W_xi, params.layer2.b_o, params.w_dense)]
+    opt = Adam([params.flat], 0.1)
+    opt.step([np.ones_like(params.flat)])
+    after = (params.layer1[1].W_xi, params.layer2.b_o, params.w_dense)
+    for old, new in zip(before, after):
+        assert np.allclose(new, old - 0.1)
+
+
+def test_a_write_through_tensors_reaches_the_engine(st_model):
+    spec, params = st_model
+    rng = np.random.default_rng(14)
+    for _, arr in params.tensors():
+        arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
+    X = rng.normal(size=(5, spec.seq_len, spec.input_dim))
+    got = predict_batch(spec, params, X)
+    assert np.max(np.abs(got - views_forward(spec, params, X))) < 1e-14
+
+
+def test_copy_shares_no_memory_with_its_source(st_model):
+    _, params = st_model
+    copy = params.copy()
+    assert not np.shares_memory(copy.flat, params.flat)
+    for (name, a), (_, b) in zip(params.tensors(), copy.tensors()):
+        assert np.array_equal(a, b) and not np.shares_memory(a, b), name
+    copy.layer1[0].W_hf += 1.0
+    copy.b_dense += 1.0
+    assert not np.array_equal(copy.layer1[0].W_hf, params.layer1[0].W_hf)
+    assert copy.b_dense[0] != params.b_dense[0]
+
+
+def test_a_model_built_from_loose_cells_is_the_same_model(st_model):
+    spec, params = st_model
+    loose = ModelParams(layer1=[cell.copy() for cell in params.layer1],
+                        layer2=params.layer2.copy(), w_dense=params.w_dense.copy(),
+                        b_dense=params.b_dense.copy())
+    assert not np.shares_memory(loose.flat, params.flat)
+    assert np.array_equal(loose.flat, params.flat)
+    for (name_a, a), (name_b, b) in zip(params.tensors(), loose.tensors()):
+        assert name_a == name_b and np.array_equal(a, b)
+    X = np.random.default_rng(15).normal(size=(4, spec.seq_len, spec.input_dim))
+    assert np.array_equal(predict_batch(spec, loose, X), predict_batch(spec, params, X))
+
+
+def test_flat_adam_equals_the_per_tensor_formula_bit_for_bit(st_model, monkeypatch):
+    spec, params = st_model
+    rng = np.random.default_rng(16)
+    reference = [arr.copy() for _, arr in params.tensors()]
+    m = [np.zeros_like(a) for a in reference]
+    v = [np.zeros_like(a) for a in reference]
+    monkeypatch.setattr(Adam, "CHUNK", 7)  # many chunks, some ending inside a tensor
+    opt = Adam([params.flat], 1e-2)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    for t in range(1, 301):
+        g_flat = rng.normal(size=params.flat.size)
+        grads = params.copy()
+        grads.flat[...] = g_flat
+        opt.step([grads.flat])
+        for arr, g, mt, vt in zip(reference, [g for _, g in grads.tensors()], m, v):
+            mt *= b1
+            mt += (1.0 - b1) * g
+            vt *= b2
+            vt += (1.0 - b2) * (g * g)
+            arr -= lr * (mt / (1.0 - b1 ** t)) / (np.sqrt(vt / (1.0 - b2 ** t)) + eps)
+    for (name, arr), ref in zip(params.tensors(), reference):
+        assert np.array_equal(arr, ref), name

@@ -250,7 +250,7 @@ def test_head_reads_only_the_final_hidden_state():
     shifted.w_dense += delta
     pred_shifted, _ = model_forward(spec, shifted, window)
     # the prediction moves exactly by delta . h_final: no other path exists
-    assert abs((pred_shifted - pred) - delta @ trace.layer2[-1].h) < 1e-12
+    assert abs((pred_shifted - pred) - delta @ trace.final_hidden) < 1e-12
 
 
 def test_is_penalized_excludes_biases():

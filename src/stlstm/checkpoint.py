@@ -24,6 +24,7 @@ from .errors import (
     CheckpointShapeError,
     CheckpointVersionError,
     ConfigError,
+    NonFiniteModelError,
 )
 from .cell import CELL_TENSOR_NAMES
 from .model import SPEC_FIELDS, ModelParams, ModelSpec, param_count, parse_field, zero_model_params
@@ -55,14 +56,22 @@ def _parse_spec_line(line: str) -> ModelSpec:
 
 
 def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
+    """Write ``path`` atomically; a non-finite value is refused before any file is opened."""
     lines = [HEADER, _spec_line(spec)]
     for name, arr in params.tensors():
         if arr.ndim == 1:
             rows, cols = arr.shape[0], 1
         else:
             rows, cols = arr.shape
+        values = arr.ravel()
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NonFiniteModelError(
+                f"{path}: refusing to save non-finite value {float(values[bad[0]])!r} "
+                f"at flat index {bad[0]} of tensor {name}"
+            )
         lines.append(f"{name} {rows} {cols}")
-        lines.extend(repr(float(v)) for v in arr.ravel())
+        lines.extend(repr(float(v)) for v in values)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines))
@@ -124,7 +133,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
         count = rows * cols
         pos += 1
         try:
-            values = np.array([float(lines[pos + j]) for j in range(count)], dtype=np.float64)
+            values = np.array(lines[pos:pos + count], dtype=np.float64)
         except ValueError as exc:
             raise CheckpointFormatError(f"{path}: bad value in tensor {name}: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(values))

@@ -146,6 +146,22 @@ class Dataset:
         return normalize(self)
 
 
+def _bulk_values(rows: list[list[str]], width: int) -> np.ndarray | None:
+    """The value grid of a clean file in one call; None if any cell needs the per-cell path.
+
+    numpy converts each cell with Python's float(), which ignores the
+    same surrounding whitespace str.strip() does, so a grid that parses
+    here and is all finite equals the per-cell result bit for bit.
+    """
+    if any(len(row) != width for row in rows[1:]):
+        return None
+    try:
+        data = np.array([row[1:] for row in rows[1:]], dtype=np.float64)
+    except ValueError:
+        return None
+    return data if np.isfinite(data).all() else None
+
+
 def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], list[str], np.ndarray]:
     try:
         with open(path, newline="") as fh:
@@ -163,7 +179,13 @@ def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], 
     if len(header) < 2 or header[0] != "date":
         raise CsvFormatError(f"{path}: header must be 'date,<var1>,...', got {header}")
     variables = header[1:]
-    dates: list[dt.date] = []
+    data = _bulk_values(rows, len(header))
+    if data is not None:
+        dates = [_parse_date(row[0], f"{path}:{r}") for r, row in enumerate(rows[1:], start=2)]
+        return dates, variables, data
+    # a ragged row, a missing token or a bad cell: parse cell by cell, which
+    # forward-fills and names the line and variable of the first problem
+    dates = []
     data = np.empty((len(rows) - 1, len(variables)))
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):

@@ -34,7 +34,7 @@ class CsvFormatError(DataError):
 
 
 class CheckpointError(StlstmError):
-    """Base class for checkpoint load failures."""
+    """Base class for checkpoint save and load failures."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -47,6 +47,10 @@ class CheckpointFormatError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """Checkpoint tensors disagree with the declared model spec."""
+
+
+class NonFiniteModelError(CheckpointError):
+    """A model holding a NaN or infinity was refused before it reached a file."""
 
 
 class DivergenceError(StlstmError):

@@ -207,11 +207,27 @@ def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
     return batch_loss, grads
 
 
+# Rows per model_predict call in predict_batch. The hoisted input
+# projection of a block is (4, K, T*rows, n): 6.5 MB for 128 rows at paper
+# scale, where one 790-row block (40 MB) spilled the cache on every step
+# and ran 25-40% slower; 64 rows timed within 3% of 128, 256 rows 10% slower.
+PREDICT_BLOCK_ROWS = 128
+
+
 def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Raw-scale predictions for stacked windows X of shape (N, T, c*m)."""
+    """Raw-scale predictions for stacked windows X of shape (N, T, c*m).
+
+    Windows are independent, so they run in blocks of PREDICT_BLOCK_ROWS
+    rows; each block's predictions land in one preallocated (N,) array.
+    """
     check_params(spec, params)
-    window = [X[:, t, :] for t in range(X.shape[1])]
-    return np.atleast_1d(np.asarray(model_predict(spec, params, window)))
+    out = np.empty(X.shape[0])
+    # an empty X still makes one call, so its shape is checked as before
+    for start in range(0, max(X.shape[0], 1), PREDICT_BLOCK_ROWS):
+        block = X[start:start + PREDICT_BLOCK_ROWS]
+        window = [block[:, t, :] for t in range(block.shape[1])]
+        out[start:start + block.shape[0]] = model_predict(spec, params, window)
+    return out
 
 
 def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],

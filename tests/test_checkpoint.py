@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from stlstm import ModelSpec, load_checkpoint, model_forward, random_model_params, save_checkpoint
-from stlstm.errors import CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
+from stlstm.errors import (
+    CheckpointFormatError,
+    CheckpointShapeError,
+    CheckpointVersionError,
+    NonFiniteModelError,
+    StlstmError,
+)
 
 
 @pytest.fixture
@@ -132,6 +138,18 @@ def test_non_finite_value_is_a_parse_error(tmp_path, st_model, token):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointFormatError, match=f"{path}:{idx + 3}: .*layer2.b_f"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_model_is_refused_before_any_file_is_written(tmp_path, st_model, value):
+    spec, params = st_model
+    params.w_dense[1] = value
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(NonFiniteModelError,
+                       match=rf"non-finite value {value!r} at flat index 1 of tensor head\.w_dense"):
+        save_checkpoint(spec, params, path)
+    assert issubclass(NonFiniteModelError, StlstmError)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spec_larger_than_the_file_fails_before_allocating(tmp_path, st_model):

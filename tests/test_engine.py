@@ -23,7 +23,7 @@ from stlstm import (
 )
 from stlstm.cell import LayerParams, LayerTrace, layer_backward, layer_forward
 from stlstm.model import is_penalized, model_predict
-from stlstm.train import Adam, predict_batch
+from stlstm.train import PREDICT_BLOCK_ROWS, Adam, predict_batch
 
 from test_cell import random_cell
 
@@ -88,6 +88,20 @@ def test_trace_free_predict_equals_model_forward_bit_for_bit(kind, act):
     traced, _ = model_forward(spec, params, window)
     assert np.array_equal(model_predict(spec, params, window), traced)
     assert np.array_equal(predict_batch(spec, params, X), traced)
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+@pytest.mark.parametrize("n", [0, 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1,
+                               2 * PREDICT_BLOCK_ROWS + 3])
+def test_row_blocked_predict_equals_one_whole_batch_forward(kind, n):
+    spec = ModelSpec(kind=kind, locations=3, vars_per_location=2, n1=6, n2=4, seq_len=4)
+    rng = np.random.default_rng(13)
+    params = random_model_params(spec, rng)
+    X = rng.normal(size=(n, spec.seq_len, spec.input_dim))
+    whole = np.atleast_1d(model_predict(spec, params, [X[:, t, :] for t in range(spec.seq_len)]))
+    got = predict_batch(spec, params, X)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - whole), initial=0.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from stlstm import (
     save_checkpoint,
 )
 from stlstm.cli import _coerce, read_config_file
+from stlstm.data import _read_location_csv
 from stlstm.train import TrainConfig
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -206,3 +207,49 @@ def test_location_csv_loads_or_raises_stlstm_error(scratch, edits, raw, ffill):
     else:
         csv_path.write_text("\n".join(_apply(csv_path.read_text().splitlines(), edits)) + "\n")
     _check_dataset_loads_or_raises(path, "ffill" if ffill else "error")
+
+
+# Clean files take the one-call parse and files with a missing token the
+# per-cell loop; both must reproduce the written grid bit for bit.
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]))
+grid = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(finite, min_size=cols, max_size=cols), min_size=2, max_size=12))
+cell_styles = st.lists(st.sampled_from(["{}", " {}", "{}  ", '"{}"', '" {} "']), min_size=1)
+
+
+def _write_grid_csv(path, rows, styles, missing=None) -> None:
+    """``rows`` under a date column; cell text picked from ``styles`` in turn."""
+    lines = ["date," + ",".join(f"v{j}" for j in range(len(rows[0])))]
+    for r, row in enumerate(rows):
+        cells = [styles[(r + j) % len(styles)].format(repr(v)) for j, v in enumerate(row)]
+        if missing is not None and missing[0] == r:
+            cells[missing[1]] = missing[2]
+        lines.append(f"2020-01-{r + 1:02d}," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@FUZZ
+@given(rows=grid, styles=cell_styles)
+def test_finite_csv_grid_loads_bit_exactly(scratch, rows, styles):
+    path = scratch / "grid.csv"
+    _write_grid_csv(path, rows, styles)
+    _, _, data = _read_location_csv(path, "error")
+    assert _same_bits(data, np.array(rows, dtype=np.float64))
+
+
+@FUZZ
+@given(rows=grid, styles=cell_styles, where=st.tuples(st.integers(1, 11), st.integers(0, 3)),
+       token=st.sampled_from(["", "NA", "nan", "null", " NaN "]))
+def test_forward_filled_csv_grid_equals_the_filled_grid(scratch, rows, styles, where, token):
+    r, j = where[0] % (len(rows) - 1) + 1, where[1] % len(rows[0])
+    path = scratch / "grid.csv"
+    _write_grid_csv(path, rows, styles, missing=(r, j, token))
+    _, _, data = _read_location_csv(path, "ffill")
+    want = np.array(rows, dtype=np.float64)
+    want[r, j] = want[r - 1, j]
+    assert _same_bits(data, want)

@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
+    NonFiniteResultError,
     ReportError,
     ShapeError,
     StlstmError,

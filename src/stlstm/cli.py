@@ -27,7 +27,7 @@ from .data import (
     test_windows,
     train_windows,
 )
-from .errors import ConfigError, DivergenceError, StlstmError
+from .errors import ConfigError, DivergenceError, NonFiniteResultError, StlstmError
 from .metrics import EvalReport, comparison_csv, comparison_report, comparison_text, mae, mse
 from .model import SPEC_FIELDS, ModelSpec, param_count, parse_field
 from .train import CONFIG_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
@@ -220,13 +220,22 @@ def _load_model_and_windows(args):
     return spec, params, manifest, ds, windows
 
 
+def _predict_windows(spec: ModelSpec, params, windows) -> np.ndarray:
+    """Predict every window; a non-finite prediction names its window id and target date."""
+    try:
+        return predict_batch(spec, params, np.stack([w.inputs for w in windows]))
+    except NonFiniteResultError as exc:
+        w = windows[exc.row]
+        raise NonFiniteResultError(f"{exc}: window {w.window_id}, target date "
+                                   f"{w.target_date.isoformat()}", exc.row) from None
+
+
 def cmd_predict(args) -> int:
     _banner("predict", {"model": args.model, "manifest": args.manifest,
                         "range": args.range or "test", "out": args.out,
                         "missing_policy": args.missing_policy})
     spec, params, _, _, windows = _load_model_and_windows(args)
-    X = np.stack([w.inputs for w in windows])
-    values = predict_batch(spec, params, X)
+    values = _predict_windows(spec, params, windows)
     lines = ["window_id,date,prediction"]
     for w, v in zip(windows, values):
         lines.append(f"{w.window_id},{w.target_date.isoformat()},{float(v)!r}")
@@ -240,8 +249,7 @@ def cmd_evaluate(args) -> int:
                          "range": args.range or "test", "report": args.report,
                          "label": args.label, "missing_policy": args.missing_policy})
     spec, params, manifest, _, windows = _load_model_and_windows(args)
-    X = np.stack([w.inputs for w in windows])
-    preds = predict_batch(spec, params, X)
+    preds = _predict_windows(spec, params, windows)
     truths = [w.target for w in windows]
     print(f"n_windows={len(windows)} MAE={mae(preds, truths)!r} MSE={mse(preds, truths)!r}")
     if args.report:

@@ -62,5 +62,13 @@ class DivergenceError(StlstmError):
         super().__init__(f"training diverged (non-finite {tensor}) at {where}")
 
 
+class NonFiniteResultError(StlstmError):
+    """A prediction or metric came out as NaN or infinity; ``row`` is the prediction's row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row
+        super().__init__(message)
+
+
 class ReportError(StlstmError):
     """Evaluation reports cannot be merged (e.g. duplicate grid cells)."""

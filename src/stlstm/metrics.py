@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ReportError, ShapeError
+from .errors import NonFiniteResultError, ReportError, ShapeError, StlstmError
 
 REPORT_CSV_HEADER = "testset,steps_ahead,target,activation,metric,stacked,st_stacked,winner"
 
@@ -25,14 +25,24 @@ def _paired(preds, truths) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
+def _finite_mean(name: str, errors: np.ndarray) -> float:
+    """The mean of ``errors``, refused when it is NaN or infinite (say, an overflowed square)."""
+    value = float(np.mean(errors))
+    if not math.isfinite(value):
+        raise NonFiniteResultError(f"{name} is non-finite ({value!r})")
+    return value
+
+
 def mae(preds, truths) -> float:
     p, t = _paired(preds, truths)
-    return float(np.mean(np.abs(p - t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_mean("MAE", np.abs(p - t))
 
 
 def mse(preds, truths) -> float:
     p, t = _paired(preds, truths)
-    return float(np.mean((p - t) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_mean("MSE", (p - t) ** 2)
 
 
 def median_low(values) -> float:
@@ -114,7 +124,7 @@ class EvalReport:
                 predictions=[w["prediction"] for w in raw["windows"]],
                 truths=[w["truth"] for w in raw["windows"]],
             )
-        except (ValueError, KeyError, TypeError, ReportError) as exc:
+        except (ValueError, KeyError, TypeError, StlstmError) as exc:
             raise ReportError(f"{path}: not a valid evaluation report: {exc!r}") from exc
 
 

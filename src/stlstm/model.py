@@ -29,6 +29,7 @@ from .cell import (
     CellParams,
     LayerParams,
     LayerTrace,
+    as_layer_input,
     check_activation,
     init_cell_into,
     layer_backward,
@@ -274,21 +275,11 @@ class ModelTrace:
 
 
 def _window_array(spec: ModelSpec, window) -> tuple[np.ndarray, bool]:
-    """Stack a window's T steps ((c*m,) or (B, c*m) each) into (T, B, c*m)."""
-    xs = [np.asarray(x, dtype=np.float64) for x in window]
-    if len(xs) != spec.seq_len:
-        raise ShapeError(f"window has {len(xs)} steps, spec.seq_len is {spec.seq_len}")
-    for x in xs:
-        if x.shape[-1] != spec.input_dim:
-            raise ShapeError(
-                f"window step has length {x.shape[-1]}, expected "
-                f"locations*vars_per_location = {spec.input_dim}"
-            )
-        if x.shape != xs[0].shape or x.ndim > 2:
-            raise ShapeError(f"window steps must all be (d,) or all (B, d), got {x.shape}")
-    X = np.stack(xs)
-    batched = X.ndim == 3
-    return (X if batched else X[:, None, :]), batched
+    """The window as one (T, B, c*m) array, and whether it came with a batch axis."""
+    X, step_shape = as_layer_input(window, spec.input_dim)
+    if X.shape[1] != spec.seq_len:
+        raise ShapeError(f"window has {X.shape[1]} steps, spec.seq_len is {spec.seq_len}")
+    return X[0], len(step_shape) == 2
 
 
 def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool):
@@ -313,11 +304,11 @@ def model_forward(spec: ModelSpec, params: ModelParams, window
                   ) -> tuple[np.ndarray | float, ModelTrace]:
     """Run a T-step window through layer 1, layer 2, and the head.
 
-    ``window`` is a sequence of T input vectors of length
-    locations*vars_per_location (or (B, .) batches of them). Returns the
-    raw-scale prediction(s) and the full trace. Only the final layer-2
-    hidden state reaches the head. ``params`` are trusted to match
-    ``spec``; ``check_params`` validates a model where it comes in.
+    ``window`` is one (T, locations*vars_per_location) array, (T, B, .)
+    for a batch, or a list of its T steps. Returns the raw-scale
+    prediction(s) and the full trace. Only the final layer-2 hidden
+    state reaches the head. ``params`` are trusted to match ``spec``;
+    ``check_params`` validates a model where it comes in.
     """
     return _forward(spec, params, window, keep_trace=True)
 

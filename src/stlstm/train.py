@@ -9,13 +9,13 @@ and run one after another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+import numpy.random  # noqa: F401 -- numpy 2 defers it to first use; pay that at import
 
 from .data import Window, windows_to_arrays
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, NonFiniteResultError, ShapeError
 from .metrics import mae, median_low, mse
 from .model import (
     ModelParams,
@@ -196,9 +196,8 @@ class RepeatedResult:
 def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
                           Xb: np.ndarray, yb: np.ndarray,
                           l2_lambda: float) -> tuple[float, ModelParams]:
-    # time-major view of the batch: one (B, c*m) slice per step
-    window = [Xb[:, t, :] for t in range(Xb.shape[1])]
-    preds, trace = model_forward(spec, params, window)
+    # the batch as a time-major (T, B, c*m) view
+    preds, trace = model_forward(spec, params, Xb.transpose(1, 0, 2))
     batch_loss = loss(preds, yb, params, l2_lambda)
     dy = 2.0 * (np.asarray(preds) - yb) / yb.shape[0]
     grads = model_backward(spec, params, trace, dy)
@@ -219,14 +218,21 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
 
     Windows are independent, so they run in blocks of PREDICT_BLOCK_ROWS
     rows; each block's predictions land in one preallocated (N,) array.
+    A NaN or infinite prediction raises NonFiniteResultError naming its row.
     """
     check_params(spec, params)
     out = np.empty(X.shape[0])
-    # an empty X still makes one call, so its shape is checked as before
-    for start in range(0, max(X.shape[0], 1), PREDICT_BLOCK_ROWS):
-        block = X[start:start + PREDICT_BLOCK_ROWS]
-        window = [block[:, t, :] for t in range(block.shape[1])]
-        out[start:start + block.shape[0]] = model_predict(spec, params, window)
+    # an empty X still makes one call, so its shape is checked as before; an
+    # overflow needs no numpy warning, as a non-finite prediction is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, max(X.shape[0], 1), PREDICT_BLOCK_ROWS):
+            block = X[start:start + PREDICT_BLOCK_ROWS].transpose(1, 0, 2)  # (T, rows, c*m)
+            out[start:start + block.shape[1]] = model_predict(spec, params, block)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        row = int(bad[0])
+        raise NonFiniteResultError(
+            f"non-finite prediction ({float(out[row])!r}) in row {row} of the input", row)
     return out
 
 
@@ -277,8 +283,11 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
             raise DivergenceError(epoch, tensor="epoch mean loss")
         curve.append(epoch_loss)
         if val_curve is not None:
-            val_preds = predict_batch(spec, params, val_X)
-            val_curve.append(loss(val_preds, val_y, params, config.l2_lambda))
+            val_loss = loss(predict_batch(spec, params, val_X), val_y, params, config.l2_lambda)
+            if not math.isfinite(val_loss):
+                raise NonFiniteResultError(f"validation loss after epoch {epoch} is "
+                                           f"non-finite ({val_loss!r})")
+            val_curve.append(val_loss)
 
     result = RunResult(seed=seed, loss_curve=curve, params=params, val_curve=val_curve)
     if test_set:
@@ -331,19 +340,23 @@ def _loss_extended(spec: ModelSpec, params: ModelParams, X: np.ndarray,
     """
     ld = np.longdouble
 
+    def logistic(v):  # not cell.sigmoid: the oracle keeps its own formula
+        with np.errstate(over="ignore"):  # exp(-v) -> inf gives the limit 0
+            return 1 / (1 + np.exp(-v))
+
     def g(v):
-        return np.tanh(v) if spec.activation == "tanh" else expit(v)
+        return np.tanh(v) if spec.activation == "tanh" else logistic(v)
 
     def run_cell(p, seq):
         c = np.zeros((seq[0].shape[0], p.n), dtype=ld)
         h = np.zeros_like(c)
         hidden = []
         for x in seq:
-            i = expit(x @ p.W_xi.T + h @ p.W_hi.T + c * p.w_ci + p.b_i)
-            f = expit(x @ p.W_xf.T + h @ p.W_hf.T + c * p.w_cf + p.b_f)
+            i = logistic(x @ p.W_xi.T + h @ p.W_hi.T + c * p.w_ci + p.b_i)
+            f = logistic(x @ p.W_xf.T + h @ p.W_hf.T + c * p.w_cf + p.b_f)
             z = g(x @ p.W_xc.T + h @ p.W_hc.T + p.b_c)
             c = f * c + i * z
-            o = expit(x @ p.W_xo.T + h @ p.W_ho.T + c * p.w_co + p.b_o)
+            o = logistic(x @ p.W_xo.T + h @ p.W_ho.T + c * p.w_co + p.b_o)
             h = o * g(c)
             hidden.append(h)
         return hidden
@@ -370,7 +383,6 @@ class GradCheckReport:
     max_rel_err: float
     worst_param: str
     n_params: int
-    per_tensor: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -396,13 +408,10 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     _, analytic = _batch_loss_and_grads(spec, params, X, y, l2_lambda)
 
     worst = ("", 0.0)
-    per_tensor: dict = {}
-    n_params = 0
     analytic_by_name = dict(analytic.tensors())
     for name, arr in params.tensors():
         a_flat = analytic_by_name[name].ravel()
         flat = arr.ravel()
-        tensor_worst = 0.0
         for j in range(flat.shape[0]):
             keep = flat[j]
             flat[j] = keep + step
@@ -416,11 +425,7 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
             # actually applied rather than the nominal 2*step
             numeric = float((up - down) / (np.longdouble(up_w) - np.longdouble(down_w)))
             rel = abs(a_flat[j] - numeric) / max(abs(a_flat[j]), abs(numeric), 1e-8)
-            if rel > tensor_worst:
-                tensor_worst = rel
             if rel > worst[1]:
                 worst = (f"{name}[{j}]", rel)
-            n_params += 1
-        per_tensor[name] = tensor_worst
     return GradCheckReport(max_rel_err=worst[1], worst_param=worst[0],
-                           n_params=n_params, per_tensor=per_tensor)
+                           n_params=params.flat.size)

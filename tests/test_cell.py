@@ -144,6 +144,10 @@ def test_dimension_mismatch_errors():
         cell_forward(p, CellState.zeros(3), np.zeros(5), "tanh")
     with pytest.raises(ShapeError):
         cell_forward(p, CellState.zeros(4), np.zeros(2), "tanh")
+    with pytest.raises(ShapeError):
+        sequence_forward(p, [np.zeros(2), np.zeros(3)], "tanh")  # ragged steps
+    with pytest.raises(ShapeError):
+        sequence_forward(p, [np.zeros((4, 2)), np.zeros(2)], "tanh")  # batched and not
 
 
 @pytest.mark.parametrize("act,lo,hi", [("tanh", -1.0, 1.0), ("sigmoid", 0.0, 1.0)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stlstm import ModelSpec, gen_synthetic, init_model_params, save_checkpoint
 from stlstm.cli import main
 from stlstm.metrics import EvalReport, REPORT_CSV_HEADER
 
@@ -256,6 +257,45 @@ def test_train_divergence_exits_3(tmp_path, capsys):
                             "--n2", "3", "--seq-len", "6"], capsys)
     assert code == 3
     assert "diverged" in err
+
+
+def _overflowing_model(tmp_path, w_dense, b_dense=0.0, layer2_bias=0.0):
+    """A stacked model on gen_synthetic(2, 2, 60, 0.6, seed=1) data with huge but finite values."""
+    manifest = gen_synthetic(tmp_path / "data", 2, 2, 60, 0.6, seed=1)
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=4)
+    params = init_model_params(spec, np.random.default_rng(0))
+    params.w_dense[...] = w_dense
+    params.b_dense[...] = b_dense
+    for bias in (params.layer2.b_i, params.layer2.b_c, params.layer2.b_o):
+        bias[...] = layer2_bias
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(spec, params, ckpt)
+    return manifest, ckpt
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the refusal is the only report
+def test_predict_refuses_a_non_finite_prediction(tmp_path, capsys):
+    manifest, ckpt = _overflowing_model(tmp_path, w_dense=1.7e308, b_dense=1.7e308,
+                                        layer2_bias=50.0)
+    out = tmp_path / "preds.csv"
+    for cmd in (["predict", "--out", str(out)], ["evaluate"]):
+        code, _, err = run_cli([*cmd, "--model", str(ckpt), "--manifest", str(manifest)], capsys)
+        assert code == 2
+        # the first test window starts at row 60 - 6 - 10 and targets the day after its last
+        assert "non-finite prediction (inf)" in err
+        assert "window 44, target date 2007-02-24" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_refuses_an_overflowing_mse(tmp_path, capsys):
+    manifest, ckpt = _overflowing_model(tmp_path, w_dense=1e308)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["evaluate", "--model", str(ckpt), "--manifest", str(manifest),
+                              "--report", str(report)], capsys)
+    assert code == 2
+    assert "MSE is non-finite" in err and "MSE=" not in out
+    assert not report.exists()
 
 
 def test_gradcheck_exit_codes(capsys):

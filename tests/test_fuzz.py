@@ -1,11 +1,19 @@
-"""Property-based fuzzing of the text parsers.
+"""Property-based fuzzing of the text parsers and of the CLI end to end.
 
 Every generated config file, checkpoint, manifest or location CSV must
 either load or raise a ``StlstmError`` (which the CLI maps to exit
-code 2); any other exception is a hole in the exit-code contract. Runs
-are derandomized so the suite stays deterministic.
+code 2); any other exception is a hole in the exit-code contract. The
+end-to-end property runs the CLI on a tree with one mutated file: every
+exit code must be 0, 2, 3 or 4, and a command that exits 0 must have
+written only finite numbers. Runs are derandomized so the suite stays
+deterministic.
 """
 
+import contextlib
+import io
+import math
+import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -16,13 +24,15 @@ from hypothesis import strategies as st
 from stlstm import (
     ModelSpec,
     StlstmError,
+    gen_synthetic,
+    init_model_params,
     load_checkpoint,
     load_dataset,
     load_manifest,
     random_model_params,
     save_checkpoint,
 )
-from stlstm.cli import _coerce, read_config_file
+from stlstm.cli import _coerce, main, read_config_file
 from stlstm.data import _read_location_csv
 from stlstm.train import TrainConfig
 
@@ -253,3 +263,102 @@ def test_forward_filled_csv_grid_equals_the_filled_grid(scratch, rows, styles, w
     want = np.array(rows, dtype=np.float64)
     want[r, j] = want[r - 1, j]
     assert _same_bits(data, want)
+
+
+# ---------------------------------------------------------------------------
+# End to end: the CLI's exit-code contract on one mutated input file
+
+E2E_CONFIG = ["kind = st_stacked", "n1 = 4", "n2 = 2", "seq_len = 3", "repeats = 1",
+              "batch_size = 8", "learning_rate = 0.01"]
+E2E_FILES = ("manifest.txt", "loc1.csv", "loc2.csv", "model.ckpt", "train.cfg")
+
+# values that stay small where a config sets a size, so that no example can
+# allocate much; huge, tiny and non-finite numbers where a file holds data
+number_text = st.one_of(
+    st.sampled_from(["1e308", "-1e308", "1.7e308", "-1.7e308", "1e154"]),
+    st.sampled_from(["", "nan", "inf", "-inf", "1e999", "1e-320", "50", "-50", "0", "-0.0",
+                     "true", "0x10", "stacked", "sigmoid"]),
+    st.integers(-2, 8).map(str), st.floats().map(repr))
+e2e_line = st.one_of(
+    st.sampled_from(["loc1,loc1.csv", "loc2,loc2.csv", "loc2,loc1.csv", "loc1,model.ckpt",
+                     "target=loc1:temperature", "target=loc2:var2", "target=loc1:nope",
+                     "test_start=2007-02-15,test_end=2007-02-19",
+                     "test_start=2007-01-02,test_end=2007-02-19",
+                     "test_start=2007-02-19,test_end=2007-02-19", "date,temperature,var2",
+                     "2007-02-20,1.0,2.0", "2007-01-01,1.0,2.0", "head.b_dense 1 1",
+                     "validation_holdout = true", "optimizer = sgd", "activation = sigmoid",
+                     "forget_bias_init = yes", "horizon = 3", "l2_lambda = 1e308"]),
+    st.builds(lambda key, value: f"{key} = {value}", st.sampled_from(CONFIG_KEYS), number_text),
+    spec_line, st.text(max_size=20))
+# "cell" replaces one comma-separated field of a line (a CSV value, a manifest
+# path or date, or a whole line that has no comma); the other edits work on
+# lines. A negative position counts from the end, where the test rows and the
+# head's values are.
+e2e_edit = st.tuples(st.sampled_from(["cell", "cell", "cell", "replace", "insert", "delete",
+                                      "truncate"]),
+                     st.one_of(st.integers(-4, -2), st.integers(0, 60)), st.integers(0, 2),
+                     st.one_of(number_text, e2e_line))
+
+
+def _mutate(lines: list[str], edits) -> list[str]:
+    lines = list(lines)
+    for op, pos, field, text in edits:
+        pos %= len(lines) + 1
+        if op == "cell" and pos < len(lines):
+            cells = lines[pos].split(",")
+            cells[field % len(cells)] = text
+            lines[pos] = ",".join(cells)
+        elif op != "cell":
+            lines = _apply(lines, [(op, pos, text)])
+    return lines
+
+
+def _assert_numbers_finite(path) -> None:
+    """Every token of the file that parses as a number is finite (JSON's Infinity too)."""
+    for token in re.split(r"[\s,=\"\[\]{}]+", path.read_text()):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), f"{path.name}: {token}"
+
+
+@pytest.fixture(scope="module")
+def e2e_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("e2e")
+    gen_synthetic(root, locations=2, vars_per_location=2, days=50, coupling=0.6, seed=1,
+                  test_days=5)
+    (root / "train.cfg").write_text("\n".join(E2E_CONFIG) + "\n")
+    spec = ModelSpec(kind="st_stacked", locations=2, vars_per_location=2, n1=4, n2=2, seq_len=3)
+    save_checkpoint(spec, init_model_params(spec, np.random.default_rng(0)), root / "model.ckpt")
+    return root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(E2E_FILES), edits=st.lists(e2e_edit, min_size=1, max_size=3))
+def test_cli_exit_codes_hold_for_one_mutated_input(e2e_tree, name, edits):
+    case = e2e_tree.parent / f"{e2e_tree.name}-case"
+    shutil.rmtree(case, ignore_errors=True)
+    shutil.copytree(e2e_tree, case)
+    path = case / name
+    path.write_text("\n".join(_mutate(path.read_text().splitlines(), edits)) + "\n")
+
+    manifest, ckpt, out = str(case / "manifest.txt"), str(case / "model.ckpt"), case / "out"
+    out.mkdir()
+    steps = [
+        (["train", "--manifest", manifest, "--config", str(case / "train.cfg"), "--epochs", "1",
+          "--out", str(out / "run")], out / "run"),
+        (["predict", "--model", ckpt, "--manifest", manifest, "--out", str(out / "pred.csv")],
+         out / "pred.csv"),
+        (["evaluate", "--model", ckpt, "--manifest", manifest, "--report",
+          str(out / "report.json")], out / "report.json"),
+        (["compare", "--reports", str(out / "report.json"), "--out", str(out / "compare.csv")],
+         out / "compare.csv"),
+    ]
+    for argv, written in steps:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv[0], code)
+        if code == 0:
+            for path in [written] if written.is_file() else sorted(written.iterdir()):
+                _assert_numbers_finite(path)

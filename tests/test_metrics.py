@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stlstm import EvalReport, ShapeError, comparison_csv, comparison_report, comparison_text, mae, median_low, mse
-from stlstm.errors import ReportError
+from stlstm.errors import NonFiniteResultError, ReportError
 from stlstm.metrics import REPORT_CSV_HEADER
 
 
@@ -24,6 +24,28 @@ def test_errors_on_empty_or_mismatched():
         mae([], [])
     with pytest.raises(ShapeError):
         mse([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("preds,truths,refused", [
+    ([1e200, 0.0], [0.0, 0.0], mse),                  # the square overflows
+    ([1.7e308, 1.7e308], [-1.7e308, 0.0], mae),       # the difference overflows
+    ([1.0, np.nan], [1.0, 2.0], mae),
+    ([1.0, -np.inf], [1.0, 2.0], mse),
+])
+def test_a_non_finite_metric_is_refused(preds, truths, refused):
+    with pytest.raises(NonFiniteResultError, match=refused.__name__.upper()):
+        refused(preds, truths)
+
+
+def test_a_report_whose_mse_overflows_is_refused(tmp_path):
+    with pytest.raises(NonFiniteResultError, match="MSE"):
+        make_report("stacked", preds=(1e200, 1.0))
+    path = tmp_path / "rep.json"
+    rep = make_report("stacked")
+    path.write_text(rep.to_json().replace(f'"prediction": {rep.predictions[0]!r}',
+                                          '"prediction": 1e200', 1))
+    with pytest.raises(ReportError, match="MSE"):
+        EvalReport.load(path)
 
 
 def test_mae_translation_invariant_and_jensen():
@@ -138,7 +160,9 @@ def test_report_invariant_is_checked_without_assert(monkeypatch):
 
 def test_malformed_report_json_is_a_report_error(tmp_path):
     path = tmp_path / "rep.json"
-    for text in ("{", '{"model_kind": "stacked"}', "[]"):
+    empty = ('{"model_kind": "stacked", "horizon": 1, "target": "a:b", "activation": "tanh", '
+             '"testset": "t", "windows": []}')
+    for text in ("{", '{"model_kind": "stacked"}', "[]", empty):
         path.write_text(text)
         with pytest.raises(ReportError):
             EvalReport.load(path)

@@ -60,6 +60,12 @@ def test_forward_rejects_bad_windows():
         model_forward(spec, params, [np.zeros(4)] * 4)  # wrong T
     with pytest.raises(ShapeError):
         model_forward(spec, params, [np.zeros(3)] * 5)  # wrong width
+    with pytest.raises(ShapeError):
+        model_forward(spec, params, [np.zeros(4)] * 4 + [np.zeros(3)])  # ragged steps
+    with pytest.raises(ShapeError):
+        model_forward(spec, params, [np.zeros((2, 4))] * 4 + [np.zeros(4)])  # batched and not
+    with pytest.raises(ShapeError):
+        model_forward(spec, params, np.zeros((5, 2, 2, 4)))  # one axis too many
 
 
 def test_batched_forward_matches_per_window():
@@ -68,6 +74,8 @@ def test_batched_forward_matches_per_window():
     params = random_model_params(spec, rng)
     X = rng.normal(size=(7, spec.seq_len, spec.input_dim))
     batch_pred, _ = model_forward(spec, params, [X[:, t, :] for t in range(spec.seq_len)])
+    # the (T, B, c*m) array those steps convert to, here as a strided view
+    assert np.array_equal(model_forward(spec, params, X.transpose(1, 0, 2))[0], batch_pred)
     for b in range(7):
         one, _ = model_forward(spec, params, [X[b, t] for t in range(spec.seq_len)])
         assert abs(batch_pred[b] - one) < 1e-12

@@ -1,10 +1,18 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stlstm
 from stlstm import (
     ConfigError,
     DivergenceError,
     ModelSpec,
+    NonFiniteResultError,
     TrainConfig,
     load_dataset,
     load_manifest,
@@ -128,6 +136,35 @@ def test_validation_holdout_records_a_curve(tiny_data):
     assert all(np.isfinite(v) for v in result.val_curve)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_non_finite_validation_loss_is_refused(tiny_data):
+    # finite predictions, but squared errors against these targets overflow
+    spec, tr, _ = tiny_data
+    split = int(round(len(tr) * 0.9))
+    tr = tr[:split] + [dataclasses.replace(w, target=1e200) for w in tr[split:]]
+    cfg = TrainConfig(epochs=1, validation_holdout=True, repeats=1)
+    with pytest.raises(NonFiniteResultError, match="validation loss after epoch 1"):
+        train_once(spec, cfg, tr, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_non_finite_test_score_is_refused(tiny_data):
+    spec, tr, te = tiny_data
+    te = [dataclasses.replace(w, target=1e200) for w in te]
+    with pytest.raises(NonFiniteResultError, match="MSE"):
+        train_once(spec, TrainConfig(epochs=1, repeats=1), tr, seed=0, test_set=te)
+
+
+def test_predict_batch_names_the_row_of_a_non_finite_prediction():
+    spec = ModelSpec(kind="st_stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=3)
+    params = random_model_params(spec, np.random.default_rng(0))
+    X = np.zeros((200, spec.seq_len, spec.input_dim))
+    X[130, 1, 2] = np.nan  # in the second block of rows
+    with pytest.raises(NonFiniteResultError, match="row 130 ") as err:
+        predict_batch(spec, params, X)
+    assert err.value.row == 130
+
+
 def test_repeats_use_consecutive_seeds(tiny_data):
     spec, tr, te = tiny_data
     cfg = TrainConfig(epochs=1, repeats=3, seed=40)
@@ -146,6 +183,20 @@ def test_gradcheck_passes_at_toy_size():
     assert report.ok
     assert report.n_params == sum(arr.size for _, arr in zero_model_params(spec).tensors())
     assert report.worst_param
+
+
+def test_library_and_gradient_oracle_run_without_scipy():
+    # numpy is the only runtime dependency: with scipy made unimportable the
+    # package and its CLI import, and the sigmoid oracle still passes
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import stlstm, stlstm.cli\n"
+            "sys.exit(stlstm.cli.main(['gradcheck', '--model-kind', 'st_stacked',\n"
+            "    '--activation', 'sigmoid', '--vars', '2', '--n1', '4', '--n2', '2',\n"
+            "    '--seq-len', '3']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(stlstm.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "verification passed" in run.stdout
 
 
 def test_penalty_gradient_is_exactly_2_lambda_w():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from ckpt_files import join_v2, split_v2
 
 from stlstm import ModelSpec, gen_synthetic, init_model_params, save_checkpoint
 from stlstm.cli import main
@@ -185,14 +186,14 @@ def test_predict_then_evaluate_agree_exactly(tmp_path, capsys):
 
 def test_evaluate_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     manifest, ckpt = trained_checkpoint(tmp_path, capsys)
-    lines = ckpt.read_text().splitlines()
-    lines[3] = "nan"
-    ckpt.write_text("\n".join(lines) + "\n")
+    head, values = split_v2(ckpt.read_bytes())
+    # a NaN as the first value, under a CRC that matches it
+    ckpt.write_bytes(join_v2(head, np.array(np.nan, dtype="<f8").tobytes() + values[8:]))
     code, stdout, err = run_cli(["evaluate", "--model", str(ckpt),
                                  "--manifest", str(manifest)], capsys)
     assert code == 2
     assert "MAE=" not in stdout
-    assert f"{ckpt}:4" in err and "layer1.W_xi" in err
+    assert f"{ckpt}: non-finite value nan at flat index 0 of tensor layer1.W_xi" in err
 
 
 def test_evaluate_explicit_range_too_short(tmp_path, capsys):

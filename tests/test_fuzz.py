@@ -1,12 +1,12 @@
-"""Property-based fuzzing of the text parsers and of the CLI end to end.
+"""Property-based fuzzing of the file parsers and of the CLI end to end.
 
-Every generated config file, checkpoint, manifest or location CSV must
-either load or raise a ``StlstmError`` (which the CLI maps to exit
-code 2); any other exception is a hole in the exit-code contract. The
-end-to-end property runs the CLI on a tree with one mutated file: every
-exit code must be 0, 2, 3 or 4, and a command that exits 0 must have
-written only finite numbers. Runs are derandomized so the suite stays
-deterministic.
+Every generated config file, checkpoint (v1 text or v2 binary), manifest
+or location CSV must either load or raise a ``StlstmError`` (which the
+CLI maps to exit code 2); any other exception is a hole in the exit-code
+contract. The end-to-end property runs the CLI on a tree with one
+mutated file: every exit code must be 0, 2, 3 or 4, and a command that
+exits 0 must have written only finite numbers. Runs are derandomized so
+the suite stays deterministic.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from ckpt_files import split_v2, write_v1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,8 @@ from stlstm import (
 )
 from stlstm.cli import _coerce, main, read_config_file
 from stlstm.data import _read_location_csv
+from stlstm.errors import CheckpointFormatError
+from stlstm.model import param_count
 from stlstm.train import TrainConfig
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -70,11 +73,14 @@ def test_config_file_loads_or_raises_stlstm_error(scratch, raw):
         pass
 
 
+FUZZ_SPEC = ModelSpec(kind="st_stacked", locations=2, vars_per_location=1, n1=2, n2=1,
+                      seq_len=1, horizon=1)
+
+
 def _valid_checkpoint_lines(tmp_dir) -> list[str]:
-    spec = ModelSpec(kind="st_stacked", locations=2, vars_per_location=1, n1=2, n2=1,
-                     seq_len=1, horizon=1)
+    """A small model in the v1 text format, whose reader the line edits below exercise."""
     path = tmp_dir / "valid.ckpt"
-    save_checkpoint(spec, random_model_params(spec, np.random.default_rng(0)), path)
+    write_v1(FUZZ_SPEC, random_model_params(FUZZ_SPEC, np.random.default_rng(0)), path)
     return path.read_text().splitlines()
 
 
@@ -118,6 +124,62 @@ def test_checkpoint_loads_or_raises_stlstm_error(scratch, edits, raw):
     except StlstmError:
         return
     assert all(np.all(np.isfinite(arr)) for _, arr in params.tensors())
+
+
+def _valid_v2_checkpoint(tmp_dir) -> bytes:
+    path = tmp_dir / "valid-v2.ckpt"
+    save_checkpoint(FUZZ_SPEC, random_model_params(FUZZ_SPEC, np.random.default_rng(0)), path)
+    return path.read_bytes()
+
+
+# positions anywhere in the file, or counted from its end, where the values are
+byte_pos = st.one_of(st.integers(0, 400), st.integers(-120, -1))
+byte_edit = st.one_of(
+    st.tuples(st.just("truncate"), byte_pos),
+    st.tuples(st.just("flip"), byte_pos, st.integers(0, 7)),
+    st.tuples(st.just("insert"), byte_pos,
+              st.one_of(st.binary(min_size=1, max_size=9),
+                        st.sampled_from([b"\n", b" ", b"0", b"values 8 00000000\n"]))),
+    st.tuples(st.just("delete"), byte_pos, st.integers(1, 9)),
+)
+
+
+def _edit_bytes(raw: bytes, edits) -> bytes:
+    data = bytearray(raw)
+    for op, pos, *arg in edits:
+        pos %= len(data) + 1
+        if op == "truncate":
+            del data[pos:]
+        elif op == "flip" and pos < len(data):
+            data[pos] ^= 1 << arg[0]
+        elif op == "insert":
+            data[pos:pos] = arg[0]
+        elif op == "delete":
+            del data[pos:pos + arg[0]]
+    return bytes(data)
+
+
+@FUZZ
+@given(edits=st.lists(byte_edit, min_size=1, max_size=4))
+def test_v2_checkpoint_loads_or_raises_stlstm_error(scratch, edits):
+    path = scratch / "fuzz-v2.ckpt"
+    path.write_bytes(_edit_bytes(_valid_v2_checkpoint(scratch), edits))
+    try:
+        _, params = load_checkpoint(path)
+    except StlstmError:
+        return
+    assert np.all(np.isfinite(params.flat))
+
+
+@FUZZ
+@given(bit=st.integers(0, 8 * 8 * param_count(FUZZ_SPEC)["total"] - 1))
+def test_v2_checkpoint_with_a_flipped_value_bit_never_loads(scratch, bit):
+    raw = _valid_v2_checkpoint(scratch)
+    _, values = split_v2(raw)
+    path = scratch / "fuzz-v2.ckpt"
+    path.write_bytes(_edit_bytes(raw, [("flip", len(raw) - len(values) + bit // 8, bit % 8)]))
+    with pytest.raises(CheckpointFormatError, match="CRC-32"):
+        load_checkpoint(path)
 
 
 def _write_valid_dataset(tmp_dir) -> list[str]:
@@ -301,8 +363,10 @@ e2e_edit = st.tuples(st.sampled_from(["cell", "cell", "cell", "replace", "insert
 
 
 def _mutate(lines: list[str], edits) -> list[str]:
+    """Apply ``edits`` to lines of latin-1 text; inserted text goes in as its UTF-8 bytes."""
     lines = list(lines)
     for op, pos, field, text in edits:
+        text = text.encode().decode("latin-1")
         pos %= len(lines) + 1
         if op == "cell" and pos < len(lines):
             cells = lines[pos].split(",")
@@ -314,7 +378,15 @@ def _mutate(lines: list[str], edits) -> list[str]:
 
 
 def _assert_numbers_finite(path) -> None:
-    """Every token of the file that parses as a number is finite (JSON's Infinity too)."""
+    """Every token of the file that parses as a number is finite (JSON's Infinity too).
+
+    A checkpoint's values are binary, so a checkpoint is read back with
+    load_checkpoint, which must succeed and give a finite model.
+    """
+    if path.suffix == ".ckpt":
+        _, params = load_checkpoint(path)
+        assert np.all(np.isfinite(params.flat)), path.name
+        return
     for token in re.split(r"[\s,=\"\[\]{}]+", path.read_text()):
         try:
             value = float(token)
@@ -341,7 +413,12 @@ def test_cli_exit_codes_hold_for_one_mutated_input(e2e_tree, name, edits):
     shutil.rmtree(case, ignore_errors=True)
     shutil.copytree(e2e_tree, case)
     path = case / name
-    path.write_text("\n".join(_mutate(path.read_text().splitlines(), edits)) + "\n")
+    # bytes as latin-1, split on "\n" only, so that the bytes of every line
+    # the edits leave alone (a checkpoint's binary values too) are kept
+    text = path.read_bytes().decode("latin-1")
+    ending = "\n" if text.endswith("\n") else ""
+    lines = _mutate(text[:len(text) - len(ending)].split("\n"), edits)
+    path.write_bytes(("\n".join(lines) + ending).encode("latin-1"))
 
     manifest, ckpt, out = str(case / "manifest.txt"), str(case / "model.ckpt"), case / "out"
     out.mkdir()

@@ -1,9 +1,14 @@
 """Multi-location daily series: ingestion, windowing, and synthetic data.
 
 CSV format (one file per location): header ``date,<var1>,...,<varm>``
-with ISO-8601 dates. Manifest format: one ``location_name,path`` line
-per location in canonical order (paths relative to the manifest file),
-then ``target=<location>:<variable>`` and optionally
+with ISO-8601 dates. A clean file (LF or CRLF lines, no quotes, every
+row complete, every value a finite float) is split on its commas
+directly; any other file, quoted cells included, goes through
+csv.reader, and both routes give the same results and errors.
+
+Manifest format: one ``location_name,path`` line per location in
+canonical order (paths relative to the manifest file), then
+``target=<location>:<variable>`` and optionally
 ``test_start=<date>,test_end=<date>`` (inclusive dates).
 
 The manifest's location order is THE order: input vectors concatenate
@@ -15,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -146,25 +153,83 @@ class Dataset:
         return normalize(self)
 
 
-def _bulk_values(rows: list[list[str]], width: int) -> np.ndarray | None:
-    """The value grid of a clean file in one call; None if any cell needs the per-cell path.
+def _bulk_values(cells: list[str], n_rows: int) -> np.ndarray | None:
+    """The (n_rows, -1) grid of row-major value cells in one call.
 
-    numpy converts each cell with Python's float(), which ignores the
-    same surrounding whitespace str.strip() does, so a grid that parses
-    here and is all finite equals the per-cell result bit for bit.
+    None if any cell needs the per-cell path. numpy converts each cell
+    with Python's float(), which ignores the same surrounding whitespace
+    str.strip() does, so a grid that parses here and is all finite equals
+    the per-cell result bit for bit.
     """
-    if any(len(row) != width for row in rows[1:]):
-        return None
     try:
-        data = np.array([row[1:] for row in rows[1:]], dtype=np.float64)
+        data = np.array(cells, dtype=np.float64)
     except ValueError:
         return None
-    return data if np.isfinite(data).all() else None
+    return data.reshape(n_rows, -1) if np.isfinite(data).all() else None
+
+
+def _split_clean(text: str) -> tuple[list[dt.date], list[str], np.ndarray] | None:
+    """A clean file's dates, variables and values by plain splitting.
+
+    None if csv.reader must decide. Splitting yields csv.reader's cells
+    only when the text has no quote (and no NUL, which csv.reader refused
+    before Python 3.11), no line break other than LF or CRLF, the header's
+    comma count on every line and no line longer than the csv field limit.
+    Each value must also be a finite float and each date ISO, so a file
+    taken here raises nothing, and any other file gets the csv.reader
+    path's result or error.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final newline ends the last row; it starts no row of its own
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    width = len(header)
+    if width < 2 or header[0] != "date" or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(lines[1:]).split(",")
+    dates = cells[::width]
+    del cells[::width]
+    data = _bulk_values(cells, len(dates))
+    if data is None:
+        return None
+    try:
+        return [dt.date.fromisoformat(d.strip()) for d in dates], header[1:], data
+    except ValueError:
+        return None
 
 
 def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], list[str], np.ndarray]:
+    """One location file's dates, variables and (rows, m) values.
+
+    The text is read once. A clean file takes ``_split_clean``; any other
+    goes through csv.reader (so quoted cells still work) and, unless every
+    row is complete and every cell a finite float, the per-cell loop,
+    which forward-fills and names the line and variable of the first
+    problem. Both routes give the same results and the same errors.
+    """
     try:
         with open(path, newline="") as fh:
+            content = fh.read()
+    except UnicodeDecodeError:
+        # let csv.reader stream the file, so that a csv error before the bad
+        # byte wins and the decode error names the same position as before
+        content = None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    clean = _split_clean(content) if content is not None else None
+    if clean is not None:
+        return clean
+    try:
+        with (open(path, newline="") if content is None
+              else io.StringIO(content, newline="")) as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except csv.Error as exc:
@@ -179,7 +244,9 @@ def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], 
     if len(header) < 2 or header[0] != "date":
         raise CsvFormatError(f"{path}: header must be 'date,<var1>,...', got {header}")
     variables = header[1:]
-    data = _bulk_values(rows, len(header))
+    data = None
+    if all(len(row) == len(header) for row in rows[1:]):
+        data = _bulk_values([cell for row in rows[1:] for cell in row[1:]], len(rows) - 1)
     if data is not None:
         dates = [_parse_date(row[0], f"{path}:{r}") for r, row in enumerate(rows[1:], start=2)]
         return dates, variables, data

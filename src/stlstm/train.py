@@ -221,6 +221,12 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     A NaN or infinite prediction raises NonFiniteResultError naming its row.
     """
     check_params(spec, params)
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"predict_batch: X is not a float array (N, T, c*m): {exc}") from exc
+    if X.ndim != 3:
+        raise ShapeError(f"predict_batch: X must have shape (N, T, c*m), got {X.shape}")
     out = np.empty(X.shape[0])
     # an empty X still makes one call, so its shape is checked as before; an
     # overflow needs no numpy warning, as a non-finite prediction is refused below

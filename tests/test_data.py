@@ -1,10 +1,11 @@
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
 
 from stlstm import gen_synthetic, load_dataset, load_manifest, make_windows, test_windows, train_windows
-from stlstm.data import normalize, synthetic_series, windows_to_arrays
+from stlstm.data import _read_location_csv, normalize, synthetic_series, windows_to_arrays
 from stlstm.errors import (
     CsvFormatError,
     DataError,
@@ -328,6 +329,33 @@ def test_oversized_csv_field_is_a_format_error(tmp_path):
     (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
     with pytest.raises(CsvFormatError, match="a.csv:2: field larger than field limit"):
         load_dataset(load_manifest(tmp_path / "m.txt"))
+
+
+def test_oversized_field_of_a_clean_looking_file_is_a_format_error(tmp_path):
+    # every cell is a finite float, but the csv module refuses the long one
+    (tmp_path / "a.csv").write_text(
+        "date,t\n2020-01-01,0." + "0" * 200_000 + "1\n2020-01-02,1.0\n")
+    (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:t\n")
+    with pytest.raises(CsvFormatError, match="a.csv:2: field larger than field limit"):
+        load_dataset(load_manifest(tmp_path / "m.txt"))
+
+
+def test_clean_lf_and_crlf_files_load_without_csv_reader(tmp_path, monkeypatch):
+    manifest = gen_synthetic(tmp_path / "lf", locations=1, vars_per_location=3, days=60,
+                             coupling=0.0, seed=2)
+    lf = manifest.parent / "loc1.csv"
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("a clean file went through csv.reader")
+
+    monkeypatch.setattr(csv, "reader", no_csv_reader)
+    dates, variables, values = _read_location_csv(lf, "error")
+    crlf_dates, crlf_variables, crlf_values = _read_location_csv(crlf, "error")
+    assert (crlf_dates, crlf_variables) == (dates, variables)
+    assert np.array_equal(crlf_values.view(np.int64), values.view(np.int64))
+    assert values.shape == (60, 3) and len(dates) == 60
 
 
 def test_date_axis_ending_at_date_max_is_an_alignment_error(tmp_path):

@@ -3,10 +3,12 @@
 Every generated config file, checkpoint (v1 text or v2 binary), manifest
 or location CSV must either load or raise a ``StlstmError`` (which the
 CLI maps to exit code 2); any other exception is a hole in the exit-code
-contract. The end-to-end property runs the CLI on a tree with one
-mutated file: every exit code must be 0, 2, 3 or 4, and a command that
-exits 0 must have written only finite numbers. Runs are derandomized so
-the suite stays deterministic.
+contract. The location-CSV reader must also give the same result or
+error as the csv.reader-only reader kept in ``csv_reference.py``. The
+end-to-end property runs the CLI on a tree with one mutated file: every
+exit code must be 0, 2, 3 or 4, and a command that exits 0 must have
+written only finite numbers. Runs are derandomized so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -16,10 +18,11 @@ import re
 import shutil
 from dataclasses import fields
 
+import csv_reference
 import numpy as np
 import pytest
 from ckpt_files import split_v2, write_v1
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlstm import (
@@ -325,6 +328,74 @@ def test_forward_filled_csv_grid_equals_the_filled_grid(scratch, rows, styles, w
     want = np.array(rows, dtype=np.float64)
     want[r, j] = want[r - 1, j]
     assert _same_bits(data, want)
+
+
+# The reader splits clean files itself and hands any other to csv.reader;
+# on any bytes it must match the csv.reader-only reader it replaced.
+LIMIT_FIELD = "0." + "0" * 131_071  # a finite number one character over the csv field limit
+odd_cell = st.one_of(st.sampled_from(["", "na", "NaN", "null", "inf", "-1e999", "1_000", "\t4\t",
+                                      '"4.5"', '" 5 "', '"1,5"', '"6\n"', 'a"b', '"', "\x0c1",
+                                      "1\x85", "2\u2028", "3\r4", "\0", "0x10", "x",
+                                      "20200102", LIMIT_FIELD]),
+                     st.text(max_size=6))
+odd_date = st.sampled_from(["20200101", '"2020-01-02"', "2020-13-01", "", "date", "2020-01-01\x0c"])
+odd_header = st.sampled_from([" date ", '"date"', "Date", "t", "", "t u", LIMIT_FIELD])
+odd_name = st.sampled_from(['"v"', '" v "', "", "v\x0c", '"v,w"', LIMIT_FIELD])
+odd_end = st.sampled_from(["", "\r", "\n\n", "\r\r\n", "\x0c\n", "\x85", "\u2028"])
+padding = st.sampled_from(["{}", "{}", " {}", "{} "])
+
+
+@st.composite
+def location_csv_bytes(draw) -> bytes:
+    """A location file: LF or CRLF rows of ISO dates and finite floats, some cells padded
+    with spaces; in a messy file, also odd cells, dates and headers, ragged rows, stray
+    line breaks and an undecodable byte, each now and then."""
+    def odd(strategy, usual, one_in):
+        return draw(strategy) if messy and draw(st.integers(1, one_in)) == 1 else usual
+
+    messy = draw(st.booleans())
+    width = draw(st.integers(1, 3))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ",".join([odd(odd_header, "date", 4)]
+                    + [odd(odd_name, f"v{j}", 6) for j in range(width)])
+    for _ in range(draw(st.integers(1, 6))):
+        cells = [draw(padding).format(odd(odd_date, str(draw(st.dates())), 12))]
+        cells += [draw(padding).format(odd(odd_cell, repr(draw(finite)), 12))
+                  for _ in range(odd(st.sampled_from([0, width - 1, width + 1]), width, 12))]
+        text += odd(odd_end, eol, 12) + ",".join(cells)
+    if draw(st.booleans()):
+        text += eol
+    raw = text.encode()
+    if messy and draw(st.integers(1, 6)) == 1:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x80"])) + raw[at:]
+    return raw
+
+
+def _read_outcome(read, path, policy):
+    """What a reader made of ``path``: its dates, variables and value bits, or its error."""
+    try:
+        dates, variables, data = read(path, policy)
+    except Exception as exc:  # any class: the class and message are what is compared
+        return type(exc), str(exc)
+    return dates, variables, data.shape, data.view(np.int64).tobytes()
+
+
+@FUZZ
+@given(raw=location_csv_bytes())
+@example(raw=b'date,"v"\n2020-01-01,1.0\n')  # csv.reader unquotes the name
+@example(raw="date,v\n2020-01-01,1\x852020-01-02,2\n".encode())  # one row to csv.reader
+@example(raw=b"date,v\r\n2020-01-01,1.0\r\r\n")  # a blank row to csv.reader
+@example(raw=b"date,v\n2020-01-01,1,20200102\n5\n")  # commas right in total only
+@example(raw=f"date,v\n2020-01-01,{LIMIT_FIELD}\n".encode())  # csv.reader refuses the field
+@example(raw=f"date,v\n2020-01-01,{LIMIT_FIELD}\n".encode()  # read up to the csv error only
+         + b"2020-01-02,1.0\n" * 800 + b"\xff")
+def test_location_csv_reader_matches_the_csv_reader_reference(scratch, raw):
+    path = scratch / "equiv.csv"
+    path.write_bytes(raw)
+    for policy in ("error", "ffill"):
+        assert (_read_outcome(_read_location_csv, path, policy)
+                == _read_outcome(csv_reference.read_location_csv, path, policy))
 
 
 # ---------------------------------------------------------------------------

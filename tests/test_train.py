@@ -13,6 +13,7 @@ from stlstm import (
     DivergenceError,
     ModelSpec,
     NonFiniteResultError,
+    ShapeError,
     TrainConfig,
     load_dataset,
     load_manifest,
@@ -163,6 +164,17 @@ def test_predict_batch_names_the_row_of_a_non_finite_prediction():
     with pytest.raises(NonFiniteResultError, match="row 130 ") as err:
         predict_batch(spec, params, X)
     assert err.value.row == 130
+
+
+def test_predict_batch_takes_array_likes_and_refuses_a_wrong_shape():
+    # a 2-D array used to escape as a bare ValueError, a nested list as an AttributeError
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=5)
+    params = random_model_params(spec, np.random.default_rng(0))
+    X = np.random.default_rng(1).normal(size=(2, spec.seq_len, spec.input_dim))
+    assert np.array_equal(predict_batch(spec, params, X.tolist()), predict_batch(spec, params, X))
+    for bad in (X[0], X.tolist()[0], [[1.0, 2.0], [3.0]]):
+        with pytest.raises(ShapeError, match="predict_batch"):
+            predict_batch(spec, params, bad)
 
 
 def test_repeats_use_consecutive_seeds(tiny_data):

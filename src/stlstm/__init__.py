@@ -24,6 +24,7 @@ from .data import (
     Dataset,
     Manifest,
     Window,
+    WindowArrays,
     gen_synthetic,
     load_dataset,
     load_manifest,

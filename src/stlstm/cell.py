@@ -16,10 +16,12 @@ nonlinearity; the three gates always use sigma.
 
 ``layer_forward`` and ``layer_backward`` are the one implementation of
 these equations. They run K independent cells of equal shape at once
-on packed gates (``LayerParams``): the input projection of all T steps
-is one batched matmul before the recurrence, each step adds one batched
-matmul of h, and the weight gradients are one matmul each after the
-backward time loop. ``cell_forward``, ``sequence_forward`` and
+on packed gates (``LayerParams``): the input projection of every
+distinct input row is one batched matmul before the recurrence (B
+overlapping windows of a sliding-window view share their rows, so T+B-1
+rows are projected instead of T*B), each step adds one batched matmul
+of h, and the weight gradients are one matmul each after the backward
+time loop. ``cell_forward``, ``sequence_forward`` and
 ``cell_backward`` are the per-cell API over the same engine with K=1.
 
 All arrays are float64. In the per-cell API, state and input arrays may
@@ -285,10 +287,27 @@ def as_layer_input(x_seq, d: int) -> tuple[np.ndarray, tuple]:
     return (X if X.ndim == 3 else X[:, None, :])[None], X.shape[1:]
 
 
+def input_rows(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """The distinct input rows of a (K, T, B, d) layer input, and the row step between steps.
+
+    Step t of window b reads row ``t*step + b`` of the returned (K, R, d)
+    array. Where the step and batch axes have one stride, as in a
+    sliding-window view, X[:, t, b] is the same memory as X[:, t+1, b-1],
+    so step 0 of every window and steps 1..T-1 of the last window are all
+    T+B-1 distinct rows (step 1). Any other X gives its T*B rows (step B).
+    """
+    K, T, B, d = X.shape
+    if min(T, B) > 1 and X.strides[1] == X.strides[2]:
+        return np.concatenate([X[:, 0], X[:, 1:, B - 1]], axis=1), 1
+    return X.reshape(K, T * B, d), B
+
+
 def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | None = None,
                   keep_trace: bool = True) -> tuple[np.ndarray, CellState, LayerTrace | None]:
     """Run K cells over inputs X of shape (K, T, B, d) at once.
 
+    X may be a view; one whose step and batch axes share a stride
+    (``input_rows``) has each of its distinct rows projected once.
     Returns the hidden states (T, K, B, n), the final state ((K, B, n)
     arrays) and, with ``keep_trace``, the trace ``layer_backward``
     needs. Without it, gates, cell states and g(c) live in per-step
@@ -297,8 +316,9 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
     """
     K, T, B, d = X.shape
     n = p.n
-    # the input projection of every step, one batched matmul: (4, K, T*B, n)
-    P = np.matmul(X.reshape(1, K, T * B, d), _by_gate(p.Wx, transpose=True))
+    rows, step = input_rows(X)
+    # the input projection of every distinct row, one batched matmul: (4, K, R, n)
+    P = np.matmul(rows[None], _by_gate(p.Wx, transpose=True))
     P += p.b.reshape(K, 4, 1, n).transpose(1, 0, 2, 3)
     WhT = _by_gate(p.Wh, transpose=True)
     w_if = np.ascontiguousarray(p.wc[:, :2].transpose(1, 0, 2))[:, :, None, :]  # (2, K, 1, n)
@@ -315,7 +335,7 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
     for t in range(T):
         a = G[t % gs]
         np.matmul(H[t], WhT, out=a)
-        a += P[:, :, t * B:(t + 1) * B]
+        a += P[:, :, t * step:t * step + B]
         c_prev, c = C[t % cs], C[(t + 1) % cs]
         a_if = a[:2]
         a_if += c_prev * w_if

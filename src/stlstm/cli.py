@@ -20,6 +20,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
+    WindowArrays,
     gen_synthetic,
     load_dataset,
     load_manifest,
@@ -108,7 +109,7 @@ def _spec_from_settings(settings: dict, ds: Dataset) -> ModelSpec:
     return ModelSpec(**{name: data.get(name, settings.get(name)) for name in SPEC_FIELDS})
 
 
-def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None):
+def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None) -> WindowArrays:
     """Resolve --range into windows.
 
     'test' (the default when the manifest declares a test range) emits
@@ -118,7 +119,7 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None):
     if range_text is None or range_text == "test":
         if ds.test_start_idx is None:
             raise ConfigError("manifest declares no test range; pass --range START:END")
-        return test_windows(ds, spec.seq_len, spec.horizon)
+        return test_windows(ds, spec.seq_len, spec.horizon).arrays
     if ":" not in range_text:
         raise ConfigError(f"--range must be 'test' or 'START:END', got {range_text!r}")
     start_s, end_s = range_text.split(":", 1)
@@ -127,13 +128,15 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None):
         end = dt.date.fromisoformat(end_s.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --range dates: {exc}") from exc
+    if start > end:
+        raise ConfigError(f"--range {range_text}: START {start} is after END {end}")
     index = {d: i for i, d in enumerate(ds.dates)}
     if start not in index or end not in index:
         raise ConfigError(
             f"--range {(start, end)} not covered by the data "
             f"({ds.dates[0]}..{ds.dates[-1]})"
         )
-    windows = make_windows(ds, spec.seq_len, spec.horizon, index[start], index[end] + 1)
+    windows = make_windows(ds, spec.seq_len, spec.horizon, index[start], index[end] + 1).arrays
     if not windows:
         raise ConfigError(
             f"range too short: {range_text} spans {index[end] - index[start] + 1} rows, "
@@ -220,14 +223,14 @@ def _load_model_and_windows(args):
     return spec, params, manifest, ds, windows
 
 
-def _predict_windows(spec: ModelSpec, params, windows) -> np.ndarray:
+def _predict_windows(spec: ModelSpec, params, windows: WindowArrays) -> np.ndarray:
     """Predict every window; a non-finite prediction names its window id and target date."""
     try:
-        return predict_batch(spec, params, np.stack([w.inputs for w in windows]))
+        return predict_batch(spec, params, windows.X)
     except NonFiniteResultError as exc:
-        w = windows[exc.row]
-        raise NonFiniteResultError(f"{exc}: window {w.window_id}, target date "
-                                   f"{w.target_date.isoformat()}", exc.row) from None
+        raise NonFiniteResultError(f"{exc}: window {windows.window_ids[exc.row]}, target date "
+                                   f"{windows.target_dates[exc.row].isoformat()}",
+                                   exc.row) from None
 
 
 def cmd_predict(args) -> int:
@@ -237,8 +240,9 @@ def cmd_predict(args) -> int:
     spec, params, _, _, windows = _load_model_and_windows(args)
     values = _predict_windows(spec, params, windows)
     lines = ["window_id,date,prediction"]
-    for w, v in zip(windows, values):
-        lines.append(f"{w.window_id},{w.target_date.isoformat()},{float(v)!r}")
+    for window_id, date, v in zip(windows.window_ids.tolist(), windows.target_dates,
+                                  values.tolist()):
+        lines.append(f"{window_id},{date.isoformat()},{v!r}")
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {len(windows)} prediction(s) to {args.out}")
     return 0
@@ -250,7 +254,7 @@ def cmd_evaluate(args) -> int:
                          "label": args.label, "missing_policy": args.missing_policy})
     spec, params, manifest, _, windows = _load_model_and_windows(args)
     preds = _predict_windows(spec, params, windows)
-    truths = [w.target for w in windows]
+    truths = windows.y.tolist()
     print(f"n_windows={len(windows)} MAE={mae(preds, truths)!r} MSE={mse(preds, truths)!r}")
     if args.report:
         label = args.label or (args.range or "test")
@@ -258,9 +262,9 @@ def cmd_evaluate(args) -> int:
             model_kind=spec.kind, horizon=spec.horizon,
             target=f"{manifest.target[0]}:{manifest.target[1]}",
             activation=spec.activation, testset=label,
-            window_ids=[w.window_id for w in windows],
-            dates=[w.target_date.isoformat() for w in windows],
-            predictions=[float(p) for p in preds], truths=truths,
+            window_ids=windows.window_ids.tolist(),
+            dates=[date.isoformat() for date in windows.target_dates],
+            predictions=preds.tolist(), truths=truths,
         )
         report.save(args.report)
         print(f"wrote report to {args.report}")

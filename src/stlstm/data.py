@@ -27,6 +27,7 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CsvFormatError,
@@ -386,9 +387,9 @@ def normalize(ds: Dataset) -> np.ndarray:
 class Window:
     """One (input sequence, target) sample.
 
-    ``inputs`` is (T, c*m) and normalized; ``target`` is the raw-scale
-    value of the target variable q days after the last input day.
-    ``window_id`` is the absolute row index of the first input day.
+    ``inputs`` is (T, c*m), normalized and read-only; ``target`` is the
+    raw-scale value of the target variable q days after the last input
+    day. ``window_id`` is the absolute row index of the first input day.
     """
 
     inputs: np.ndarray
@@ -397,12 +398,47 @@ class Window:
     target_date: dt.date
 
 
+@dataclass
+class WindowArrays:
+    """The windows of one row range as arrays; window i is entry i of each.
+
+    ``X`` (N, T, c*m) is a read-only sliding view of the normalized rows,
+    so consecutive windows share T-1 rows of memory and the layer engine
+    projects each row once. ``y`` (N,) holds the raw targets,
+    ``window_ids`` (N,) each window's first input row and
+    ``target_dates`` each window's target day.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    window_ids: np.ndarray
+    target_dates: list[dt.date]
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+
+class Windows(list):
+    """A list of Window, plus ``arrays``: the same windows as one WindowArrays.
+
+    Each Window's ``inputs`` is a row of ``arrays.X``, not a copy.
+    """
+
+    def __init__(self, arrays: WindowArrays):
+        super().__init__(Window(inputs=x, target=float(y), window_id=int(i), target_date=date)
+                         for x, y, i, date in zip(arrays.X, arrays.y, arrays.window_ids,
+                                                  arrays.target_dates))
+        self.arrays = arrays
+
+
 def make_windows(ds: Dataset, seq_len: int, horizon: int,
-                 start: int = 0, stop: int | None = None) -> list[Window]:
+                 start: int = 0, stop: int | None = None) -> Windows:
     """All windows fully contained in rows [start, stop).
 
     A window starting at row d spans input rows d..d+T-1 and targets row
-    d+T-1+q. A range shorter than T+q yields an empty list.
+    d+T-1+q. A range shorter than T+q yields an empty list. Every window's
+    inputs are a row of one read-only sliding view, the list's
+    ``arrays.X``; no window is copied.
     """
     if seq_len < 1 or horizon < 1:
         raise ShapeError(f"seq_len and horizon must be >= 1, got {seq_len}, {horizon}")
@@ -410,27 +446,23 @@ def make_windows(ds: Dataset, seq_len: int, horizon: int,
     stop = L if stop is None else stop
     if start < 0 or stop > L or start > stop:
         raise ShapeError(f"window range [{start}, {stop}) outside dataset of {L} rows")
-    norm = ds.normalized()
-    col = ds.target_column()
-    raw = ds.flat()[:, col]
-    span = seq_len + horizon  # first input day through target day, inclusive
-    windows = []
-    for d in range(start, stop - span + 1):
-        tgt = d + seq_len - 1 + horizon
-        windows.append(Window(inputs=norm[d:d + seq_len].copy(),
-                              target=float(raw[tgt]),
-                              window_id=d,
-                              target_date=ds.dates[tgt]))
-    return windows
+    n = max(stop - start - seq_len - horizon + 1, 0)
+    first_target = start + seq_len - 1 + horizon
+    rows = ds.normalized()[start:start + n + seq_len - 1]
+    X = (sliding_window_view(rows, seq_len, axis=0).transpose(0, 2, 1) if n
+         else np.empty((0, seq_len, ds.input_dim)))
+    y = ds.flat()[first_target:first_target + n, ds.target_column()].copy()
+    return Windows(WindowArrays(X=X, y=y, window_ids=np.arange(start, start + n),
+                                target_dates=ds.dates[first_target:first_target + n]))
 
 
-def train_windows(ds: Dataset, seq_len: int, horizon: int) -> list[Window]:
+def train_windows(ds: Dataset, seq_len: int, horizon: int) -> Windows:
     """Windows whose target day lies strictly before the test range."""
     stop = ds.test_start_idx if ds.test_start_idx is not None else ds.n_days
     return make_windows(ds, seq_len, horizon, 0, stop)
 
 
-def test_windows(ds: Dataset, seq_len: int, horizon: int) -> list[Window]:
+def test_windows(ds: Dataset, seq_len: int, horizon: int) -> Windows:
     """Windows whose target day lies inside the test range.
 
     Inputs may reach back before the range (forecasts use history), so

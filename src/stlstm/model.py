@@ -286,9 +286,11 @@ def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool):
     X, batched = _window_array(spec, window)
     T, B = X.shape[:2]
     act = spec.activation
-    # layer-1 cell k reads input slice k: (T, B, K*d) -> (K, T, B, d)
-    X1 = np.ascontiguousarray(
-        X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3))
+    # layer-1 cell k reads input slice k: (T, B, K*d) -> (K, T, B, d). Only a
+    # trace needs it contiguous; a view lets the engine see windows that share rows
+    X1 = X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3)
+    if keep_trace:
+        X1 = np.ascontiguousarray(X1)
     h1, _, trace1 = layer_forward(params.l1, X1, act, keep_trace=keep_trace)
     # layer 2 reads the cells' hidden states side by side, in manifest order:
     # (T, K, B, n) -> (1, T, B, K*n)

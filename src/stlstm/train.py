@@ -206,18 +206,22 @@ def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
     return batch_loss, grads
 
 
-# Rows per model_predict call in predict_batch. The hoisted input
-# projection of a block is (4, K, T*rows, n): 6.5 MB for 128 rows at paper
-# scale, where one 790-row block (40 MB) spilled the cache on every step
-# and ran 25-40% slower; 64 rows timed within 3% of 128, 256 rows 10% slower.
+# Rows per model_predict call in predict_batch. Windows cut from one sliding
+# view share layer 1's input projection (T+rows-1 rows), so a block's largest
+# array is layer 2's hoisted projection, (4, 1, T*rows, n2): 2.6 MB for 128
+# rows at paper scale. On 790 paper-scale sliding windows, 128 rows timed
+# fastest for both kinds: 64 rows ran 4.5-6.6% slower, 256 rows 2.6-3.6%
+# and 512 rows 11-16%.
 PREDICT_BLOCK_ROWS = 128
 
 
 def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Raw-scale predictions for stacked windows X of shape (N, T, c*m).
+    """Raw-scale predictions for windows X of shape (N, T, c*m).
 
     Windows are independent, so they run in blocks of PREDICT_BLOCK_ROWS
     rows; each block's predictions land in one preallocated (N,) array.
+    X may be a sliding-window view (``make_windows(...).arrays.X``); the
+    windows of a block then share layer 1's projection of their rows.
     A NaN or infinite prediction raises NonFiniteResultError naming its row.
     """
     check_params(spec, params)

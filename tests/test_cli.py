@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from ckpt_files import join_v2, split_v2
@@ -25,6 +27,8 @@ def gen_tiny(tmp_path, capsys, days=90, seed=3):
     assert code == 0
     return out / "manifest.txt"
 
+
+DATA = Path(__file__).parent / "data"
 
 TRAIN_FAST = ["--epochs", "2", "--repeats", "2", "--n1", "4", "--n2", "3",
               "--seq-len", "6", "--learning-rate", "0.01"]
@@ -202,6 +206,39 @@ def test_evaluate_explicit_range_too_short(tmp_path, capsys):
                             "--range", "2007-01-01:2007-01-05"], capsys)
     assert code == 2
     assert "range too short" in err
+
+
+@pytest.mark.parametrize("range_text", ["2007-03-01:2007-01-10", "2007-03-01:2007-02-28"])
+def test_a_reversed_range_names_start_and_end(tmp_path, capsys, range_text):
+    manifest = gen_tiny(tmp_path, capsys)  # 2007-01-01 .. 2007-03-31
+    start, end = range_text.split(":")
+    code, _, err = run_cli(["evaluate", "--model", str(DATA / "v2_stacked.ckpt"),
+                            "--manifest", str(manifest), "--range", range_text], capsys)
+    assert code == 2
+    assert f"START {start} is after END {end}" in err
+
+
+# Outputs of the committed v2 checkpoints on gen_synthetic(2 locations, 2
+# variables, 300 days, coupling 0.6, seed 3), written before windows shared
+# rows: the predict path must keep reproducing them byte for byte.
+GOLDEN = DATA / "golden"
+GOLDEN_RUNS = {
+    "predict_test": ["predict", "--out"],
+    "predict_full": ["predict", "--range", "2007-01-01:2007-10-27", "--out"],
+    "evaluate_test": ["evaluate", "--report"],
+}
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, capsys, kind, run):
+    manifest = gen_synthetic(tmp_path / "data", 2, 2, 300, 0.6, seed=3)
+    name = f"{run}_{kind}.{'json' if run.startswith('evaluate') else 'csv'}"
+    code, _, err = run_cli([*GOLDEN_RUNS[run], str(tmp_path / name),
+                            "--model", str(DATA / f"v2_{kind}.ckpt"),
+                            "--manifest", str(manifest)], capsys)
+    assert code == 0, err
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_compare_builds_the_grid_table(tmp_path, capsys):

@@ -234,6 +234,23 @@ def test_manifest_order_defines_slice_order(tmp_path):
     assert ds2.target_column() == m
 
 
+def test_window_inputs_are_read_only_rows_of_one_view(tmp_path):
+    ds = make_counting_dataset(tmp_path, 30)
+    windows = make_windows(ds, 5, 3)
+    arrays = windows.arrays
+    X = arrays.X
+    assert X.shape == (len(windows), 5, 4)
+    for i, w in enumerate(windows):
+        assert np.shares_memory(w.inputs, X) and np.array_equal(w.inputs, X[i])
+        with pytest.raises(ValueError, match="read-only"):
+            w.inputs[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        X[0, 0, 0] = 1.0
+    assert arrays.window_ids.tolist() == [w.window_id for w in windows]
+    assert arrays.y.tolist() == [w.target for w in windows]
+    assert arrays.target_dates == [w.target_date for w in windows]
+
+
 def test_windows_to_arrays_shapes(tmp_path):
     ds = make_counting_dataset(tmp_path, 20)
     X, y = windows_to_arrays(make_windows(ds, 10, 1))

@@ -9,6 +9,7 @@ reaches the same memory.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stlstm import (
     CellState,
@@ -21,7 +22,7 @@ from stlstm import (
     random_model_params,
     sequence_forward,
 )
-from stlstm.cell import LayerParams, LayerTrace, layer_backward, layer_forward
+from stlstm.cell import LayerParams, LayerTrace, input_rows, layer_backward, layer_forward
 from stlstm.model import is_penalized, model_predict
 from stlstm.train import PREDICT_BLOCK_ROWS, Adam, predict_batch
 
@@ -30,6 +31,17 @@ from test_cell import random_cell
 
 def random_layer(K, n, d, rng):
     return LayerParams.pack([random_cell(n, d, rng) for _ in range(K)])
+
+
+def sliding_windows(rows, T):
+    """Every T-row window of ``rows`` as a read-only (N, T, width) view: no row is copied."""
+    return sliding_window_view(rows, T, axis=0).transpose(0, 2, 1)
+
+
+def sliding_layer_input(K, T, B, d, rng):
+    """A (K, T, B, d) layer input whose B windows overlap: step t of window b is row t+b."""
+    windows = sliding_windows(rng.normal(size=(T + B - 1, K * d)), T)
+    return windows.reshape(B, T, K, d).transpose(2, 1, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +86,71 @@ def test_trace_free_forward_matches_the_traced_one():
     assert no_trace is None and isinstance(trace, LayerTrace)
     assert np.array_equal(H, H_free)
     assert np.array_equal(final.c, final_free.c) and np.array_equal(final.h, final_free.h)
+
+
+@pytest.mark.parametrize("K,T,B", [(1, 5, 7), (3, 4, 9), (2, 1, 6), (2, 6, 1), (1, 10, 128)])
+def test_overlapping_windows_project_each_row_once(K, T, B):
+    X = sliding_layer_input(K, T, B, 2, np.random.default_rng(20))
+    rows, step = input_rows(X)
+    want = T + B - 1 if min(T, B) > 1 else T * B
+    assert rows.shape == (K, want, 2)
+    for t in range(T):
+        assert np.array_equal(rows[:, t * step:t * step + B], X[:, t])
+    # a contiguous copy shares no rows between its windows
+    rows, step = input_rows(np.ascontiguousarray(X))
+    assert rows.shape == (K, T * B, 2) and step == B
+
+
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("keep_trace", [False, True])
+@pytest.mark.parametrize("with_init", [False, True])
+@pytest.mark.parametrize("K,T,B", [(1, 5, 7), (3, 4, 9), (2, 1, 6), (1, 10, 130)])
+def test_layer_forward_on_a_sliding_view_equals_its_contiguous_copy(act, keep_trace, with_init,
+                                                                     K, T, B):
+    n, d = 4, 3
+    rng = np.random.default_rng(21)
+    layer = random_layer(K, n, d, rng)
+    X = sliding_layer_input(K, T, B, d, rng)
+    assert X.strides[1] == X.strides[2]
+    init = CellState(c=rng.normal(size=(K, B, n)), h=rng.normal(size=(K, B, n))) if with_init else None
+    H, final, _ = layer_forward(layer, X, act, init, keep_trace=keep_trace)
+    H_copy, final_copy, _ = layer_forward(layer, np.ascontiguousarray(X), act, init,
+                                          keep_trace=keep_trace)
+    assert np.array_equal(H, H_copy)
+    assert np.array_equal(final.c, final_copy.c) and np.array_equal(final.h, final_copy.h)
+
+
+# (vars per location, n1, n2, T, windows): a small model at every block edge,
+# and the paper's size, whose GEMMs are large enough for a threaded BLAS to split
+BLOCK_EDGES = (1, 2, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3)
+SLIDING_PREDICT_CASES = ([(2, 10, 4, 5, n) for n in BLOCK_EDGES]
+                         + [(18, 160, 64, 10, BLOCK_EDGES[-1])])
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("m,n1,n2,T,n", SLIDING_PREDICT_CASES)
+def test_predict_batch_on_sliding_windows_equals_their_contiguous_copy(kind, act, m, n1, n2, T, n):
+    spec = ModelSpec(kind=kind, locations=5, vars_per_location=m, n1=n1, n2=n2,
+                     activation=act, seq_len=T)
+    rng = np.random.default_rng(22)
+    params = random_model_params(spec, rng)
+    X = sliding_windows(rng.normal(size=(n + spec.seq_len - 1, spec.input_dim)), spec.seq_len)
+    assert X.shape == (n, spec.seq_len, spec.input_dim)
+    assert np.array_equal(predict_batch(spec, params, X),
+                          predict_batch(spec, params, np.ascontiguousarray(X)))
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+def test_a_traced_forward_keeps_layer_1_input_contiguous(kind):
+    spec = ModelSpec(kind=kind, locations=3, vars_per_location=2, n1=6, n2=4, seq_len=5)
+    rng = np.random.default_rng(23)
+    params = random_model_params(spec, rng)
+    X = sliding_windows(rng.normal(size=(12, spec.input_dim)), spec.seq_len)
+    # training's batches are time-major views of stacked windows; a sliding view too
+    for batch in (np.ascontiguousarray(X).transpose(1, 0, 2), X.transpose(1, 0, 2)):
+        _, trace = model_forward(spec, params, batch)
+        assert trace.layer1.x.flags.c_contiguous
 
 
 @pytest.mark.parametrize("kind", ["stacked", "st_stacked"])

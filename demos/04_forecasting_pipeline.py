@@ -29,7 +29,6 @@ from stlstm import (
     train_repeated,
 )
 from stlstm.train import predict_batch
-from stlstm.data import windows_to_arrays
 
 workdir = Path(tempfile.mkdtemp(prefix="stlstm-demo-"))
 manifest_path = gen_synthetic(workdir, locations=5, vars_per_location=3, days=500,
@@ -53,14 +52,13 @@ for kind in ("stacked", "st_stacked"):
           f"(median repeat: {result.best_index})")
 
     best = result.runs[result.best_index]
-    X, y = windows_to_arrays(te)
-    preds = predict_batch(spec, best.params, X)
+    preds = predict_batch(spec, best.params, te.X)
     reports.append(EvalReport(
         model_kind=kind, horizon=horizon, target="loc1:temperature",
         activation="tanh", testset="holdout",
-        window_ids=[w.window_id for w in te],
-        dates=[w.target_date.isoformat() for w in te],
-        predictions=[float(p) for p in preds], truths=[w.target for w in te],
+        window_ids=te.window_ids.tolist(),
+        dates=[date.isoformat() for date in te.target_dates],
+        predictions=preds.tolist(), truths=te.y.tolist(),
     ))
 
 print()

@@ -291,13 +291,16 @@ def input_rows(X: np.ndarray) -> tuple[np.ndarray, int]:
     """The distinct input rows of a (K, T, B, d) layer input, and the row step between steps.
 
     Step t of window b reads row ``t*step + b`` of the returned (K, R, d)
-    array. Where the step and batch axes have one stride, as in a
-    sliding-window view, X[:, t, b] is the same memory as X[:, t+1, b-1],
-    so step 0 of every window and steps 1..T-1 of the last window are all
-    T+B-1 distinct rows (step 1). Any other X gives its T*B rows (step B).
+    array. Where X[:, t, b] has the bits of X[:, t+1, b-1] for every t and
+    b, as in a sliding-window view or a copy of one, step 0 of every window
+    and steps 1..T-1 of the last are all T+B-1 distinct rows (step 1), so a
+    view and its copy run one GEMM: some BLAS kernels give a row other bits
+    in a GEMM of another row count. Any other X gives its T*B rows (step B).
     """
     K, T, B, d = X.shape
-    if min(T, B) > 1 and X.strides[1] == X.strides[2]:
+    bits = X.view(np.uint64)  # a shuffled batch fails at its first row pair
+    if min(T, B) > 1 and (X.strides[1] == X.strides[2] or (np.array_equal(bits[:, 1, 0], bits[:, 0, 1])
+                          and np.array_equal(bits[:, 1:, :-1], bits[:, :-1, 1:]))):
         return np.concatenate([X[:, 0], X[:, 1:, B - 1]], axis=1), 1
     return X.reshape(K, T * B, d), B
 

@@ -119,7 +119,7 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None) -> 
     if range_text is None or range_text == "test":
         if ds.test_start_idx is None:
             raise ConfigError("manifest declares no test range; pass --range START:END")
-        return test_windows(ds, spec.seq_len, spec.horizon).arrays
+        return test_windows(ds, spec.seq_len, spec.horizon)
     if ":" not in range_text:
         raise ConfigError(f"--range must be 'test' or 'START:END', got {range_text!r}")
     start_s, end_s = range_text.split(":", 1)
@@ -136,7 +136,7 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None) -> 
             f"--range {(start, end)} not covered by the data "
             f"({ds.dates[0]}..{ds.dates[-1]})"
         )
-    windows = make_windows(ds, spec.seq_len, spec.horizon, index[start], index[end] + 1).arrays
+    windows = make_windows(ds, spec.seq_len, spec.horizon, index[start], index[end] + 1)
     if not windows:
         raise ConfigError(
             f"range too short: {range_text} spans {index[end] - index[start] + 1} rows, "

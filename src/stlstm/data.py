@@ -1,4 +1,4 @@
-"""Multi-location daily series: ingestion, windowing, and synthetic data.
+"""Multi-location daily series: ingestion, windowing into ``WindowArrays``, synthetic data.
 
 CSV format (one file per location): header ``date,<var1>,...,<varm>``
 with ISO-8601 dates. A clean file (LF or CRLF lines, no quotes, every
@@ -406,7 +406,8 @@ class WindowArrays:
     so consecutive windows share T-1 rows of memory and the layer engine
     projects each row once. ``y`` (N,) holds the raw targets,
     ``window_ids`` (N,) each window's first input row and
-    ``target_dates`` each window's target day.
+    ``target_dates`` each window's target day. ``record[i]`` is window i
+    as a ``Window``, built on demand, whose inputs are the view ``X[i]``.
     """
 
     X: np.ndarray
@@ -417,28 +418,18 @@ class WindowArrays:
     def __len__(self) -> int:
         return len(self.y)
 
-
-class Windows(list):
-    """A list of Window, plus ``arrays``: the same windows as one WindowArrays.
-
-    Each Window's ``inputs`` is a row of ``arrays.X``, not a copy.
-    """
-
-    def __init__(self, arrays: WindowArrays):
-        super().__init__(Window(inputs=x, target=float(y), window_id=int(i), target_date=date)
-                         for x, y, i, date in zip(arrays.X, arrays.y, arrays.window_ids,
-                                                  arrays.target_dates))
-        self.arrays = arrays
+    def __getitem__(self, i: int) -> Window:
+        return Window(self.X[i], float(self.y[i]), int(self.window_ids[i]), self.target_dates[i])
 
 
 def make_windows(ds: Dataset, seq_len: int, horizon: int,
-                 start: int = 0, stop: int | None = None) -> Windows:
-    """All windows fully contained in rows [start, stop).
+                 start: int = 0, stop: int | None = None) -> WindowArrays:
+    """All windows fully contained in rows [start, stop), as one record.
 
     A window starting at row d spans input rows d..d+T-1 and targets row
-    d+T-1+q. A range shorter than T+q yields an empty list. Every window's
-    inputs are a row of one read-only sliding view, the list's
-    ``arrays.X``; no window is copied.
+    d+T-1+q. A range shorter than T+q yields an empty record. Every
+    window's inputs are a row of one read-only sliding view, the
+    record's ``X``; no window is copied.
     """
     if seq_len < 1 or horizon < 1:
         raise ShapeError(f"seq_len and horizon must be >= 1, got {seq_len}, {horizon}")
@@ -452,17 +443,17 @@ def make_windows(ds: Dataset, seq_len: int, horizon: int,
     X = (sliding_window_view(rows, seq_len, axis=0).transpose(0, 2, 1) if n
          else np.empty((0, seq_len, ds.input_dim)))
     y = ds.flat()[first_target:first_target + n, ds.target_column()].copy()
-    return Windows(WindowArrays(X=X, y=y, window_ids=np.arange(start, start + n),
-                                target_dates=ds.dates[first_target:first_target + n]))
+    return WindowArrays(X=X, y=y, window_ids=np.arange(start, start + n),
+                        target_dates=ds.dates[first_target:first_target + n])
 
 
-def train_windows(ds: Dataset, seq_len: int, horizon: int) -> Windows:
+def train_windows(ds: Dataset, seq_len: int, horizon: int) -> WindowArrays:
     """Windows whose target day lies strictly before the test range."""
     stop = ds.test_start_idx if ds.test_start_idx is not None else ds.n_days
     return make_windows(ds, seq_len, horizon, 0, stop)
 
 
-def test_windows(ds: Dataset, seq_len: int, horizon: int) -> Windows:
+def test_windows(ds: Dataset, seq_len: int, horizon: int) -> WindowArrays:
     """Windows whose target day lies inside the test range.
 
     Inputs may reach back before the range (forecasts use history), so
@@ -482,10 +473,12 @@ def test_windows(ds: Dataset, seq_len: int, horizon: int) -> Windows:
 test_windows.__test__ = False  # keep pytest from collecting the imported name
 
 
-def windows_to_arrays(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into (N, T, c*m) inputs and (N,) raw targets."""
+def windows_to_arrays(windows: list[Window] | WindowArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Stack windows into fresh (N, T, c*m) inputs and (N,) raw targets."""
     if not windows:
         raise ShapeError("no windows to stack")
+    if isinstance(windows, WindowArrays):  # copy its arrays; build no Window per row
+        return np.array(windows.X), windows.y.copy()
     X = np.stack([w.inputs for w in windows])
     y = np.array([w.target for w in windows])
     return X, y

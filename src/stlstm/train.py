@@ -9,6 +9,7 @@ and run one after another.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,8 +221,8 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
 
     Windows are independent, so they run in blocks of PREDICT_BLOCK_ROWS
     rows; each block's predictions land in one preallocated (N,) array.
-    X may be a sliding-window view (``make_windows(...).arrays.X``); the
-    windows of a block then share layer 1's projection of their rows.
+    X may be a sliding-window view (``make_windows(...).X``) or a copy;
+    a block's windows then share layer 1's projection of their rows.
     A NaN or infinite prediction raises NonFiniteResultError naming its row.
     """
     check_params(spec, params)
@@ -246,11 +247,13 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     return out
 
 
-def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
-               seed: int, test_set: list[Window] | None = None) -> RunResult:
-    """One deterministic run: init, shuffle, fit, optionally score the test set."""
+def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window],
+               seed: int, test_set: Sequence[Window] | None = None) -> RunResult:
+    """One deterministic run on any sequence of ``Window``, e.g. a ``WindowArrays``
+    record: init, shuffle, fit, optionally score the test set."""
     if not train_set:
         raise ShapeError("train_once: no training windows")
+    # a copy, not the view: freeing it lifts glibc's mmap threshold over batch arrays (ROADMAP item 4)
     X, y = windows_to_arrays(train_set)
     if X.shape[1] != spec.seq_len:
         raise ShapeError(f"windows have T={X.shape[1]}, spec.seq_len is {spec.seq_len}")
@@ -308,8 +311,8 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
     return result
 
 
-def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: list[Window],
-                   test_set: list[Window] | None = None) -> RepeatedResult:
+def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window],
+                   test_set: Sequence[Window] | None = None) -> RepeatedResult:
     """Run ``config.repeats`` independent fits and report median test errors.
 
     Repeat r uses seed config.seed + r. Medians use the lower-middle

@@ -169,7 +169,7 @@ def test_window_count_exactly_one(tmp_path):
 
 def test_window_count_zero_is_empty_not_an_error(tmp_path):
     ds = make_counting_dataset(tmp_path, 15)
-    assert make_windows(ds, 10, 6) == []
+    assert len(make_windows(ds, 10, 6)) == 0
 
 
 def test_window_layout_and_raw_targets(tmp_path):
@@ -237,8 +237,7 @@ def test_manifest_order_defines_slice_order(tmp_path):
 def test_window_inputs_are_read_only_rows_of_one_view(tmp_path):
     ds = make_counting_dataset(tmp_path, 30)
     windows = make_windows(ds, 5, 3)
-    arrays = windows.arrays
-    X = arrays.X
+    X = windows.X
     assert X.shape == (len(windows), 5, 4)
     for i, w in enumerate(windows):
         assert np.shares_memory(w.inputs, X) and np.array_equal(w.inputs, X[i])
@@ -246,16 +245,21 @@ def test_window_inputs_are_read_only_rows_of_one_view(tmp_path):
             w.inputs[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         X[0, 0, 0] = 1.0
-    assert arrays.window_ids.tolist() == [w.window_id for w in windows]
-    assert arrays.y.tolist() == [w.target for w in windows]
-    assert arrays.target_dates == [w.target_date for w in windows]
+    assert windows.window_ids.tolist() == [w.window_id for w in windows]
+    assert windows.y.tolist() == [w.target for w in windows]
+    assert windows.target_dates == [w.target_date for w in windows]
 
 
 def test_windows_to_arrays_shapes(tmp_path):
     ds = make_counting_dataset(tmp_path, 20)
-    X, y = windows_to_arrays(make_windows(ds, 10, 1))
+    windows = make_windows(ds, 10, 1)
+    X, y = windows_to_arrays(windows)
     assert X.shape == (10, 10, 4)
     assert y.shape == (10,)
+    # a record's arrays are copied, not handed out as its read-only view
+    assert X.flags.c_contiguous and X.flags.writeable and not np.shares_memory(X, windows.X)
+    X_list, y_list = windows_to_arrays(list(windows))
+    assert np.array_equal(X, X_list) and np.array_equal(y, y_list)
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,29 @@ def test_overlapping_windows_project_each_row_once(K, T, B):
     assert rows.shape == (K, want, 2)
     for t in range(T):
         assert np.array_equal(rows[:, t * step:t * step + B], X[:, t])
-    # a contiguous copy shares no rows between its windows
-    rows, step = input_rows(np.ascontiguousarray(X))
+    # a contiguous copy overlaps by value, so it projects the same T+B-1 rows
+    # in one GEMM of the same row count: some BLAS kernels give a row other
+    # bits in a GEMM of another row count
+    copy_rows, copy_step = input_rows(np.ascontiguousarray(X))
+    assert copy_step == step and np.array_equal(copy_rows, rows)
+    # input whose windows do not overlap projects every window's T*B rows,
+    # also when only the last row pair breaks the overlap
+    rows, step = input_rows(np.random.default_rng(24).normal(size=X.shape))
     assert rows.shape == (K, T * B, 2) and step == B
+    broken = np.ascontiguousarray(X)
+    broken[:, -1, 0] += 1.0
+    rows, step = input_rows(broken)
+    assert rows.shape == (K, T * B, 2) and step == B
+
+
+def test_a_copy_shares_rows_only_where_every_bit_agrees():
+    K, T, B, d = 1, 3, 4, 2
+    X = np.ascontiguousarray(sliding_layer_input(K, T, B, d, np.random.default_rng(25)))
+    for t in range(T):  # every copy of row T-1 becomes 0.0
+        X[:, t, T - 1 - t] = 0.0
+    assert input_rows(X)[0].shape == (K, T + B - 1, d)
+    X[:, T - 1, 0] = -0.0  # equal to 0.0 by value, not by bits
+    assert input_rows(X)[0].shape == (K, T * B, d)
 
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
@@ -120,11 +140,15 @@ def test_layer_forward_on_a_sliding_view_equals_its_contiguous_copy(act, keep_tr
     assert np.array_equal(final.c, final_copy.c) and np.array_equal(final.h, final_copy.h)
 
 
-# (vars per location, n1, n2, T, windows): a small model at every block edge,
-# and the paper's size, whose GEMMs are large enough for a threaded BLAS to split
+# (vars per location, n1, n2, T, windows): a small model at every block edge;
+# the paper's size, whose GEMMs are large enough for a threaded BLAS to split;
+# and paper width (stacked: 90 inputs, 4*n1 = 640) with T and windows both even
+# and both odd, where the shared GEMM's row count T+windows-1 and the copy's
+# T*windows differ in parity and agree in it
 BLOCK_EDGES = (1, 2, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 3)
 SLIDING_PREDICT_CASES = ([(2, 10, 4, 5, n) for n in BLOCK_EDGES]
-                         + [(18, 160, 64, 10, BLOCK_EDGES[-1])])
+                         + [(18, 160, 64, 10, BLOCK_EDGES[-1]), (18, 160, 64, 4, 2),
+                            (18, 160, 64, 5, 3)])
 
 
 @pytest.mark.parametrize("kind", ["stacked", "st_stacked"])

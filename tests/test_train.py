@@ -137,11 +137,23 @@ def test_validation_holdout_records_a_curve(tiny_data):
     assert all(np.isfinite(v) for v in result.val_curve)
 
 
+def test_training_on_the_record_equals_training_on_its_list_of_windows(tiny_data):
+    spec, tr, te = tiny_data
+    cfg = TrainConfig(epochs=2, validation_holdout=True, repeats=1)
+    on_record = train_once(spec, cfg, tr, seed=0, test_set=te)
+    on_list = train_once(spec, cfg, list(tr), seed=0, test_set=list(te))
+    assert on_record.loss_curve == on_list.loss_curve
+    assert on_record.val_curve == on_list.val_curve
+    assert on_record.test_mae == on_list.test_mae
+    assert on_record.params.flat.tobytes() == on_list.params.flat.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_a_non_finite_validation_loss_is_refused(tiny_data):
     # finite predictions, but squared errors against these targets overflow
     spec, tr, _ = tiny_data
     split = int(round(len(tr) * 0.9))
+    tr = list(tr)
     tr = tr[:split] + [dataclasses.replace(w, target=1e200) for w in tr[split:]]
     cfg = TrainConfig(epochs=1, validation_holdout=True, repeats=1)
     with pytest.raises(NonFiniteResultError, match="validation loss after epoch 1"):

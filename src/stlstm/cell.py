@@ -23,6 +23,8 @@ rows are projected instead of T*B), each step adds one batched matmul
 of h, and the weight gradients are one matmul each after the backward
 time loop. ``cell_forward``, ``sequence_forward`` and
 ``cell_backward`` are the per-cell API over the same engine with K=1.
+Given a ``Workspace``, both keep their large arrays in its reused
+buffers, so a batch of a shape seen before allocates nothing large.
 
 All arrays are float64. In the per-cell API, state and input arrays may
 carry a leading batch axis -- shape (B, n) instead of (n,) -- and both
@@ -31,6 +33,7 @@ layouts are treated identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,6 +77,35 @@ def inner_activation_deriv(act: str, out: np.ndarray) -> np.ndarray:
     if act == "tanh":
         return 1.0 - out * out
     return out * (1.0 - out)
+
+
+class Workspace:
+    """Named float64 buffers kept from batch to batch; a fresh one allocates as numpy would.
+
+    Takes of one name share memory, so a name serves arrays whose lifetimes do
+    not overlap, like a layer's input projection and its gate gradients. A
+    layer's view of a model's buffers prefixes its trace's names with ``tag``.
+    """
+
+    def __init__(self, buffers: dict | None = None, tag: str = ""):
+        self.buffers = {} if buffers is None else buffers
+        self.tag = tag
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        """An uninitialized array in buffer ``name``, which grows on first need."""
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def contiguous(self, name: str, a: np.ndarray) -> np.ndarray:
+        """``a`` if it is C-contiguous, else its copy in the buffer ``name``."""
+        if a.flags.c_contiguous:
+            return a
+        out = self.take(name, a.shape)
+        np.copyto(out, a)
+        return out
 
 
 @dataclass
@@ -265,11 +297,11 @@ class LayerTrace:
     g_c: np.ndarray
 
 
-def _by_gate(W: np.ndarray, transpose: bool) -> np.ndarray:
+def _by_gate(W: np.ndarray, ws: Workspace, name: str, transpose: bool) -> np.ndarray:
     """(K, 4n, m) packed matrices as a contiguous (4, K, n, m) stack, or (4, K, m, n) transposed."""
     K, four_n, m = W.shape
     W4 = W.reshape(K, 4, four_n // 4, m).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(W4.transpose(0, 1, 3, 2) if transpose else W4)
+    return ws.contiguous(name, W4.transpose(0, 1, 3, 2) if transpose else W4)
 
 
 def as_layer_input(x_seq, d: int) -> tuple[np.ndarray, tuple]:
@@ -287,7 +319,7 @@ def as_layer_input(x_seq, d: int) -> tuple[np.ndarray, tuple]:
     return (X if X.ndim == 3 else X[:, None, :])[None], X.shape[1:]
 
 
-def input_rows(X: np.ndarray) -> tuple[np.ndarray, int]:
+def input_rows(X: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, int]:
     """The distinct input rows of a (K, T, B, d) layer input, and the row step between steps.
 
     Step t of window b reads row ``t*step + b`` of the returned (K, R, d)
@@ -301,12 +333,14 @@ def input_rows(X: np.ndarray) -> tuple[np.ndarray, int]:
     bits = X.view(np.uint64)  # a shuffled batch fails at its first row pair
     if min(T, B) > 1 and (X.strides[1] == X.strides[2] or (np.array_equal(bits[:, 1, 0], bits[:, 0, 1])
                           and np.array_equal(bits[:, 1:, :-1], bits[:, :-1, 1:]))):
-        return np.concatenate([X[:, 0], X[:, 1:, B - 1]], axis=1), 1
+        out = None if ws is None else ws.take("rows", (K, T + B - 1, d))
+        return np.concatenate([X[:, 0], X[:, 1:, B - 1]], axis=1, out=out), 1
     return X.reshape(K, T * B, d), B
 
 
 def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | None = None,
-                  keep_trace: bool = True) -> tuple[np.ndarray, CellState, LayerTrace | None]:
+                  keep_trace: bool = True, ws: Workspace | None = None
+                  ) -> tuple[np.ndarray, CellState, LayerTrace | None]:
     """Run K cells over inputs X of shape (K, T, B, d) at once.
 
     X may be a view; one whose step and batch axes share a stride
@@ -315,23 +349,26 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
     arrays) and, with ``keep_trace``, the trace ``layer_backward``
     needs. Without it, gates, cell states and g(c) live in per-step
     scratch. ``init`` (arrays of shape (K, B, n)) defaults to the zero
-    state.
+    state. All of these live in ``ws`` (a fresh Workspace by default).
     """
     K, T, B, d = X.shape
     n = p.n
-    rows, step = input_rows(X)
+    ws = Workspace() if ws is None else ws
+    rows, step = input_rows(X, ws)
     # the input projection of every distinct row, one batched matmul: (4, K, R, n)
-    P = np.matmul(rows[None], _by_gate(p.Wx, transpose=True))
+    P = np.matmul(rows[None], _by_gate(p.Wx, ws, "Wx", transpose=True),
+                  out=ws.take("A", (4, K, rows.shape[1], n)))
     P += p.b.reshape(K, 4, 1, n).transpose(1, 0, 2, 3)
-    WhT = _by_gate(p.Wh, transpose=True)
+    WhT = _by_gate(p.Wh, ws, "Wh", transpose=True)
     w_if = np.ascontiguousarray(p.wc[:, :2].transpose(1, 0, 2))[:, :, None, :]  # (2, K, 1, n)
     w_o = p.wc[:, 2, None, :]
 
     gs, cs = (T, T + 1) if keep_trace else (1, 2)
-    G = np.empty((gs, 4, K, B, n))
-    C = np.empty((cs, K, B, n))
-    GC = np.empty((gs, K, B, n))
-    H = np.empty((T + 1, K, B, n))
+    G = ws.take(ws.tag + "G", (gs, 4, K, B, n))
+    C = ws.take(ws.tag + "C", (cs, K, B, n))
+    GC = ws.take(ws.tag + "GC", (gs, K, B, n))
+    H = ws.take(ws.tag + "H", (T + 1, K, B, n))
+    s = ws.take("step", (2, K, B, n))  # scratch for each step's products
     C[0] = 0.0 if init is None else init.c
     H[0] = 0.0 if init is None else init.h
 
@@ -341,13 +378,13 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
         a += P[:, :, t * step:t * step + B]
         c_prev, c = C[t % cs], C[(t + 1) % cs]
         a_if = a[:2]
-        a_if += c_prev * w_if
+        a_if += np.multiply(c_prev, w_if, out=s)
         sigmoid(a_if, out=a_if)
         i, f, z, o = a
         inner_activation(act, z, out=z)
         np.multiply(f, c_prev, out=c)
-        c += i * z
-        o += c * w_o
+        c += np.multiply(i, z, out=s[0])
+        o += np.multiply(c, w_o, out=s[0])
         sigmoid(o, out=o)
         g_c = inner_activation(act, c, out=GC[t % gs])
         np.multiply(o, g_c, out=H[t + 1])
@@ -359,7 +396,7 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
 
 def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
                    dc_final: np.ndarray | None = None, grads: LayerParams | None = None,
-                   need_dx: bool = True
+                   need_dx: bool = True, ws: Workspace | None = None
                    ) -> tuple[LayerParams, np.ndarray | None, CellState]:
     """Reverse-mode gradients through K unrolled cells.
 
@@ -368,7 +405,7 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
     state. Parameter gradients are written into ``grads`` (a fresh
     LayerParams by default). Returns (parameter gradients, input
     gradients (K, T, B, d) or None without ``need_dx``, initial-state
-    gradients).
+    gradients); the input gradients live in ``ws`` (a fresh Workspace by default).
 
     The output gate's peephole reads the current-step c, so its
     pre-activation gradient is formed before c's gradient is complete;
@@ -380,13 +417,15 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
     X, G, C, H = trace.x, trace.gates, trace.c, trace.h
     K, T, B, d = X.shape
     n = p.n
+    ws = Workspace() if ws is None else ws
     if grads is None:
         grads = LayerParams.zeros(K, n, d)
-    Wh = _by_gate(p.Wh, transpose=False)
+    Wh = _by_gate(p.Wh, ws, "Wh", transpose=False)
     w_ci, w_cf, w_co = (p.wc[:, j, None, :] for j in range(3))
-    dA = np.empty((T, 4, K, B, n))
+    dA = ws.take("A", (T, 4, K, B, n))  # the forward's input projection is dead by now
     dh_next = np.zeros((K, B, n))
     dc_next = np.zeros((K, B, n)) if dc_final is None else np.array(dc_final, dtype=np.float64)
+    dh_gates = ws.take("packed", (4, K, B, n))  # dA's packed copy is made after the loop
 
     for t in range(T - 1, -1, -1):
         i, f, z, o = G[t]
@@ -411,18 +450,22 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
         dz_pre *= inner_activation_deriv(act, z)
 
         dc_next = dc * f + da_i * w_ci + da_f * w_cf
-        dh_next = np.matmul(dA[t], Wh).sum(axis=0)
+        dh_next = np.matmul(dA[t], Wh, out=dh_gates).sum(axis=0)
 
     # (T, 4, K, B, n) -> (K, T*B, 4n): each cell's gradients in packed gate order
-    dAk = dA.transpose(2, 0, 3, 1, 4).reshape(K, T * B, 4 * n)
+    dAk = ws.contiguous("packed", dA.transpose(2, 0, 3, 1, 4)).reshape(K, T * B, 4 * n)
     dAkT = dAk.transpose(0, 2, 1)
     np.matmul(dAkT, X.reshape(K, T * B, d), out=grads.Wx)
-    np.matmul(dAkT, H[:T].transpose(1, 0, 2, 3).reshape(K, T * B, n), out=grads.Wh)
+    np.matmul(dAkT, ws.contiguous("tmp", H[:T].transpose(1, 0, 2, 3)).reshape(K, T * B, n),
+              out=grads.Wh)
     dAk.sum(axis=1, out=grads.b)
-    # i and f peek at c_prev, o at the current c
-    np.sum(dA[:, :2] * C[:T, None], axis=(0, 3), out=grads.wc[:, :2].transpose(1, 0, 2))
-    np.sum(dA[:, 3] * C[1:], axis=(0, 2), out=grads.wc[:, 2])
-    dX = np.matmul(dAk, p.Wx).reshape(K, T, B, d) if need_dx else None
+    dX = (np.matmul(dAk, p.Wx, out=ws.take("dX", (K, T * B, d))).reshape(K, T, B, d)
+          if need_dx else None)
+    # i and f peek at c_prev, o at the current c; the products reuse dAk's buffer
+    np.sum(np.multiply(dA[:, :2], C[:T, None], out=ws.take("packed", (T, 2, K, B, n))),
+           axis=(0, 3), out=grads.wc[:, :2].transpose(1, 0, 2))
+    np.sum(np.multiply(dA[:, 3], C[1:], out=ws.take("packed", (T, K, B, n))),
+           axis=(0, 2), out=grads.wc[:, 2])
     return grads, dX, CellState(c=dc_next, h=dh_next)
 
 

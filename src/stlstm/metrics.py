@@ -57,6 +57,18 @@ def median_low(values) -> float:
     return sorted(values)[(len(values) - 1) // 2]
 
 
+# The JSON type of each report field; a bool is an int to Python, but never one here.
+_HEADER_TYPES = {"model_kind": str, "horizon": int, "target": str, "activation": str,
+                 "testset": str}
+
+
+def _typed(obj: dict, key: str, types):
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ReportError(f"field {key!r} has the wrong JSON type: {value!r}")
+    return value
+
+
 @dataclass
 class EvalReport:
     """Per-window predictions and summary errors for one grid cell."""
@@ -115,14 +127,13 @@ class EvalReport:
     def load(cls, path) -> "EvalReport":
         try:
             raw = json.loads(Path(path).read_text())
+            windows = raw["windows"]
             return cls(
-                model_kind=raw["model_kind"], horizon=raw["horizon"],
-                target=raw["target"], activation=raw["activation"],
-                testset=raw["testset"],
-                window_ids=[w["window_id"] for w in raw["windows"]],
-                dates=[w["date"] for w in raw["windows"]],
-                predictions=[w["prediction"] for w in raw["windows"]],
-                truths=[w["truth"] for w in raw["windows"]],
+                **{key: _typed(raw, key, types) for key, types in _HEADER_TYPES.items()},
+                window_ids=[_typed(w, "window_id", int) for w in windows],
+                dates=[_typed(w, "date", str) for w in windows],
+                predictions=[_typed(w, "prediction", (int, float)) for w in windows],
+                truths=[_typed(w, "truth", (int, float)) for w in windows],
             )
         except (ValueError, KeyError, TypeError, StlstmError) as exc:
             raise ReportError(f"{path}: not a valid evaluation report: {exc!r}") from exc

@@ -29,6 +29,7 @@ from .cell import (
     CellParams,
     LayerParams,
     LayerTrace,
+    Workspace,
     as_layer_input,
     check_activation,
     init_cell_into,
@@ -266,6 +267,7 @@ class ModelTrace:
     layer1: LayerTrace  # all spec.loc_cells layer-1 cells, stacked
     layer2: LayerTrace
     batched: bool       # False for a single window of T vectors
+    ws: Workspace | None = None  # the forward's workspace, which model_backward then uses
 
     @property
     def final_hidden(self) -> np.ndarray:
@@ -282,24 +284,29 @@ def _window_array(spec: ModelSpec, window) -> tuple[np.ndarray, bool]:
     return X[0], len(step_shape) == 2
 
 
-def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool):
+def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool,
+             ws: Workspace | None = None):
     X, batched = _window_array(spec, window)
     T, B = X.shape[:2]
     act = spec.activation
+    work = Workspace() if ws is None else ws
     # layer-1 cell k reads input slice k: (T, B, K*d) -> (K, T, B, d). Only a
     # trace needs it contiguous; a view lets the engine see windows that share rows
     X1 = X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3)
     if keep_trace:
-        X1 = np.ascontiguousarray(X1)
-    h1, _, trace1 = layer_forward(params.l1, X1, act, keep_trace=keep_trace)
+        X1 = work.contiguous("x1", X1)
+    h1, _, trace1 = layer_forward(params.l1, X1, act, keep_trace=keep_trace,
+                                  ws=Workspace(work.buffers, "l1"))
     # layer 2 reads the cells' hidden states side by side, in manifest order:
     # (T, K, B, n) -> (1, T, B, K*n)
-    X2 = h1.transpose(0, 2, 1, 3).reshape(1, T, B, spec.n1)
-    _, final, trace2 = layer_forward(params.l2, X2, act, keep_trace=keep_trace)
+    X2 = work.contiguous("x2", h1.transpose(0, 2, 1, 3)).reshape(1, T, B, spec.n1)
+    _, final, trace2 = layer_forward(params.l2, X2, act, keep_trace=keep_trace,
+                                     ws=Workspace(work.buffers, "l2"))
     pred = dense_head(final.h[0] if batched else final.h[0, 0], params.w_dense, params.b_dense)
     if np.ndim(pred) == 0:
         pred = float(pred)
-    return pred, (ModelTrace(trace1, trace2, batched) if keep_trace else None)
+    # a trace keeps only a caller's workspace: model_forward's backpropagates into fresh arrays
+    return pred, (ModelTrace(trace1, trace2, batched, ws) if keep_trace else None)
 
 
 def model_forward(spec: ModelSpec, params: ModelParams, window
@@ -326,29 +333,34 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
 
     ``dy`` is the loss gradient on the prediction(s): a scalar for a
     single window, shape (B,) for a batch. Returns a ModelParams of
-    gradients, laid out like ``params``.
+    gradients, laid out like ``params``; from a trace made in a workspace,
+    they live in it until its next batch.
     """
     T, B = trace.layer2.x.shape[1:3]
     if T != spec.seq_len:
         raise ShapeError(f"trace has {T} layer-2 steps, spec.seq_len is {spec.seq_len}")
     dy = np.asarray(dy, dtype=np.float64)
+    ws = Workspace() if trace.ws is None else trace.ws
     h2_final = trace.final_hidden
     if dy.shape != h2_final.shape[:-1]:
         raise ShapeError(
             f"loss gradient has shape {dy.shape}, predictions have shape {h2_final.shape[:-1]}"
         )
 
-    grads = zero_model_params(spec)
+    # every gradient is written below, so the buffer needs no zeroing
+    grads = ModelParams.from_flat(params.layout, ws.take("grads", params.flat.shape))
     grads.w_dense[...] = dy * h2_final if dy.ndim == 0 else h2_final.T @ dy
     grads.b_dense[0] = np.sum(dy)
     # head touches only the final step; earlier layer-2 h-grads are zero
-    dH2 = np.zeros((T, 1, B, spec.n2))
+    dH2 = ws.take("dH2", (T, 1, B, spec.n2))
+    dH2[:-1] = 0.0
     dH2[-1, 0] = np.multiply.outer(dy, params.w_dense)
-    _, dX2, _ = layer_backward(params.l2, trace.layer2, dH2, spec.activation, grads=grads.l2)
+    _, dX2, _ = layer_backward(params.l2, trace.layer2, dH2, spec.activation, grads=grads.l2,
+                               ws=ws)
     # (1, T, B, K*n) -> (T, K, B, n): each layer-1 cell's slice of layer 2's input gradient
     dH1 = dX2[0].reshape(T, B, spec.loc_cells, spec.loc_neurons).transpose(0, 2, 1, 3)
     layer_backward(params.l1, trace.layer1, dH1, spec.activation, grads=grads.l1,
-                   need_dx=False)
+                   need_dx=False, ws=ws)
     return grads
 
 

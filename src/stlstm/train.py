@@ -15,19 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy 2 defers it to first use; pay that at import
 
-from .data import Window, windows_to_arrays
+from .cell import Workspace
+from .data import Window, WindowArrays, windows_to_arrays
 from .errors import ConfigError, DivergenceError, NonFiniteResultError, ShapeError
 from .metrics import mae, median_low, mse
 from .model import (
     ModelParams,
     ModelSpec,
+    _forward,
     check_params,
     field_types,
     init_model_params,
     is_penalized,
     model_backward,
-    model_forward,
-    model_predict,
+    model_forward,  # noqa: F401 -- benchmarks/workloads.py:instrument wraps it by name
     random_model_params,
 )
 
@@ -195,19 +196,21 @@ class RepeatedResult:
 
 
 def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
-                          Xb: np.ndarray, yb: np.ndarray,
-                          l2_lambda: float) -> tuple[float, ModelParams]:
+                          Xb: np.ndarray, yb: np.ndarray, l2_lambda: float,
+                          ws: Workspace | None = None) -> tuple[float, ModelParams]:
+    ws = Workspace() if ws is None else ws
     # the batch as a time-major (T, B, c*m) view
-    preds, trace = model_forward(spec, params, Xb.transpose(1, 0, 2))
+    preds, trace = _forward(spec, params, Xb.transpose(1, 0, 2), keep_trace=True, ws=ws)
     batch_loss = loss(preds, yb, params, l2_lambda)
     dy = 2.0 * (np.asarray(preds) - yb) / yb.shape[0]
     grads = model_backward(spec, params, trace, dy)
-    if l2_lambda != 0.0:
-        grads.penalized += 2.0 * l2_lambda * params.penalized
+    if l2_lambda != 0.0:  # the engine's projection buffer is free again after the backward pass
+        grads.penalized += np.multiply(params.penalized, 2.0 * l2_lambda,
+                                       out=ws.take("A", params.penalized.shape))
     return batch_loss, grads
 
 
-# Rows per model_predict call in predict_batch. Windows cut from one sliding
+# Rows per forward pass in predict_batch. Windows cut from one sliding
 # view share layer 1's input projection (T+rows-1 rows), so a block's largest
 # array is layer 2's hoisted projection, (4, 1, T*rows, n2): 2.6 MB for 128
 # rows at paper scale. On 790 paper-scale sliding windows, 128 rows timed
@@ -233,12 +236,14 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     if X.ndim != 3:
         raise ShapeError(f"predict_batch: X must have shape (N, T, c*m), got {X.shape}")
     out = np.empty(X.shape[0])
+    ws = Workspace()  # every block after the first runs in the first one's buffers
     # an empty X still makes one call, so its shape is checked as before; an
     # overflow needs no numpy warning, as a non-finite prediction is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, max(X.shape[0], 1), PREDICT_BLOCK_ROWS):
             block = X[start:start + PREDICT_BLOCK_ROWS].transpose(1, 0, 2)  # (T, rows, c*m)
-            out[start:start + block.shape[1]] = model_predict(spec, params, block)
+            pred, _ = _forward(spec, params, block, keep_trace=False, ws=ws)
+            out[start:start + block.shape[1]] = pred
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         row = int(bad[0])
@@ -247,14 +252,20 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     return out
 
 
+def _arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
+    """A ``WindowArrays`` record's own X and y (no copy), or a list of windows stacked."""
+    if isinstance(windows, WindowArrays):
+        return windows.X, windows.y
+    return windows_to_arrays(windows)
+
+
 def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window],
                seed: int, test_set: Sequence[Window] | None = None) -> RunResult:
     """One deterministic run on any sequence of ``Window``, e.g. a ``WindowArrays``
     record: init, shuffle, fit, optionally score the test set."""
     if not train_set:
         raise ShapeError("train_once: no training windows")
-    # a copy, not the view: freeing it lifts glibc's mmap threshold over batch arrays (ROADMAP item 4)
-    X, y = windows_to_arrays(train_set)
+    X, y = _arrays(train_set)
     if X.shape[1] != spec.seq_len:
         raise ShapeError(f"windows have T={X.shape[1]}, spec.seq_len is {spec.seq_len}")
 
@@ -273,6 +284,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window]
     opt = _make_optimizer(config, [params.flat])
 
     n = X.shape[0]
+    ws = Workspace()  # every batch after the first runs in the first one's buffers
     curve: list[float] = []
     val_curve: list[float] | None = [] if config.validation_holdout else None
     for epoch in range(1, config.epochs + 1):
@@ -280,13 +292,15 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window]
         epoch_losses = []
         for batch, lo in enumerate(range(0, n, config.batch_size), start=1):
             idx = order[lo:lo + config.batch_size]
-            batch_loss, grads = _batch_loss_and_grads(spec, params, X[idx], y[idx],
-                                                      config.l2_lambda)
+            # gathered into the workspace (np.take would first copy a sliding view whole)
+            Xb = np.stack([X[i] for i in idx], out=ws.take("batch", (len(idx),) + X.shape[1:]))
+            batch_loss, grads = _batch_loss_and_grads(spec, params, Xb, y[idx],
+                                                      config.l2_lambda, ws)
             if not math.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch)
-            # a finite loss can still carry overflowed gradients, which the
-            # optimizer would write into the parameters
-            if not np.isfinite(grads.flat).all():
+            # a finite loss can still carry overflowed gradients, which the optimizer
+            # would write into the parameters (min and max show NaN and inf, unallocated)
+            if not (math.isfinite(grads.flat.min()) and math.isfinite(grads.flat.max())):
                 name = next(name for name, g in grads.tensors() if not np.isfinite(g).all())
                 raise DivergenceError(epoch, batch, f"gradient {name}")
             opt.step([grads.flat])
@@ -304,7 +318,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window]
 
     result = RunResult(seed=seed, loss_curve=curve, params=params, val_curve=val_curve)
     if test_set:
-        tX, ty = windows_to_arrays(test_set)
+        tX, ty = _arrays(test_set)
         preds = predict_batch(spec, params, tX)
         result.test_mae = mae(preds, ty)
         result.test_mse = mse(preds, ty)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,32 @@ def test_compare_rejects_a_non_finite_report(tmp_path, capsys):
     code, _, err = run_cli(["compare", "--reports", str(path)], capsys)
     assert code == 2
     assert "non-finite" in err
+
+
+def _edited_report(path, **fields):
+    """Save a valid one-window report at ``path``, with ``fields`` overwritten in its JSON."""
+    rep = EvalReport(model_kind="stacked", horizon=1, target="t", activation="tanh",
+                     testset="x", window_ids=[0], dates=["2020-01-01"],
+                     predictions=[1.0], truths=[2.0])
+    path.write_text(json.dumps({**json.loads(rep.to_json()), **fields}))
+    return str(path)
+
+
+def test_compare_refuses_a_list_testset_with_exit_2(tmp_path, capsys):
+    # was an unhashable-type TypeError, exit 1 with a traceback
+    code, _, err = run_cli(["compare", "--reports",
+                            _edited_report(tmp_path / "a.json", testset=["x"])], capsys)
+    assert code == 2
+    assert "field 'testset' has the wrong JSON type" in err
+
+
+def test_compare_refuses_a_string_horizon_beside_an_int_one_with_exit_2(tmp_path, capsys):
+    # was "'<' not supported between instances of 'str' and 'int'", exit 1
+    reports = [_edited_report(tmp_path / "a.json", horizon="1"),
+               _edited_report(tmp_path / "b.json", horizon=1)]
+    code, _, err = run_cli(["compare", "--reports", *reports], capsys)
+    assert code == 2
+    assert "field 'horizon' has the wrong JSON type" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,26 @@ def test_malformed_report_json_is_a_report_error(tmp_path):
         path.write_text(text)
         with pytest.raises(ReportError):
             EvalReport.load(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("model_kind", 1), ("target", None), ("activation", ["tanh"]), ("testset", ["x"]),
+    ("horizon", "1"), ("horizon", True), ("horizon", 1.0),
+    ("window_id", "0"), ("window_id", False), ("date", 20200101),
+    ("prediction", "1.0"), ("prediction", True), ("truth", None), ("truth", [1.0]),
+])
+def test_a_report_field_of_the_wrong_json_type_is_a_report_error(tmp_path, field, value):
+    raw = json.loads(make_report("stacked").to_json())
+    (raw["windows"][0] if field in raw["windows"][0] else raw)[field] = value
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ReportError, match=f"field '{field}' has the wrong JSON type"):
+        EvalReport.load(path)
+
+
+def test_a_report_takes_integer_numbers(tmp_path):
+    raw = json.loads(make_report("stacked").to_json())
+    raw["windows"][0]["prediction"] = 1
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(raw))
+    assert EvalReport.load(path).predictions[0] == 1

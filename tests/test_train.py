@@ -1,11 +1,14 @@
 import dataclasses
+import datetime as dt
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import stlstm
 from stlstm import (
@@ -15,14 +18,17 @@ from stlstm import (
     NonFiniteResultError,
     ShapeError,
     TrainConfig,
+    WindowArrays,
     load_dataset,
     load_manifest,
     gen_synthetic,
     test_windows,
     train_windows,
 )
+from stlstm import model
 from stlstm.model import random_model_params, zero_model_params
 from stlstm.train import (
+    PREDICT_BLOCK_ROWS,
     _batch_loss_and_grads,
     gradcheck,
     l2_penalty,
@@ -196,6 +202,80 @@ def test_repeats_use_consecutive_seeds(tiny_data):
     assert [run.seed for run in result.runs] == [40, 41, 42]
     assert result.median_mae == sorted(r.test_mae for r in result.runs)[1]
     assert result.runs[result.best_index].test_mae == result.median_mae
+
+
+# ---------------------------------------------------------------------------
+# allocation: batches after the first reuse one workspace, and a record is not copied
+
+MiB = 1 << 20
+PAPER = dict(locations=5, vars_per_location=18, n1=160, n2=64, seq_len=10)
+
+
+def sliding_record(n, spec, rng):
+    """n windows cut from one read-only sliding view of random rows, as make_windows cuts them."""
+    rows = rng.normal(size=(n + spec.seq_len - 1, spec.input_dim))
+    X = sliding_window_view(rows, spec.seq_len, axis=0).transpose(0, 2, 1)
+    return WindowArrays(X=X, y=rng.normal(size=n), window_ids=np.arange(n),
+                        target_dates=[dt.date(2020, 1, 1)] * n)
+
+
+@pytest.fixture
+def peaks_between_heads(monkeypatch):
+    """Traced peak above the traced level at the previous head call, taken at each
+    call of model.dense_head: one batch's or one block's allocations, whole."""
+    peaks, level = [], []
+    inner = model.dense_head
+
+    def probe(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if level:
+            peaks.append(peak - level[0])
+        level[:] = [current]
+        tracemalloc.reset_peak()
+        return inner(*args)
+
+    monkeypatch.setattr(model, "dense_head", probe)
+    tracemalloc.start()
+    yield peaks
+    tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+def test_training_batches_after_the_first_allocate_nothing_large(kind, peaks_between_heads):
+    spec = ModelSpec(kind=kind, **PAPER)
+    record = sliding_record(4 * 32, spec, np.random.default_rng(30))
+    train_once(spec, TrainConfig(epochs=1, repeats=1, batch_size=32), record, seed=0)
+    # each peak spans one batch's backward pass, optimizer step and the next forward
+    # pass; the first backward pass still sizes its buffers
+    assert len(peaks_between_heads) == 3
+    assert max(peaks_between_heads[1:]) < MiB, peaks_between_heads
+
+
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+def test_predict_blocks_after_the_first_allocate_nothing_large(kind, peaks_between_heads):
+    spec = ModelSpec(kind=kind, **PAPER)
+    rng = np.random.default_rng(31)
+    record = sliding_record(3 * PREDICT_BLOCK_ROWS + 5, spec, rng)
+    predict_batch(spec, random_model_params(spec, rng), record.X)
+    assert len(peaks_between_heads) == 3
+    assert max(peaks_between_heads) < MiB, peaks_between_heads
+
+
+def test_train_once_trains_on_a_record_without_copying_it():
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=10)
+    record = sliding_record(4000, spec, np.random.default_rng(32))
+    cfg = TrainConfig(epochs=1, repeats=1)
+    tracemalloc.start()
+    try:
+        on_record = train_once(spec, cfg, record, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # copied, X would take 1.28 MB; the model, its optimizer and workspace take far less
+    assert peak < record.X.nbytes, (peak, record.X.nbytes)
+    on_list = train_once(spec, cfg, list(record), seed=0)
+    assert on_record.loss_curve == on_list.loss_curve
+    assert on_record.params.flat.tobytes() == on_list.params.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------

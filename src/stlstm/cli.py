@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -283,6 +284,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not math.isfinite(args.l2_lambda):  # a NaN loss would make every error NaN
+        raise ConfigError(f"l2_lambda must be finite, got {args.l2_lambda!r}")
     kind = _normalize_kind(args.model_kind)
     spec = ModelSpec(kind=kind, locations=args.locations,
                      vars_per_location=args.vars, n1=args.n1, n2=args.n2,

@@ -1,10 +1,12 @@
 """Multi-location daily series: ingestion, windowing into ``WindowArrays``, synthetic data.
 
 CSV format (one file per location): header ``date,<var1>,...,<varm>``
-with ISO-8601 dates. A clean file (LF or CRLF lines, no quotes, every
-row complete, every value a finite float) is split on its commas
-directly; any other file, quoted cells included, goes through
-csv.reader, and both routes give the same results and errors.
+with ISO-8601 dates. Each file is tokenized once: a clean file (LF or
+CRLF lines, no quotes, the header's comma count on every line) is split
+on its commas directly, any other file, quoted cells included, goes
+through csv.reader. Its cells are converted once in bulk, and cell by
+cell only if that fails; both tokenizations give the same results and
+errors.
 
 Manifest format: one ``location_name,path`` line per location in
 canonical order (paths relative to the manifest file), then
@@ -154,105 +156,83 @@ class Dataset:
         return normalize(self)
 
 
-def _bulk_values(cells: list[str], n_rows: int) -> np.ndarray | None:
-    """The (n_rows, -1) grid of row-major value cells in one call.
+def _split_plain(text: str) -> tuple[int, list[str]] | None:
+    """Row width and every cell, row-major, of ``text`` by plain splitting.
 
-    None if any cell needs the per-cell path. numpy converts each cell
-    with Python's float(), which ignores the same surrounding whitespace
-    str.strip() does, so a grid that parses here and is all finite equals
-    the per-cell result bit for bit.
+    None if csv.reader must tokenize: splitting yields its cells only when
+    the text has no quote (and no NUL, which csv.reader refused before
+    Python 3.11), no line break but LF or CRLF, the header's comma count,
+    at least one, on every line and no line over the csv field limit.
     """
-    try:
-        data = np.array(cells, dtype=np.float64)
-    except ValueError:
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
         return None
-    return data.reshape(n_rows, -1) if np.isfinite(data).all() else None
-
-
-def _split_clean(text: str) -> tuple[list[dt.date], list[str], np.ndarray] | None:
-    """A clean file's dates, variables and values by plain splitting.
-
-    None if csv.reader must decide. Splitting yields csv.reader's cells
-    only when the text has no quote (and no NUL, which csv.reader refused
-    before Python 3.11), no line break other than LF or CRLF, the header's
-    comma count on every line and no line longer than the csv field limit.
-    Each value must also be a finite float and each date ISO, so a file
-    taken here raises nothing, and any other file gets the csv.reader
-    path's result or error.
-    """
-    if '"' in text or "\0" in text:
+    lines = text.removesuffix("\n").split("\n")  # a final newline starts no row
+    commas = lines[0].count(",")
+    if (not commas or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {commas}):
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # a final newline ends the last row; it starts no row of its own
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = [h.strip() for h in lines[0].split(",")]
-    width = len(header)
-    if width < 2 or header[0] != "date" or set(map(str.count, lines, repeat(","))) != {width - 1}:
-        return None
-    cells = ",".join(lines[1:]).split(",")
-    dates = cells[::width]
-    del cells[::width]
-    data = _bulk_values(cells, len(dates))
-    if data is None:
-        return None
-    try:
-        return [dt.date.fromisoformat(d.strip()) for d in dates], header[1:], data
-    except ValueError:
-        return None
+    return commas + 1, ",".join(lines).split(",")
 
 
 def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], list[str], np.ndarray]:
     """One location file's dates, variables and (rows, m) values.
 
-    The text is read once. A clean file takes ``_split_clean``; any other
-    goes through csv.reader (so quoted cells still work) and, unless every
-    row is complete and every cell a finite float, the per-cell loop,
-    which forward-fills and names the line and variable of the first
-    problem. Both routes give the same results and the same errors.
+    The text is read and tokenized once, by ``_split_plain`` or else by
+    csv.reader (so quoted cells still work). A grid of complete rows is
+    converted once, values by one ``np.array`` and dates by
+    ``fromisoformat``; anything else, or any failure there, takes the
+    per-cell loop, which alone forward-fills and words every error.
     """
+    text = decode_error = None
     try:
         with open(path, newline="") as fh:
-            content = fh.read()
-    except UnicodeDecodeError:
-        # let csv.reader stream the file, so that a csv error before the bad
-        # byte wins and the decode error names the same position as before
-        content = None
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        decode_error = exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    clean = _split_clean(content) if content is not None else None
-    if clean is not None:
-        return clean
-    try:
-        with (open(path, newline="") if content is None
-              else io.StringIO(content, newline="")) as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except csv.Error as exc:
-        raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise CsvFormatError(f"{path}: empty file")
-    if len(rows) == 1:
+    plain = _split_plain(text) if text is not None else None
+    if plain is not None:
+        (width, cells), rows = plain, None
+        header, n_rows = cells[:width], len(cells) // width
+    else:
+        try:  # an undecodable file is streamed, so that a csv error before the bad byte wins
+            with (open(path, newline="") if text is None
+                  else io.StringIO(text, newline="")) as fh:
+                reader = csv.reader(fh)
+                rows = list(reader)
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:  # the whole-file read's error names the byte's file offset
+            raise DataError(f"cannot read {path}: {decode_error}") from decode_error
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        if not rows:
+            raise CsvFormatError(f"{path}: empty file")
+        header, width, n_rows = rows[0], len(rows[0]), len(rows)
+        cells = (None if any(len(row) != width for row in rows)
+                 else [cell for row in rows for cell in row])
+    if n_rows == 1:
         raise CsvFormatError(f"{path}: header but no data rows")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if len(header) < 2 or header[0] != "date":
         raise CsvFormatError(f"{path}: header must be 'date,<var1>,...', got {header}")
     variables = header[1:]
-    data = None
-    if all(len(row) == len(header) for row in rows[1:]):
-        data = _bulk_values([cell for row in rows[1:] for cell in row[1:]], len(rows) - 1)
-    if data is not None:
-        dates = [_parse_date(row[0], f"{path}:{r}") for r, row in enumerate(rows[1:], start=2)]
-        return dates, variables, data
-    # a ragged row, a missing token or a bad cell: parse cell by cell, which
-    # forward-fills and names the line and variable of the first problem
+    if cells is not None:
+        values = cells[width:]
+        dates = values[::width]
+        del values[::width]
+        try:  # numpy converts each cell with Python's float(), as the per-cell loop does
+            data = np.array(values, dtype=np.float64).reshape(n_rows - 1, width - 1)
+            if np.isfinite(data).all():
+                return [dt.date.fromisoformat(d.strip()) for d in dates], variables, data
+        except ValueError:
+            pass
+        if rows is None:
+            rows = [cells[i:i + width] for i in range(0, len(cells), width)]
+    # a ragged row, a missing token, a bad cell or a bad date: parse cell by
+    # cell, which forward-fills and names the line and variable of the first problem
     dates = []
     data = np.empty((len(rows) - 1, len(variables)))
     for r, row in enumerate(rows[1:], start=2):
@@ -473,15 +453,11 @@ def test_windows(ds: Dataset, seq_len: int, horizon: int) -> WindowArrays:
 test_windows.__test__ = False  # keep pytest from collecting the imported name
 
 
-def windows_to_arrays(windows: list[Window] | WindowArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Stack windows into fresh (N, T, c*m) inputs and (N,) raw targets."""
+def windows_to_arrays(windows: WindowArrays) -> tuple[np.ndarray, np.ndarray]:
+    """A record's windows as fresh (N, T, c*m) inputs and (N,) raw targets."""
     if not windows:
         raise ShapeError("no windows to stack")
-    if isinstance(windows, WindowArrays):  # copy its arrays; build no Window per row
-        return np.array(windows.X), windows.y.copy()
-    X = np.stack([w.inputs for w in windows])
-    y = np.array([w.target for w in windows])
-    return X, y
+    return np.array(windows.X), windows.y.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +488,10 @@ def synthetic_series(locations: int, vars_per_location: int, days: int,
         raise DataError("need at least one location and one variable")
     if not 0.0 <= coupling <= 1.0:
         raise DataError(f"coupling must be in [0, 1], got {coupling}")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not math.isfinite(ar_coef):
+        raise DataError(f"ar_coef must be finite, got {ar_coef}")
     c, m = locations, vars_per_location
     rng = np.random.default_rng(seed)
 
@@ -531,26 +511,31 @@ def synthetic_series(locations: int, vars_per_location: int, days: int,
 
     latents = np.zeros((days, c))
     latents[0] = eps[0]
-    for t in range(days - 1):
-        for k in range(c):
-            if c > 1 and coupling > 0.0:
-                cross = 0.0
-                for j in range(c):
-                    if j == k:
-                        continue
-                    tj = t - int(lags[j, k])
-                    cross += latents[tj, j] if tj >= 0 else 0.0
-                cross /= c - 1
-            else:
-                cross = 0.0
-            latents[t + 1, k] = (ar_coef * ((1.0 - coupling) * latents[t, k]
-                                            + coupling * cross) + eps[t + 1, k])
+    # an overflow needs no numpy warning, as a non-finite series is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(days - 1):
+            for k in range(c):
+                if c > 1 and coupling > 0.0:
+                    cross = 0.0
+                    for j in range(c):
+                        if j == k:
+                            continue
+                        tj = t - int(lags[j, k])
+                        cross += latents[tj, j] if tj >= 0 else 0.0
+                    cross /= c - 1
+                else:
+                    cross = 0.0
+                latents[t + 1, k] = (ar_coef * ((1.0 - coupling) * latents[t, k]
+                                                + coupling * cross) + eps[t + 1, k])
 
-    season = np.sin(2.0 * np.pi * np.arange(days) / 365.0)
-    values = (offsets[None, :, :]
-              + gains[None, :, :] * latents[:, :, None]
-              + seasonals[None, :, :] * season[:, None, None]
-              + obs_noise)
+        season = np.sin(2.0 * np.pi * np.arange(days) / 365.0)
+        values = (offsets[None, :, :]
+                  + gains[None, :, :] * latents[:, :, None]
+                  + seasonals[None, :, :] * season[:, None, None]
+                  + obs_noise)
+    if not np.isfinite(values).all():
+        raise DataError(f"synthetic series overflows float64 (ar_coef={ar_coef}, "
+                        f"noise_std={noise_std})")
     variables = ["temperature"] + [f"var{v}" for v in range(2, m + 1)]
     return latents, values, variables
 

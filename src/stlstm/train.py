@@ -9,14 +9,13 @@ and run one after another.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401 -- numpy 2 defers it to first use; pay that at import
 
 from .cell import Workspace
-from .data import Window, WindowArrays, windows_to_arrays
+from .data import WindowArrays
 from .errors import ConfigError, DivergenceError, NonFiniteResultError, ShapeError
 from .metrics import mae, median_low, mse
 from .model import (
@@ -252,20 +251,13 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     return out
 
 
-def _arrays(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """A ``WindowArrays`` record's own X and y (no copy), or a list of windows stacked."""
-    if isinstance(windows, WindowArrays):
-        return windows.X, windows.y
-    return windows_to_arrays(windows)
-
-
-def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window],
-               seed: int, test_set: Sequence[Window] | None = None) -> RunResult:
-    """One deterministic run on any sequence of ``Window``, e.g. a ``WindowArrays``
-    record: init, shuffle, fit, optionally score the test set."""
+def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
+               seed: int, test_set: WindowArrays | None = None) -> RunResult:
+    """One deterministic run on a ``WindowArrays`` record's own X and y (no copy):
+    init, shuffle, fit, optionally score the test set."""
     if not train_set:
         raise ShapeError("train_once: no training windows")
-    X, y = _arrays(train_set)
+    X, y = train_set.X, train_set.y
     if X.shape[1] != spec.seq_len:
         raise ShapeError(f"windows have T={X.shape[1]}, spec.seq_len is {spec.seq_len}")
 
@@ -318,15 +310,14 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window]
 
     result = RunResult(seed=seed, loss_curve=curve, params=params, val_curve=val_curve)
     if test_set:
-        tX, ty = _arrays(test_set)
-        preds = predict_batch(spec, params, tX)
-        result.test_mae = mae(preds, ty)
-        result.test_mse = mse(preds, ty)
+        preds = predict_batch(spec, params, test_set.X)
+        result.test_mae = mae(preds, test_set.y)
+        result.test_mse = mse(preds, test_set.y)
     return result
 
 
-def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: Sequence[Window],
-                   test_set: Sequence[Window] | None = None) -> RepeatedResult:
+def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
+                   test_set: WindowArrays | None = None) -> RepeatedResult:
     """Run ``config.repeats`` independent fits and report median test errors.
 
     Repeat r uses seed config.seed + r. Medians use the lower-middle
@@ -452,7 +443,7 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
             # actually applied rather than the nominal 2*step
             numeric = float((up - down) / (np.longdouble(up_w) - np.longdouble(down_w)))
             rel = abs(a_flat[j] - numeric) / max(abs(a_flat[j]), abs(numeric), 1e-8)
-            if rel > worst[1]:
+            if math.isfinite(worst[1]) and not rel <= worst[1]:  # a NaN error is the worst
                 worst = (f"{name}[{j}]", rel)
     return GradCheckReport(max_rel_err=worst[1], worst_param=worst[0],
                            n_params=params.flat.size)

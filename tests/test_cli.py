@@ -54,6 +54,15 @@ def test_gen_synthetic_rejects_short_series(tmp_path, capsys):
     assert "days" in err
 
 
+@pytest.mark.parametrize("flags", [["--noise", "-1"], ["--noise", "nan"],
+                                   ["--ar-coef", "nan"], ["--ar-coef", "1e308"]])
+def test_gen_synthetic_refuses_a_series_that_is_not_finite(tmp_path, capsys, flags):
+    code, _, err = run_cli(["gen-synthetic", *flags, "--out", str(tmp_path / "d")], capsys)
+    assert code == 2
+    assert "error:" in err and ("noise_std" in err or "ar_coef" in err)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
     code, _, _ = run_cli(["gen-synthetic", "--bogus", "1", "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -369,6 +378,17 @@ def test_gradcheck_exit_codes(capsys):
                                "--seq-len", "3"], capsys)
     assert code == 0
     assert "max_rel_err" in stdout
+
+
+@pytest.mark.parametrize("l2_lambda", ["nan", "inf"])
+def test_gradcheck_refuses_a_non_finite_l2_lambda(capsys, l2_lambda):
+    # a NaN loss made every relative error NaN, which passed the < 1e-6 gate
+    code, stdout, err = run_cli(["gradcheck", "--model-kind", "stacked", "--locations", "1",
+                                 "--vars", "1", "--n1", "2", "--n2", "1", "--seq-len", "2",
+                                 "--l2-lambda", l2_lambda], capsys)
+    assert code == 2
+    assert f"l2_lambda must be finite, got {l2_lambda}" in err
+    assert "verification passed" not in stdout
 
 
 def test_param_count_reference_values(capsys):

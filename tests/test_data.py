@@ -115,6 +115,11 @@ def test_undecodable_bytes_are_data_errors(tmp_path):
     (tmp_path / "m.txt").write_text("alpha,a.csv\ntarget=alpha:temperature\n")
     with pytest.raises(DataError, match="a.csv"):
         load_dataset(load_manifest(tmp_path / "m.txt"))
+    # past the first 8 KB the message still names the byte's offset in the file
+    raw = b"date,temperature\n" + b"2020-01-01,1.0\n" * 2000
+    (tmp_path / "far.csv").write_bytes(raw[:22_500] + b"\xff" + raw[22_500:])
+    with pytest.raises(DataError, match="can't decode byte 0xff in position 22500:"):
+        _read_location_csv(tmp_path / "far.csv", "error")
     (tmp_path / "bad.txt").write_bytes(b"\xff\xfealpha,a.csv\n")
     with pytest.raises(ManifestError, match="bad.txt"):
         load_manifest(tmp_path / "bad.txt")
@@ -258,8 +263,6 @@ def test_windows_to_arrays_shapes(tmp_path):
     assert y.shape == (10,)
     # a record's arrays are copied, not handed out as its read-only view
     assert X.flags.c_contiguous and X.flags.writeable and not np.shares_memory(X, windows.X)
-    X_list, y_list = windows_to_arrays(list(windows))
-    assert np.array_equal(X, X_list) and np.array_equal(y, y_list)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +380,24 @@ def test_clean_lf_and_crlf_files_load_without_csv_reader(tmp_path, monkeypatch):
     assert (crlf_dates, crlf_variables) == (dates, variables)
     assert np.array_equal(crlf_values.view(np.int64), values.view(np.int64))
     assert values.shape == (60, 3) and len(dates) == 60
+
+    # a clean file that needs the per-cell loop is not handed to csv.reader either
+    lines = lf.read_text().splitlines()
+    na_lines, bad_date_lines = lines.copy(), lines.copy()
+    na_lines[5] = ",".join(lines[5].split(",")[:2] + ["NA"] + lines[5].split(",")[3:])
+    bad_date_lines[7] = "2007-01-32" + lines[7][len("2007-01-07"):]
+    filled = values.copy()
+    filled[4, 1] = filled[3, 1]
+    for eol in ("\n", "\r\n"):
+        na, bad_date = tmp_path / f"na{len(eol)}.csv", tmp_path / f"bad-date{len(eol)}.csv"
+        na.write_bytes((eol.join(na_lines) + eol).encode())
+        bad_date.write_bytes((eol.join(bad_date_lines) + eol).encode())
+        na_dates, _, na_values = _read_location_csv(na, "ffill")
+        assert na_dates == dates
+        assert np.array_equal(na_values.view(np.int64), filled.view(np.int64))
+        with pytest.raises(CsvFormatError) as info:
+            _read_location_csv(bad_date, "error")
+        assert str(info.value) == f"{bad_date}:8: bad ISO date '2007-01-32'"
 
 
 def test_date_axis_ending_at_date_max_is_an_alignment_error(tmp_path):

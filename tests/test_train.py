@@ -143,15 +143,20 @@ def test_validation_holdout_records_a_curve(tiny_data):
     assert all(np.isfinite(v) for v in result.val_curve)
 
 
-def test_training_on_the_record_equals_training_on_its_list_of_windows(tiny_data):
+def contiguous_copy(record):
+    """``record`` with its sliding view X copied into one contiguous array."""
+    return dataclasses.replace(record, X=np.array(record.X))
+
+
+def test_training_on_a_sliding_record_equals_training_on_its_contiguous_copy(tiny_data):
     spec, tr, te = tiny_data
     cfg = TrainConfig(epochs=2, validation_holdout=True, repeats=1)
-    on_record = train_once(spec, cfg, tr, seed=0, test_set=te)
-    on_list = train_once(spec, cfg, list(tr), seed=0, test_set=list(te))
-    assert on_record.loss_curve == on_list.loss_curve
-    assert on_record.val_curve == on_list.val_curve
-    assert on_record.test_mae == on_list.test_mae
-    assert on_record.params.flat.tobytes() == on_list.params.flat.tobytes()
+    on_view = train_once(spec, cfg, tr, seed=0, test_set=te)
+    on_copy = train_once(spec, cfg, contiguous_copy(tr), seed=0, test_set=contiguous_copy(te))
+    assert on_view.loss_curve == on_copy.loss_curve
+    assert on_view.val_curve == on_copy.val_curve
+    assert on_view.test_mae == on_copy.test_mae
+    assert on_view.params.flat.tobytes() == on_copy.params.flat.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -159,8 +164,9 @@ def test_a_non_finite_validation_loss_is_refused(tiny_data):
     # finite predictions, but squared errors against these targets overflow
     spec, tr, _ = tiny_data
     split = int(round(len(tr) * 0.9))
-    tr = list(tr)
-    tr = tr[:split] + [dataclasses.replace(w, target=1e200) for w in tr[split:]]
+    y = tr.y.copy()
+    y[split:] = 1e200
+    tr = WindowArrays(X=tr.X, y=y, window_ids=tr.window_ids, target_dates=tr.target_dates)
     cfg = TrainConfig(epochs=1, validation_holdout=True, repeats=1)
     with pytest.raises(NonFiniteResultError, match="validation loss after epoch 1"):
         train_once(spec, cfg, tr, seed=0)
@@ -169,7 +175,8 @@ def test_a_non_finite_validation_loss_is_refused(tiny_data):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_a_non_finite_test_score_is_refused(tiny_data):
     spec, tr, te = tiny_data
-    te = [dataclasses.replace(w, target=1e200) for w in te]
+    te = WindowArrays(X=te.X, y=np.full(len(te), 1e200), window_ids=te.window_ids,
+                      target_dates=te.target_dates)
     with pytest.raises(NonFiniteResultError, match="MSE"):
         train_once(spec, TrainConfig(epochs=1, repeats=1), tr, seed=0, test_set=te)
 
@@ -273,9 +280,9 @@ def test_train_once_trains_on_a_record_without_copying_it():
         tracemalloc.stop()
     # copied, X would take 1.28 MB; the model, its optimizer and workspace take far less
     assert peak < record.X.nbytes, (peak, record.X.nbytes)
-    on_list = train_once(spec, cfg, list(record), seed=0)
-    assert on_record.loss_curve == on_list.loss_curve
-    assert on_record.params.flat.tobytes() == on_list.params.flat.tobytes()
+    on_copy = train_once(spec, cfg, contiguous_copy(record), seed=0)
+    assert on_record.loss_curve == on_copy.loss_curve
+    assert on_record.params.flat.tobytes() == on_copy.params.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +294,27 @@ def test_gradcheck_passes_at_toy_size():
     assert report.ok
     assert report.n_params == sum(arr.size for _, arr in zero_model_params(spec).tensors())
     assert report.worst_param
+
+
+def test_gradcheck_counts_a_nan_error_as_the_worst(monkeypatch):
+    from stlstm import train
+
+    spec = ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=1, seq_len=2)
+    inner = train._batch_loss_and_grads
+    nan_at = []
+
+    def nan_in_the_first_tensor(*args):
+        value, grads = inner(*args)
+        name, g = next(grads.tensors())
+        g.flat[0] = np.nan
+        nan_at.append(f"{name}[0]")
+        return value, grads
+
+    monkeypatch.setattr(train, "_batch_loss_and_grads", nan_in_the_first_tensor)
+    report = gradcheck(spec, seed=0)
+    # every later component has a finite error, which must not displace the NaN
+    assert not report.ok and np.isnan(report.max_rel_err)
+    assert report.worst_param == nan_at[0]
 
 
 def test_library_and_gradient_oracle_run_without_scipy():
@@ -325,10 +353,7 @@ def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
     # a huge head and layer-2 weights give a finite loss (~4e305) whose
     # layer-1 gradients overflow; unchecked, Adam writes NaN into the
     # parameters and a one-batch run reports nothing
-    import datetime as dt
-
     from stlstm import train
-    from stlstm.data import Window
     from stlstm.model import init_model_params
 
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=8, n2=3, seq_len=6)
@@ -340,8 +365,8 @@ def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
             arr *= 1e3
     X = rng.normal(size=(8, 6, 4))
     y = rng.normal(size=8)
-    windows = [Window(inputs=X[k], target=float(y[k]), window_id=k,
-                      target_date=dt.date(2020, 1, 1)) for k in range(8)]
+    windows = WindowArrays(X=X, y=y, window_ids=np.arange(8),
+                           target_dates=[dt.date(2020, 1, 1)] * 8)
     monkeypatch.setattr(train, "init_model_params", lambda *_: params)
     cfg = TrainConfig(epochs=1, batch_size=8, l2_lambda=0.0, repeats=1)
     with pytest.raises(DivergenceError) as err:

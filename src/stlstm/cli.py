@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -94,9 +93,13 @@ def _resolve_settings(args) -> dict:
     return settings
 
 
-def _banner(command: str, items: dict) -> None:
-    pairs = " ".join(f"{k}={items[k]}" for k in sorted(items))
-    print(f"effective-config: command={command} {pairs}")
+def _banner(args, **resolved) -> None:
+    """Print every parsed argument (a list comma-joined), ``resolved`` laid over them."""
+    items = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    items.update(resolved)
+    pairs = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
+                     for k, v in sorted(items.items()))
+    print(f"effective-config: command={args.command} {pairs}")
 
 
 def _spec_from_settings(settings: dict, ds: Dataset) -> ModelSpec:
@@ -110,14 +113,14 @@ def _spec_from_settings(settings: dict, ds: Dataset) -> ModelSpec:
     return ModelSpec(**{name: data.get(name, settings.get(name)) for name in SPEC_FIELDS})
 
 
-def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None) -> WindowArrays:
+def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str) -> WindowArrays:
     """Resolve --range into windows.
 
-    'test' (the default when the manifest declares a test range) emits
-    the windows whose targets cover the test range; 'START:END' ISO
+    'test' (the default) emits the windows whose targets cover the
+    manifest's declared test range; 'START:END' ISO
     dates bound the rows a window may touch, inputs and target alike.
     """
-    if range_text is None or range_text == "test":
+    if range_text == "test":
         if ds.test_start_idx is None:
             raise ConfigError("manifest declares no test range; pass --range START:END")
         return test_windows(ds, spec.seq_len, spec.horizon)
@@ -150,10 +153,7 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str | None) -> 
 # Subcommands
 
 def cmd_gen_synthetic(args) -> int:
-    items = {k: getattr(args, k) for k in
-             ("locations", "vars", "days", "coupling", "seed", "out",
-              "ar_coef", "noise", "test_days")}
-    _banner("gen-synthetic", items)
+    _banner(args)
     manifest = gen_synthetic(args.out, locations=args.locations,
                              vars_per_location=args.vars, days=args.days,
                              coupling=args.coupling, seed=args.seed,
@@ -170,12 +170,8 @@ def cmd_train(args) -> int:
     spec = _spec_from_settings(settings, ds)
     config = TrainConfig(**{name: settings[name] for name in CONFIG_FIELDS})
 
-    banner_items = dict(settings)
-    banner_items.update(manifest=args.manifest, out=args.out,
-                        missing_policy=args.missing_policy,
-                        locations=spec.locations,
-                        vars_per_location=spec.vars_per_location)
-    _banner("train", banner_items)
+    _banner(args, **settings | {"locations": spec.locations,
+                                "vars_per_location": spec.vars_per_location})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
 
@@ -235,9 +231,7 @@ def _predict_windows(spec: ModelSpec, params, windows: WindowArrays) -> np.ndarr
 
 
 def cmd_predict(args) -> int:
-    _banner("predict", {"model": args.model, "manifest": args.manifest,
-                        "range": args.range or "test", "out": args.out,
-                        "missing_policy": args.missing_policy})
+    _banner(args)
     spec, params, _, _, windows = _load_model_and_windows(args)
     values = _predict_windows(spec, params, windows)
     lines = ["window_id,date,prediction"]
@@ -250,15 +244,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _banner("evaluate", {"model": args.model, "manifest": args.manifest,
-                         "range": args.range or "test", "report": args.report,
-                         "label": args.label, "missing_policy": args.missing_policy})
+    _banner(args)
     spec, params, manifest, _, windows = _load_model_and_windows(args)
     preds = _predict_windows(spec, params, windows)
     truths = windows.y.tolist()
     print(f"n_windows={len(windows)} MAE={mae(preds, truths)!r} MSE={mse(preds, truths)!r}")
     if args.report:
-        label = args.label or (args.range or "test")
+        label = args.label or args.range
         report = EvalReport(
             model_kind=spec.kind, horizon=spec.horizon,
             target=f"{manifest.target[0]}:{manifest.target[1]}",
@@ -273,7 +265,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _banner("compare", {"reports": ",".join(args.reports), "out": args.out})
+    _banner(args)
     reports = [EvalReport.load(p) for p in args.reports]
     rows = comparison_report(reports)
     print(comparison_text(rows), end="")
@@ -284,16 +276,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not math.isfinite(args.l2_lambda):  # a NaN loss would make every error NaN
-        raise ConfigError(f"l2_lambda must be finite, got {args.l2_lambda!r}")
-    kind = _normalize_kind(args.model_kind)
-    spec = ModelSpec(kind=kind, locations=args.locations,
+    spec = ModelSpec(kind=args.model_kind, locations=args.locations,
                      vars_per_location=args.vars, n1=args.n1, n2=args.n2,
                      activation=args.activation, seq_len=args.seq_len, horizon=1)
-    _banner("gradcheck", {"model_kind": kind, "activation": args.activation,
-                          "seed": args.seed, "locations": args.locations,
-                          "vars": args.vars, "n1": args.n1, "n2": args.n2,
-                          "seq_len": args.seq_len, "l2_lambda": args.l2_lambda})
+    _banner(args)
     report = gradcheck(spec, seed=args.seed, l2_lambda=args.l2_lambda)
     print(f"checked {report.n_params} parameters: max_rel_err={report.max_rel_err:.3e} "
           f"worst={report.worst_param}")
@@ -305,11 +291,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    kind = _normalize_kind(args.kind)
-    spec = ModelSpec(kind=kind, locations=args.locations, vars_per_location=args.vars,
+    spec = ModelSpec(kind=args.kind, locations=args.locations, vars_per_location=args.vars,
                      n1=args.n1, n2=args.n2)
-    _banner("param-count", {"kind": kind, "locations": args.locations,
-                            "vars": args.vars, "n1": args.n1, "n2": args.n2})
+    _banner(args)
     counts = param_count(spec)
     for key in ("layer1", "layer2", "head", "total"):
         print(f"{key}={counts[key]}")
@@ -353,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a trained checkpoint on a date range")
         p.add_argument("--model", required=True)
         p.add_argument("--manifest", required=True)
-        p.add_argument("--range", default=None,
+        p.add_argument("--range", default="test",
                        help="'test' (default) or 'START:END' ISO dates")
         p.add_argument("--missing-policy", "--missing_policy", dest="missing_policy",
                        choices=("error", "ffill"), default="error")
@@ -370,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--model-kind", "--model_kind", dest="model_kind", required=True)
+    p.add_argument("--model-kind", "--model_kind", dest="model_kind", type=_normalize_kind,
+                   required=True)
     p.add_argument("--activation", choices=("tanh", "sigmoid"), default="tanh")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--locations", type=int, default=2)
@@ -382,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("param-count", help="closed-form parameter counts")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", type=_normalize_kind, required=True)
     p.add_argument("--locations", type=int, required=True)
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)

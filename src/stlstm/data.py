@@ -492,6 +492,8 @@ def synthetic_series(locations: int, vars_per_location: int, days: int,
         raise DataError(f"noise_std must be finite and >= 0, got {noise_std}")
     if not math.isfinite(ar_coef):
         raise DataError(f"ar_coef must be finite, got {ar_coef}")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise DataError(f"seed must be >= 0, got {seed}")
     c, m = locations, vars_per_location
     rng = np.random.default_rng(seed)
 

@@ -322,11 +322,6 @@ def model_forward(spec: ModelSpec, params: ModelParams, window
     return _forward(spec, params, window, keep_trace=True)
 
 
-def model_predict(spec: ModelSpec, params: ModelParams, window) -> np.ndarray | float:
-    """``model_forward``'s prediction(s), computed without keeping a trace."""
-    return _forward(spec, params, window, keep_trace=False)[0]
-
-
 def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
                    dy) -> ModelParams:
     """Gradients of a scalar loss w.r.t. every parameter.

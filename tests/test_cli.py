@@ -8,6 +8,8 @@ from ckpt_files import join_v2, split_v2
 from stlstm import ModelSpec, gen_synthetic, init_model_params, save_checkpoint
 from stlstm.cli import main
 from stlstm.metrics import EvalReport, REPORT_CSV_HEADER
+from stlstm.model import SPEC_FIELDS
+from stlstm.train import CONFIG_FIELDS
 
 
 def run_cli(argv, capsys):
@@ -29,6 +31,12 @@ def gen_tiny(tmp_path, capsys, days=90, seed=3):
     return out / "manifest.txt"
 
 
+def banner_items(stdout):
+    """The key=value pairs of a run's effective-config banner, command included."""
+    banner = next(line for line in stdout.splitlines() if line.startswith("effective-config:"))
+    return dict(pair.split("=", 1) for pair in banner.split()[1:])
+
+
 DATA = Path(__file__).parent / "data"
 
 TRAIN_FAST = ["--epochs", "2", "--repeats", "2", "--n1", "4", "--n2", "3",
@@ -47,6 +55,26 @@ def test_gen_synthetic_is_byte_identical(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_gen_synthetic_banner_reproduces_the_run(tmp_path, capsys):
+    a = tmp_path / "a"
+    code, stdout, _ = run_cli(["gen-synthetic", "--locations", "2", "--vars", "2",
+                               "--days", "70", "--coupling", "0.3", "--seed", "11",
+                               "--ar-coef", "0.5", "--noise", "0.2", "--out", str(a)], capsys)
+    assert code == 0
+    items = banner_items(stdout)
+    assert items.pop("command") == "gen-synthetic"
+    b = tmp_path / "b"
+    items["out"] = str(b)
+    argv = ["gen-synthetic"]
+    for key, value in items.items():
+        if value != "None":
+            argv += [f"--{key.replace('_', '-')}", value]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    for name in ("loc1.csv", "loc2.csv", "manifest.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_gen_synthetic_rejects_short_series(tmp_path, capsys):
     code, _, err = run_cli(["gen-synthetic", "--days", "10",
                             "--out", str(tmp_path / "x")], capsys)
@@ -60,6 +88,16 @@ def test_gen_synthetic_refuses_a_series_that_is_not_finite(tmp_path, capsys, fla
     code, _, err = run_cli(["gen-synthetic", *flags, "--out", str(tmp_path / "d")], capsys)
     assert code == 2
     assert "error:" in err and ("noise_std" in err or "ar_coef" in err)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [["gen-synthetic", "--seed", "-1", "--out", "d"],
+                                  ["gradcheck", "--model-kind", "stacked", "--seed", "-1"]])
+def test_a_negative_seed_exits_2_before_writing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "error:" in err and "seed" in err
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -92,6 +130,24 @@ def test_train_is_reproducible_byte_for_byte(tmp_path, capsys):
         runs.append(out)
     for ckpt in ("repeat0.ckpt", "repeat1.ckpt"):
         assert (runs[0] / ckpt).read_bytes() == (runs[1] / ckpt).read_bytes()
+
+
+def test_train_banner_reproduces_the_run_from_a_config_file(tmp_path, capsys):
+    manifest = gen_tiny(tmp_path, capsys)
+    first = tmp_path / "first"
+    code, stdout, _ = run_cli(["train", "--manifest", str(manifest), "--out", str(first),
+                               "--kind", "st", "--validation-holdout", "1", "--seed", "4",
+                               *TRAIN_FAST], capsys)
+    assert code == 0
+    items = banner_items(stdout)
+    cfg = tmp_path / "banner.cfg"
+    cfg.write_text("".join(f"{key} = {items[key]}\n" for key in {**SPEC_FIELDS, **CONFIG_FIELDS}))
+    again = tmp_path / "again"
+    code, _, _ = run_cli(["train", "--manifest", str(manifest), "--config", str(cfg),
+                          "--out", str(again)], capsys)
+    assert code == 0
+    for name in ("repeat0.ckpt", "repeat1.ckpt", "run.log", "best.txt"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_train_missing_manifest_names_the_path(tmp_path, capsys):

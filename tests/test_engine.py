@@ -23,7 +23,7 @@ from stlstm import (
     sequence_forward,
 )
 from stlstm.cell import LayerParams, LayerTrace, input_rows, layer_backward, layer_forward
-from stlstm.model import is_penalized, model_predict
+from stlstm.model import is_penalized
 from stlstm.train import PREDICT_BLOCK_ROWS, Adam, predict_batch
 
 from test_cell import random_cell
@@ -187,7 +187,6 @@ def test_trace_free_predict_equals_model_forward_bit_for_bit(kind, act):
     X = rng.normal(size=(9, spec.seq_len, spec.input_dim))
     window = [X[:, t, :] for t in range(spec.seq_len)]
     traced, _ = model_forward(spec, params, window)
-    assert np.array_equal(model_predict(spec, params, window), traced)
     assert np.array_equal(predict_batch(spec, params, X), traced)
 
 
@@ -199,7 +198,7 @@ def test_row_blocked_predict_equals_one_whole_batch_forward(kind, n):
     rng = np.random.default_rng(13)
     params = random_model_params(spec, rng)
     X = rng.normal(size=(n, spec.seq_len, spec.input_dim))
-    whole = np.atleast_1d(model_predict(spec, params, [X[:, t, :] for t in range(spec.seq_len)]))
+    whole = np.atleast_1d(model_forward(spec, params, [X[:, t, :] for t in range(spec.seq_len)])[0])
     got = predict_batch(spec, params, X)
     assert got.shape == (n,)
     assert np.max(np.abs(got - whole), initial=0.0) <= 1e-14

@@ -317,6 +317,14 @@ def test_gradcheck_counts_a_nan_error_as_the_worst(monkeypatch):
     assert report.worst_param == nan_at[0]
 
 
+@pytest.mark.parametrize("bad, message", [({"l2_lambda": float("nan")}, "l2_lambda must be finite"),
+                                          ({"seed": -1}, "seed must be >= 0, got -1")])
+def test_gradcheck_refuses_a_non_finite_penalty_or_a_negative_seed(bad, message):
+    spec = ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=1, seq_len=2)
+    with pytest.raises(ConfigError, match=message):
+        gradcheck(spec, **bad)
+
+
 def test_library_and_gradient_oracle_run_without_scipy():
     # numpy is the only runtime dependency: with scipy made unimportable the
     # package and its CLI import, and the sigmoid oracle still passes

@@ -137,7 +137,7 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str) -> WindowA
     index = {d: i for i, d in enumerate(ds.dates)}
     if start not in index or end not in index:
         raise ConfigError(
-            f"--range {(start, end)} not covered by the data "
+            f"--range {start}:{end} not covered by the data "
             f"({ds.dates[0]}..{ds.dates[-1]})"
         )
     windows = make_windows(ds, spec.seq_len, spec.horizon, index[start], index[end] + 1)

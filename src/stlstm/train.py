@@ -218,13 +218,16 @@ def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
 PREDICT_BLOCK_ROWS = 128
 
 
-def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.ndarray:
+def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray,
+                  ws: Workspace | None = None) -> np.ndarray:
     """Raw-scale predictions for windows X of shape (N, T, c*m).
 
     Windows are independent, so they run in blocks of PREDICT_BLOCK_ROWS
     rows; each block's predictions land in one preallocated (N,) array.
     X may be a sliding-window view (``make_windows(...).X``) or a copy;
     a block's windows then share layer 1's projection of their rows.
+    The blocks run in ``ws`` (a fresh Workspace by default), so a caller
+    that predicts again, like ``train_once``, can reuse its buffers.
     A NaN or infinite prediction raises NonFiniteResultError naming its row.
     """
     check_params(spec, params)
@@ -235,7 +238,8 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray) -> np.nda
     if X.ndim != 3:
         raise ShapeError(f"predict_batch: X must have shape (N, T, c*m), got {X.shape}")
     out = np.empty(X.shape[0])
-    ws = Workspace()  # every block after the first runs in the first one's buffers
+    # every block after the first runs in the first one's buffers
+    ws = Workspace() if ws is None else ws
     # an empty X still makes one call, so its shape is checked as before; an
     # overflow needs no numpy warning, as a non-finite prediction is refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,7 +280,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
     opt = _make_optimizer(config, [params.flat])
 
     n = X.shape[0]
-    ws = Workspace()  # every batch after the first runs in the first one's buffers
+    ws = Workspace()  # every batch and prediction after the first runs in the first one's buffers
     curve: list[float] = []
     val_curve: list[float] | None = [] if config.validation_holdout else None
     for epoch in range(1, config.epochs + 1):
@@ -302,7 +306,8 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
             raise DivergenceError(epoch, tensor="epoch mean loss")
         curve.append(epoch_loss)
         if val_curve is not None:
-            val_loss = loss(predict_batch(spec, params, val_X), val_y, params, config.l2_lambda)
+            val_loss = loss(predict_batch(spec, params, val_X, ws), val_y, params,
+                            config.l2_lambda)
             if not math.isfinite(val_loss):
                 raise NonFiniteResultError(f"validation loss after epoch {epoch} is "
                                            f"non-finite ({val_loss!r})")
@@ -310,7 +315,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
 
     result = RunResult(seed=seed, loss_curve=curve, params=params, val_curve=val_curve)
     if test_set:
-        preds = predict_batch(spec, params, test_set.X)
+        preds = predict_batch(spec, params, test_set.X, ws)
         result.test_mae = mae(preds, test_set.y)
         result.test_mse = mse(preds, test_set.y)
     return result

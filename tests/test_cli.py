@@ -284,6 +284,18 @@ def test_a_reversed_range_names_start_and_end(tmp_path, capsys, range_text):
     assert f"START {start} is after END {end}" in err
 
 
+def test_an_uncovered_range_is_named_as_given(tmp_path, capsys):
+    manifest = gen_tiny(tmp_path, capsys)  # 2007-01-01 .. 2007-03-31
+    out = tmp_path / "preds.csv"
+    code, _, err = run_cli(["predict", "--model", str(DATA / "v2_stacked.ckpt"),
+                            "--manifest", str(manifest), "--range", "2006-01-01:2007-02-01",
+                            "--out", str(out)], capsys)
+    assert code == 2
+    assert ("--range 2006-01-01:2007-02-01 not covered by the data (2007-01-01..2007-03-31)"
+            in err)
+    assert not out.exists()
+
+
 # Outputs of the committed v2 checkpoints on gen_synthetic(2 locations, 2
 # variables, 300 days, coupling 0.6, seed 3), written before windows shared
 # rows: the predict path must keep reproducing them byte for byte.

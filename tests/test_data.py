@@ -1,8 +1,13 @@
 import csv
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import synthetic_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlstm import gen_synthetic, load_dataset, load_manifest, make_windows, test_windows, train_windows
 from stlstm.data import _read_location_csv, normalize, synthetic_series, windows_to_arrays
@@ -281,6 +286,52 @@ def test_synthetic_minimum_days():
     with pytest.raises(DataError):
         gen_synthetic("/tmp/unused", locations=2, vars_per_location=1, days=10,
                       coupling=0.0, seed=0)
+
+
+@pytest.mark.parametrize("days", [0, -3])
+def test_synthetic_series_refuses_fewer_than_one_day(days):
+    with pytest.raises(DataError, match=f"need at least one day, got {days}"):
+        synthetic_series(2, 1, days, coupling=0.5, seed=0)
+
+
+def _series_outcome(series, args):
+    """Latent and value bits, or the error class and message."""
+    try:
+        latents, values, variables = series(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return latents.shape, latents.tobytes(), values.shape, values.tobytes(), variables
+
+
+def _files_outcome(gen, args, test_days):
+    """Every written file's bytes by name, or the error class and message."""
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            manifest = gen(out, *args, test_days=test_days)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return manifest.name, {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+synthetic_args = st.tuples(
+    st.integers(1, 6),                                       # locations
+    st.integers(1, 4),                                       # vars_per_location
+    st.integers(1, 300),                                     # days; gen_synthetic needs 50
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0, 1]), st.floats(0.0, 1.0)),  # coupling
+    st.integers(0, 2**32),                                   # seed
+    st.one_of(st.sampled_from([1e308, -1.0, 1.0, 0.0]), st.floats(-1.5, 1.5)),  # ar_coef
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),            # noise_std
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(args=synthetic_args,
+       test_days=st.one_of(st.none(), st.integers(-1, 40), st.integers(260, 301)))
+def test_synthetic_generator_matches_the_frozen_reference(args, test_days):
+    assert (_series_outcome(synthetic_series, args)
+            == _series_outcome(synthetic_reference.synthetic_series, args))
+    assert (_files_outcome(gen_synthetic, args, test_days)
+            == _files_outcome(synthetic_reference.gen_synthetic, args, test_days))
 
 
 def test_synthetic_output_loads_cleanly(tmp_path):

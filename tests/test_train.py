@@ -25,7 +25,7 @@ from stlstm import (
     test_windows,
     train_windows,
 )
-from stlstm import model
+from stlstm import model, train
 from stlstm.model import random_model_params, zero_model_params
 from stlstm.train import (
     PREDICT_BLOCK_ROWS,
@@ -268,6 +268,42 @@ def test_predict_blocks_after_the_first_allocate_nothing_large(kind, peaks_betwe
     assert max(peaks_between_heads) < MiB, peaks_between_heads
 
 
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+def test_validation_passes_reuse_the_training_workspace(kind, monkeypatch):
+    spec = ModelSpec(kind=kind, **PAPER)
+    rng = np.random.default_rng(33)
+    record, test_set = sliding_record(120, spec, rng), sliding_record(40, spec, rng)
+    cfg = TrainConfig(epochs=3, repeats=1, batch_size=32, validation_holdout=True)
+    inner = train.predict_batch
+    peaks = []
+
+    def traced(spec, params, X, ws=None):
+        current = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        preds = inner(spec, params, X, ws)
+        peaks.append(tracemalloc.get_traced_memory()[1] - current)
+        return preds
+
+    monkeypatch.setattr(train, "predict_batch", traced)
+    tracemalloc.start()
+    try:
+        shared = train_once(spec, cfg, record, seed=0, test_set=test_set)
+    finally:
+        tracemalloc.stop()
+    # one validation pass per epoch, then the test set; the first pass still
+    # sizes the prediction buffers (a fresh workspace per call took 3 MB each)
+    assert len(peaks) == 4
+    assert max(peaks[1:3]) < MiB, peaks
+
+    monkeypatch.setattr(train, "predict_batch",
+                        lambda spec, params, X, ws=None: inner(spec, params, X))
+    alone = train_once(spec, cfg, record, seed=0, test_set=test_set)
+    assert shared.loss_curve == alone.loss_curve
+    assert shared.val_curve == alone.val_curve
+    assert shared.test_mae == alone.test_mae
+    assert shared.params.flat.tobytes() == alone.params.flat.tobytes()
+
+
 def test_train_once_trains_on_a_record_without_copying_it():
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=10)
     record = sliding_record(4000, spec, np.random.default_rng(32))
@@ -297,8 +333,6 @@ def test_gradcheck_passes_at_toy_size():
 
 
 def test_gradcheck_counts_a_nan_error_as_the_worst(monkeypatch):
-    from stlstm import train
-
     spec = ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=1, seq_len=2)
     inner = train._batch_loss_and_grads
     nan_at = []
@@ -361,7 +395,6 @@ def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
     # a huge head and layer-2 weights give a finite loss (~4e305) whose
     # layer-1 gradients overflow; unchecked, Adam writes NaN into the
     # parameters and a one-batch run reports nothing
-    from stlstm import train
     from stlstm.model import init_model_params
 
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=8, n2=3, seq_len=6)

@@ -6,15 +6,15 @@ Run: python3 demos/01_cell_mechanics.py
 
 import numpy as np
 
-from stlstm import CellParams, CellState, cell_forward, sequence_forward
-from stlstm.cell import init_cell_params
+from stlstm import CellParams, CellState, sequence_forward
+from stlstm.cell import init_cell_into
 
 rng = np.random.default_rng(0)
 
 # --- 1. With every weight at zero, the gates sit at sigma(0) = 0.5 and the
 #        cell/hidden state stay at zero (tanh inner activation).
 p = CellParams.zeros(4, 3)
-state, trace = cell_forward(p, CellState.zeros(4), np.ones(3), "tanh")
+(trace,), state = sequence_forward(p, [np.ones(3)], "tanh")
 print("zero-parameter cell:")
 print("  input gate :", trace.i)
 print("  cell state :", state.c)
@@ -27,7 +27,7 @@ p.b_f[...] = 20.0
 stored = np.array([0.3, -0.7, 1.2, 0.05])
 state = CellState(c=stored.copy(), h=np.zeros(4))
 for step in range(5):
-    state, _ = cell_forward(p, state, rng.normal(size=3), "tanh")
+    _, state = sequence_forward(p, [rng.normal(size=3)], "tanh", init=state)
 print("\nmemory retention over 5 steps with a saturated forget gate:")
 print("  stored :", stored)
 print("  kept   :", state.c)
@@ -36,7 +36,8 @@ print("  drift  :", np.max(np.abs(state.c - stored)))
 # --- 3. The inner activation swaps the cell-candidate and cell-output
 #        nonlinearity. tanh keeps hidden states in (-1, 1); sigmoid keeps
 #        them in (0, 1): same weights, different response.
-p = init_cell_params(6, 2, rng)
+p = CellParams.zeros(6, 2)
+init_cell_into(p, rng)
 xs = [rng.normal(size=2) for _ in range(10)]
 for act in ("tanh", "sigmoid"):
     traces, final = sequence_forward(p, xs, act)

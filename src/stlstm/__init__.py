@@ -15,8 +15,6 @@ from .cell import (
     CellState,
     StepTrace,
     cell_backward,
-    cell_forward,
-    init_cell_params,
     sequence_forward,
 )
 from .checkpoint import load_checkpoint, save_checkpoint

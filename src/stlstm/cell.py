@@ -21,14 +21,13 @@ distinct input row is one batched matmul before the recurrence (B
 overlapping windows of a sliding-window view share their rows, so T+B-1
 rows are projected instead of T*B), each step adds one batched matmul
 of h, and the weight gradients are one matmul each after the backward
-time loop. ``cell_forward``, ``sequence_forward`` and
-``cell_backward`` are the per-cell API over the same engine with K=1.
-Given a ``Workspace``, both keep their large arrays in its reused
-buffers, so a batch of a shape seen before allocates nothing large.
+time loop. Given a ``Workspace``, both keep their large arrays in its
+reused buffers, so a batch of a shape seen before allocates nothing large.
+One cell at one step is ``layer_forward`` with K = T = B = 1.
 
-All arrays are float64. In the per-cell API, state and input arrays may
-carry a leading batch axis -- shape (B, n) instead of (n,) -- and both
-layouts are treated identically.
+``sequence_forward`` and ``cell_backward`` are a per-cell API over the
+same engine with K=1, where state and input arrays may carry a leading
+batch axis -- shape (B, n) instead of (n,). All arrays are float64.
 """
 
 from __future__ import annotations
@@ -242,21 +241,13 @@ class LayerParams:
         return layer
 
 
-def init_cell_params(n: int, d: int, rng: np.random.Generator,
-                     forget_bias: float = 0.0) -> CellParams:
-    """Fresh trainable parameters.
+def init_cell_into(p: CellParams, rng: np.random.Generator, forget_bias: float = 0.0) -> None:
+    """Draw a cell's initial values in place, in canonical tensor order.
 
     Matrices are uniform on [-r, r] with r = 1/sqrt(fan_in); peepholes
     and biases start at zero, except the forget bias which may be
     raised to encourage early memory retention.
     """
-    p = CellParams.zeros(n, d)
-    init_cell_into(p, rng, forget_bias)
-    return p
-
-
-def init_cell_into(p: CellParams, rng: np.random.Generator, forget_bias: float = 0.0) -> None:
-    """Draw a cell's initial values in place, in canonical tensor order."""
     for name, arr in p.tensors():
         if name.startswith("W_"):
             r = 1.0 / np.sqrt(arr.shape[1])
@@ -520,13 +511,6 @@ def sequence_forward(p: CellParams, x_seq, act: str,
                         c=unbatch(tr.c[t + 1, 0]), h=unbatch(tr.h[t + 1, 0]))
               for t in range(X.shape[1])]
     return traces, CellState(c=unbatch(final.c[0]), h=unbatch(final.h[0]))
-
-
-def cell_forward(p: CellParams, prev: CellState, x: np.ndarray,
-                 act: str) -> tuple[CellState, StepTrace]:
-    """One time step of the cell equations listed in the module docstring."""
-    traces, state = sequence_forward(p, [x], act, init=prev)
-    return state, traces[0]
 
 
 def cell_backward(p: CellParams, traces: list[StepTrace], dh_seq, act: str,

@@ -72,11 +72,6 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _coerce(key: str, value: str):
-    """A config-file or flag value, parsed as its field's type."""
-    return parse_field(_FIELDS, key, value)
-
-
 def _resolve_settings(args) -> dict:
     """defaults < config file < explicit CLI flags, all keys coerced."""
     settings = {f.name: f.default for cls in (TrainConfig, ModelSpec) for f in fields(cls)
@@ -84,11 +79,11 @@ def _resolve_settings(args) -> dict:
     settings.update(_SPEC_DEFAULTS)
     if getattr(args, "config", None):
         for key, value in read_config_file(args.config).items():
-            settings[key] = _coerce(key, value)
+            settings[key] = parse_field(_FIELDS, key, value)
     for key in _FIELDS:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
-            settings[key] = _coerce(key, cli_value)
+            settings[key] = parse_field(_FIELDS, key, cli_value)
     settings["kind"] = _normalize_kind(settings["kind"])
     return settings
 

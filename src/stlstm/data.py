@@ -151,10 +151,6 @@ class Dataset:
     def target_column(self) -> int:
         return self.target_loc * len(self.variables) + self.target_var
 
-    def normalized(self) -> np.ndarray:
-        """Z-scored inputs; zero-variance columns map to zero."""
-        return normalize(self)
-
 
 def _split_plain(text: str) -> tuple[int, list[str]] | None:
     """Row width and every cell, row-major, of ``text`` by plain splitting.
@@ -419,7 +415,7 @@ def make_windows(ds: Dataset, seq_len: int, horizon: int,
         raise ShapeError(f"window range [{start}, {stop}) outside dataset of {L} rows")
     n = max(stop - start - seq_len - horizon + 1, 0)
     first_target = start + seq_len - 1 + horizon
-    rows = ds.normalized()[start:start + n + seq_len - 1]
+    rows = normalize(ds)[start:start + n + seq_len - 1]
     X = (sliding_window_view(rows, seq_len, axis=0).transpose(0, 2, 1) if n
          else np.empty((0, seq_len, ds.input_dim)))
     y = ds.flat()[first_target:first_target + n, ds.target_column()].copy()
@@ -565,16 +561,19 @@ def gen_synthetic(out_dir, locations: int, vars_per_location: int, days: int,
     """Write per-location CSVs plus a manifest; byte-identical per seed.
 
     The last ``test_days`` days (default days // 10) become the declared
-    test range. Returns the manifest path.
+    test range. Every argument is checked before anything is drawn or
+    written. Returns the manifest path.
     """
     if days < 50:
         raise DataError(f"synthetic generator needs days >= 50, got {days}")
-    _, values, variables = synthetic_series(locations, vars_per_location, days,
-                                            coupling, seed, ar_coef, noise_std)
     if test_days is None:
         test_days = days // 10
     if not 0 < test_days < days:
         raise DataError(f"test_days must be in (0, days), got {test_days}")
+    if days - 1 > (dt.date.max - start_date).days:
+        raise DataError(f"{days} days from {start_date} run past {dt.date.max}")
+    _, values, variables = synthetic_series(locations, vars_per_location, days,
+                                            coupling, seed, ar_coef, noise_std)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

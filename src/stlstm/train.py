@@ -423,10 +423,7 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Intended
     for toy sizes; the cost is two forward passes per parameter.
     """
-    if not math.isfinite(l2_lambda):  # a NaN loss would make every error NaN
-        raise ConfigError(f"l2_lambda must be finite, got {l2_lambda!r}")
-    if seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    TrainConfig(seed=seed, l2_lambda=l2_lambda)  # training's rules for both
     rng = np.random.default_rng(seed)
     params = random_model_params(spec, rng)
     X = rng.normal(0.0, 1.0, size=(n_windows, spec.seq_len, spec.input_dim))

@@ -5,6 +5,8 @@
 verbatim as the oracle that ``stlstm.data.synthetic_series`` and
 ``stlstm.data.gen_synthetic`` must match: the same latent and value
 bits and byte-identical files, or the same error class and message.
+The one later edit is the library's: ``gen_synthetic`` checks
+``test_days`` and the last date before it draws the series.
 """
 
 import datetime as dt
@@ -102,16 +104,19 @@ def gen_synthetic(out_dir, locations: int, vars_per_location: int, days: int,
     """Write per-location CSVs plus a manifest; byte-identical per seed.
 
     The last ``test_days`` days (default days // 10) become the declared
-    test range. Returns the manifest path.
+    test range. Every argument is checked before anything is drawn or
+    written. Returns the manifest path.
     """
     if days < 50:
         raise DataError(f"synthetic generator needs days >= 50, got {days}")
-    _, values, variables = synthetic_series(locations, vars_per_location, days,
-                                            coupling, seed, ar_coef, noise_std)
     if test_days is None:
         test_days = days // 10
     if not 0 < test_days < days:
         raise DataError(f"test_days must be in (0, days), got {test_days}")
+    if days - 1 > (dt.date.max - start_date).days:
+        raise DataError(f"{days} days from {start_date} run past {dt.date.max}")
+    _, values, variables = synthetic_series(locations, vars_per_location, days,
+                                            coupling, seed, ar_coef, noise_std)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,6 @@ from stlstm import (
     ModelSpec,
     TrainConfig,
     block_diagonal_embed,
-    cell_forward,
     load_dataset,
     load_manifest,
     make_windows,
@@ -28,10 +27,11 @@ from stlstm import (
     train_windows,
     zero_model_params,
 )
+from stlstm.cell import LayerParams, layer_forward
 from stlstm.cli import main as cli_main
 from stlstm.train import gradcheck, train_once, train_repeated
 
-from test_cell import scalar_cell_forward
+from test_cell import scalar_cell_step
 
 
 def report(line):
@@ -119,13 +119,13 @@ def test_criterion_4_scalar_loop_cell_oracle():
         p = CellParams.zeros(3, 2)
         for _, arr in p.tensors():
             arr[...] = rng.uniform(-0.8, 0.8, size=arr.shape)
-        prev = CellState(c=rng.normal(size=3), h=rng.normal(size=3))
+        prev = CellState(c=rng.normal(size=(1, 1, 3)), h=rng.normal(size=(1, 1, 3)))
         x = rng.normal(size=2)
-        state, trace = cell_forward(p, prev, x, act)
-        c_ref, h_ref, i_ref, f_ref, o_ref = scalar_cell_forward(p, prev.c, prev.h, x, act)
-        diff = max(np.max(np.abs(state.c - c_ref)), np.max(np.abs(state.h - h_ref)),
-                   np.max(np.abs(trace.i - i_ref)), np.max(np.abs(trace.f - f_ref)),
-                   np.max(np.abs(trace.o - o_ref)))
+        _, state, trace = layer_forward(LayerParams.pack([p]), x.reshape(1, 1, 1, 2), act, prev)
+        i, f, _, o = trace.gates[0, :, 0, 0]
+        c_ref, h_ref, i_ref, f_ref, o_ref = scalar_cell_step(p, prev.c[0, 0], prev.h[0, 0], x, act)
+        diff = max(np.max(np.abs(state.c[0, 0] - c_ref)), np.max(np.abs(state.h[0, 0] - h_ref)),
+                   np.max(np.abs(i - i_ref)), np.max(np.abs(f - f_ref)), np.max(np.abs(o - o_ref)))
         worst = max(worst, diff)
         assert diff < 1e-14
     report(f"[PASS] criterion 4: scalar-loop cell oracle, 1000 triples, "

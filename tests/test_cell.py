@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stlstm import CellParams, CellState, ShapeError, cell_backward, cell_forward, sequence_forward
-from stlstm.cell import init_cell_params
+from stlstm import CellParams, CellState, ShapeError, cell_backward, sequence_forward
+from stlstm.cell import LayerParams, init_cell_into, layer_forward
 
 
 def random_cell(n, d, rng, scale=0.5):
@@ -24,7 +24,7 @@ def scalar_act(act, x):
     return math.tanh(x) if act == "tanh" else scalar_sigmoid(x)
 
 
-def scalar_cell_forward(p, c_prev, h_prev, x, act):
+def scalar_cell_step(p, c_prev, h_prev, x, act):
     """Independent per-element evaluation of the five gate equations.
 
     Written with explicit python loops before the vectorized path, and
@@ -71,20 +71,21 @@ def test_forward_matches_scalar_loop_oracle(act):
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = random_cell(3, 2, rng)
-        prev = CellState(c=rng.normal(size=3), h=rng.normal(size=3))
+        prev = CellState(c=rng.normal(size=(1, 1, 3)), h=rng.normal(size=(1, 1, 3)))
         x = rng.normal(size=2)
-        state, trace = cell_forward(p, prev, x, act)
-        c_ref, h_ref, i_ref, f_ref, o_ref = scalar_cell_forward(p, prev.c, prev.h, x, act)
-        assert np.max(np.abs(state.c - c_ref)) < 1e-14
-        assert np.max(np.abs(state.h - h_ref)) < 1e-14
-        assert np.max(np.abs(trace.i - i_ref)) < 1e-14
-        assert np.max(np.abs(trace.f - f_ref)) < 1e-14
-        assert np.max(np.abs(trace.o - o_ref)) < 1e-14
+        _, state, trace = layer_forward(LayerParams.pack([p]), x.reshape(1, 1, 1, 2), act, prev)
+        i, f, _, o = trace.gates[0, :, 0, 0]
+        c_ref, h_ref, i_ref, f_ref, o_ref = scalar_cell_step(p, prev.c[0, 0], prev.h[0, 0], x, act)
+        assert np.max(np.abs(state.c[0, 0] - c_ref)) < 1e-14
+        assert np.max(np.abs(state.h[0, 0] - h_ref)) < 1e-14
+        assert np.max(np.abs(i - i_ref)) < 1e-14
+        assert np.max(np.abs(f - f_ref)) < 1e-14
+        assert np.max(np.abs(o - o_ref)) < 1e-14
 
 
 def test_zero_params_give_half_gates_zero_state():
     p = CellParams.zeros(4, 3)
-    state, trace = cell_forward(p, CellState.zeros(4), np.ones(3), "tanh")
+    (trace,), state = sequence_forward(p, [np.ones(3)], "tanh")
     assert np.array_equal(trace.i, np.full(4, 0.5))
     assert np.array_equal(trace.f, np.full(4, 0.5))
     assert np.array_equal(trace.o, np.full(4, 0.5))
@@ -97,7 +98,8 @@ def test_saturated_forget_gate_retains_memory():
     p = CellParams.zeros(5, 2)
     p.b_f[...] = 20.0
     v = rng.uniform(-1.0, 1.0, size=5)
-    state, _ = cell_forward(p, CellState(c=v.copy(), h=np.zeros(5)), rng.normal(size=2), "tanh")
+    prev = CellState(c=v.copy(), h=np.zeros(5))
+    _, state = sequence_forward(p, [rng.normal(size=2)], "tanh", init=prev)
     assert np.max(np.abs(state.c - v)) < 1e-8
 
 
@@ -106,10 +108,10 @@ def test_sequence_length_one_equals_single_step():
     p = random_cell(3, 2, rng)
     x = rng.normal(size=2)
     traces, final = sequence_forward(p, [x], "tanh")
-    state, trace = cell_forward(p, CellState.zeros(3), x, "tanh")
+    _, state, _ = layer_forward(LayerParams.pack([p]), x.reshape(1, 1, 1, 2), "tanh")
     assert len(traces) == 1
-    assert np.array_equal(final.c, state.c)
-    assert np.array_equal(final.h, state.h)
+    assert np.array_equal(final.c, state.c[0, 0])
+    assert np.array_equal(final.h, state.h[0, 0])
 
 
 def test_zero_params_sequence_stays_zero():
@@ -141,9 +143,9 @@ def test_empty_sequence_is_an_error():
 def test_dimension_mismatch_errors():
     p = CellParams.zeros(3, 2)
     with pytest.raises(ShapeError):
-        cell_forward(p, CellState.zeros(3), np.zeros(5), "tanh")
+        sequence_forward(p, [np.zeros(5)], "tanh", init=CellState.zeros(3))
     with pytest.raises(ShapeError):
-        cell_forward(p, CellState.zeros(4), np.zeros(2), "tanh")
+        sequence_forward(p, [np.zeros(2)], "tanh", init=CellState.zeros(4))
     with pytest.raises(ShapeError):
         sequence_forward(p, [np.zeros(2), np.zeros(3)], "tanh")  # ragged steps
     with pytest.raises(ShapeError):
@@ -165,9 +167,9 @@ def test_batched_forward_matches_per_sample():
     rng = np.random.default_rng(17)
     p = random_cell(3, 4, rng)
     X = rng.normal(size=(5, 4))
-    batch_state, _ = cell_forward(p, CellState.zeros(3, batch=5), X, "tanh")
+    _, batch_state = sequence_forward(p, [X], "tanh", init=CellState.zeros(3, batch=5))
     for b in range(5):
-        one, _ = cell_forward(p, CellState.zeros(3), X[b], "tanh")
+        _, one = sequence_forward(p, [X[b]], "tanh")
         assert np.allclose(batch_state.c[b], one.c, atol=1e-15)
         assert np.allclose(batch_state.h[b], one.h, atol=1e-15)
 
@@ -317,13 +319,15 @@ def test_backward_rejects_wrong_gradient_count():
         cell_backward(p, traces, [np.zeros(3)] * 3, "tanh")
 
 
-def test_init_cell_params_ranges_and_forget_bias():
+def test_init_cell_into_ranges_and_forget_bias():
     rng = np.random.default_rng(31)
-    p = init_cell_params(6, 4, rng)
+    p = CellParams.zeros(6, 4)
+    init_cell_into(p, rng)
     assert np.all(np.abs(p.W_xi) <= 1.0 / np.sqrt(4))
     assert np.all(np.abs(p.W_hi) <= 1.0 / np.sqrt(6))
     assert np.array_equal(p.b_i, np.zeros(6))
     assert np.array_equal(p.w_ci, np.zeros(6))
     assert np.array_equal(p.b_f, np.zeros(6))
-    p2 = init_cell_params(6, 4, rng, forget_bias=1.0)
+    p2 = CellParams.zeros(6, 4)
+    init_cell_into(p2, rng, forget_bias=1.0)
     assert np.array_equal(p2.b_f, np.ones(6))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from ckpt_files import join_v2, split_v2
 
-from stlstm import ModelSpec, gen_synthetic, init_model_params, save_checkpoint
+from stlstm import ModelSpec, gen_synthetic, init_model_params, load_checkpoint, save_checkpoint
 from stlstm.cli import main
 from stlstm.metrics import EvalReport, REPORT_CSV_HEADER
 from stlstm.model import SPEC_FIELDS
@@ -319,6 +319,37 @@ def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, capsys, kind, ru
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# One tiny gen-synthetic -> train run per kind, with and without the validation
+# holdout, kept as written. run.log and best.txt must match byte for byte. The
+# checkpoints are compared value by value, to 1e-15: OpenBLAS's Haswell and Zen
+# kernels change a few last bits of the weights (by at most 1.4e-17), and its
+# Sandybridge kernel changes more (by at most 5.6e-17).
+TRAIN_GOLDEN = GOLDEN / "train"
+
+
+@pytest.mark.parametrize("holdout", [False, True])
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+def test_training_matches_the_golden_run(tmp_path, capsys, kind, holdout):
+    data, out = tmp_path / "data", tmp_path / "run"
+    code, _, _ = run_cli(["gen-synthetic", "--locations", "2", "--vars", "2", "--days", "80",
+                          "--seed", "3", "--out", str(data)], capsys)
+    assert code == 0
+    code, _, err = run_cli(["train", "--manifest", str(data / "manifest.txt"), "--out", str(out),
+                            "--model-kind", kind, "--n1", "4", "--n2", "3", "--seq-len", "5",
+                            "--epochs", "3", "--repeats", "2",
+                            "--validation-holdout", str(holdout).lower()], capsys)
+    assert code == 0, err
+    golden = TRAIN_GOLDEN / (f"{kind}_holdout" if holdout else kind)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+    for name in ("run.log", "best.txt"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+    for name in ("repeat0.ckpt", "repeat1.ckpt"):
+        spec, params = load_checkpoint(out / name)
+        want_spec, want = load_checkpoint(golden / name)
+        assert spec == want_spec
+        assert np.max(np.abs(params.flat - want.flat)) <= 1e-15, name
+
+
 def test_compare_builds_the_grid_table(tmp_path, capsys):
     paths = []
     for q in (1, 2, 3):
@@ -456,6 +487,15 @@ def test_gradcheck_refuses_a_non_finite_l2_lambda(capsys, l2_lambda):
                                  "--l2-lambda", l2_lambda], capsys)
     assert code == 2
     assert f"l2_lambda must be finite, got {l2_lambda}" in err
+    assert "verification passed" not in stdout
+
+
+def test_gradcheck_refuses_a_negative_l2_lambda_as_train_does(capsys):
+    code, stdout, err = run_cli(["gradcheck", "--model-kind", "stacked", "--locations", "1",
+                                 "--vars", "1", "--n1", "2", "--n2", "1", "--seq-len", "2",
+                                 "--l2-lambda=-1"], capsys)
+    assert code == 2
+    assert "l2_lambda must be >= 0, got -1.0" in err
     assert "verification passed" not in stdout
 
 

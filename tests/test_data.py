@@ -186,7 +186,7 @@ def test_window_layout_and_raw_targets(tmp_path):
     ds = make_counting_dataset(tmp_path, 30)
     windows = make_windows(ds, 5, 3)
     assert len(windows) == 30 - 5 - 3 + 1
-    norm = ds.normalized()
+    norm = normalize(ds)
     for w in windows:
         d = w.window_id
         assert np.array_equal(w.inputs, norm[d:d + 5])
@@ -292,6 +292,21 @@ def test_synthetic_minimum_days():
 def test_synthetic_series_refuses_fewer_than_one_day(days):
     with pytest.raises(DataError, match=f"need at least one day, got {days}"):
         synthetic_series(2, 1, days, coupling=0.5, seed=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"test_days": 0}, "test_days must be in \\(0, days\\), got 0"),
+    ({"test_days": 60}, "test_days must be in \\(0, days\\), got 60"),
+    ({"start_date": dt.date(9999, 12, 1)}, "60 days from 9999-12-01 run past 9999-12-31"),
+], ids=["test_days=0", "test_days=days", "past-9999-12-31"])
+def test_gen_synthetic_checks_its_arguments_before_drawing(tmp_path, monkeypatch, kwargs, message):
+    def draw(*args):
+        raise AssertionError("a series was drawn")
+
+    monkeypatch.setattr("stlstm.data.synthetic_series", draw)
+    with pytest.raises(DataError, match=message):
+        gen_synthetic(tmp_path / "out", 1, 1, 60, 0.5, 1, **kwargs)
+    assert not (tmp_path / "out").exists()
 
 
 def _series_outcome(series, args):

@@ -36,10 +36,10 @@ from stlstm import (
     random_model_params,
     save_checkpoint,
 )
-from stlstm.cli import _coerce, main, read_config_file
+from stlstm.cli import _FIELDS, main, read_config_file
 from stlstm.data import _read_location_csv
 from stlstm.errors import CheckpointFormatError
-from stlstm.model import param_count
+from stlstm.model import param_count, parse_field
 from stlstm.train import TrainConfig
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -71,7 +71,7 @@ def test_config_file_loads_or_raises_stlstm_error(scratch, raw):
     path.write_bytes(raw)
     try:
         for key, value in read_config_file(path).items():
-            _coerce(key, value)
+            parse_field(_FIELDS, key, value)
     except StlstmError:
         pass
 

@@ -13,7 +13,6 @@ Run: python3 demos/04_forecasting_pipeline.py   (about a minute)
 """
 
 import tempfile
-from pathlib import Path
 
 from stlstm import (
     EvalReport,
@@ -30,10 +29,10 @@ from stlstm import (
 )
 from stlstm.train import predict_batch
 
-workdir = Path(tempfile.mkdtemp(prefix="stlstm-demo-"))
-manifest_path = gen_synthetic(workdir, locations=5, vars_per_location=3, days=500,
-                              coupling=0.6, seed=7)
-ds = load_dataset(load_manifest(manifest_path))
+with tempfile.TemporaryDirectory(prefix="stlstm-demo-") as workdir:
+    manifest_path = gen_synthetic(workdir, locations=5, vars_per_location=3, days=500,
+                                  coupling=0.6, seed=7)
+    ds = load_dataset(load_manifest(manifest_path))
 print(f"synthetic data: {ds.n_days} days x {len(ds.locations)} locations x "
       f"{len(ds.variables)} variables, test rows {ds.test_start_idx}..{ds.test_end_idx - 1}")
 
@@ -63,4 +62,3 @@ for kind in ("stacked", "st_stacked"):
 
 print()
 print(comparison_text(comparison_report(reports)))
-print(f"(work dir: {workdir})")

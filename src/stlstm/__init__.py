@@ -9,19 +9,11 @@ exact parameter-count formulas, and a block-diagonal equivalence test
 between the two architectures.
 """
 
-from .cell import (
-    ACTIVATIONS,
-    CellParams,
-    CellState,
-    StepTrace,
-    cell_backward,
-    sequence_forward,
-)
+from .cell import ACTIVATIONS, CellParams, CellState
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
     Manifest,
-    Window,
     WindowArrays,
     gen_synthetic,
     load_dataset,
@@ -31,7 +23,6 @@ from .data import (
     synthetic_series,
     test_windows,
     train_windows,
-    windows_to_arrays,
 )
 from .errors import (
     CheckpointError,

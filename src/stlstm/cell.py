@@ -1,4 +1,4 @@
-"""Peephole LSTM layer engine and its single-cell API.
+"""Peephole LSTM layer engine.
 
 Gate equations, with ``g`` the configurable inner activation and sigma
 the logistic function:
@@ -25,9 +25,9 @@ time loop. Given a ``Workspace``, both keep their large arrays in its
 reused buffers, so a batch of a shape seen before allocates nothing large.
 One cell at one step is ``layer_forward`` with K = T = B = 1.
 
-``sequence_forward`` and ``cell_backward`` are a per-cell API over the
-same engine with K=1, where state and input arrays may carry a leading
-batch axis -- shape (B, n) instead of (n,). All arrays are float64.
+``sequence_forward`` and ``cell_backward`` are K=1 adapters over the
+engine that only ``benchmarks/workloads.py`` calls: lists of (B, d)
+steps, from the zero state. All arrays are float64.
 """
 
 from __future__ import annotations
@@ -157,9 +157,6 @@ class CellParams:
             if arr.dtype != np.float64:
                 raise ShapeError(f"cell tensor {name} must be float64, got {arr.dtype}")
 
-    def copy(self) -> "CellParams":
-        return CellParams(**{name: arr.copy() for name, arr in self.tensors()})
-
     @classmethod
     def zeros(cls, n: int, d: int) -> "CellParams":
         return cls(**{name: np.zeros(_tensor_shape(name, n, d)) for name in CELL_TENSOR_NAMES})
@@ -264,11 +261,6 @@ class CellState:
     c: np.ndarray
     h: np.ndarray
 
-    @classmethod
-    def zeros(cls, n: int, batch: int | None = None) -> "CellState":
-        shape = (n,) if batch is None else (batch, n)
-        return cls(c=np.zeros(shape), h=np.zeros(shape))
-
 
 @dataclass
 class LayerTrace:
@@ -339,11 +331,15 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
     Returns the hidden states (T, K, B, n), the final state ((K, B, n)
     arrays) and, with ``keep_trace``, the trace ``layer_backward``
     needs. Without it, gates, cell states and g(c) live in per-step
-    scratch. ``init`` (arrays of shape (K, B, n)) defaults to the zero
-    state. All of these live in ``ws`` (a fresh Workspace by default).
+    scratch. ``init`` (arrays of shape (K, B, n), else ShapeError)
+    defaults to the zero state. All of these live in ``ws`` (a fresh
+    Workspace by default).
     """
     K, T, B, d = X.shape
     n = p.n
+    if init is not None and not init.c.shape == init.h.shape == (K, B, n):
+        raise ShapeError(f"initial state has c={init.c.shape}, h={init.h.shape}, "
+                         f"expected {(K, B, n)}")
     ws = Workspace() if ws is None else ws
     rows, step = input_rows(X, ws)
     # the input projection of every distinct row, one batched matmul: (4, K, R, n)
@@ -461,100 +457,41 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
 
 
 # ---------------------------------------------------------------------------
-# The single-cell API: K=1 adapters over the layer engine
+# K=1 adapters over the layer engine, for benchmarks/workloads.py only
 
 @dataclass
 class StepTrace:
-    """The intermediates of one cell's forward step."""
+    """One step of a ``sequence_forward`` run: its hidden state and the run's trace."""
 
-    x: np.ndarray
-    c_prev: np.ndarray
-    h_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    z: np.ndarray  # g(candidate pre-activation)
-    c: np.ndarray
     h: np.ndarray
+    run: LayerTrace
 
 
-def sequence_forward(p: CellParams, x_seq, act: str,
-                     init: CellState | None = None) -> tuple[list[StepTrace], CellState]:
-    """Run one cell over a whole input sequence.
+def sequence_forward(p: CellParams, x_seq, act: str) -> tuple[list[StepTrace], CellState]:
+    """Run one cell from the zero state over a list of T (B, d) input steps.
 
-    ``x_seq`` is a (T, d) or (T, B, d) array, or a list of its T steps.
-    ``init`` defaults to the zero state; windows are treated as
-    independent samples, so there is no cross-window state.
+    A (T, d) window raises ShapeError.
     """
-    check_activation(act)
     X, x_shape = as_layer_input(x_seq, p.d)
-    batched, B = len(x_shape) == 2, X.shape[2]
-    if init is not None:
-        if init.c.shape[-1] != p.n or init.h.shape[-1] != p.n:
-            raise ShapeError(
-                f"cell state has widths c={init.c.shape[-1]}, h={init.h.shape[-1]}, "
-                f"cell expects n={p.n}"
-            )
-        if init.c.shape != init.h.shape or init.c.shape[:-1] != x_shape[:-1]:
-            raise ShapeError(f"state/input batch shapes disagree: c={init.c.shape}, "
-                             f"h={init.h.shape}, x={x_shape}")
-        init = CellState(c=init.c.reshape(1, B, p.n), h=init.h.reshape(1, B, p.n))
-    _, final, tr = layer_forward(LayerParams.pack([p]), X, act, init)
-
-    def unbatch(a):  # (B, .) -> the caller's layout
-        return a if batched else a[0]
-
-    traces = [StepTrace(x=unbatch(tr.x[0, t]), c_prev=unbatch(tr.c[t, 0]),
-                        h_prev=unbatch(tr.h[t, 0]),
-                        i=unbatch(tr.gates[t, 0, 0]), f=unbatch(tr.gates[t, 1, 0]),
-                        o=unbatch(tr.gates[t, 3, 0]), z=unbatch(tr.gates[t, 2, 0]),
-                        c=unbatch(tr.c[t + 1, 0]), h=unbatch(tr.h[t + 1, 0]))
-              for t in range(X.shape[1])]
-    return traces, CellState(c=unbatch(final.c[0]), h=unbatch(final.h[0]))
+    if len(x_shape) != 2:
+        raise ShapeError(f"input steps have shape {x_shape}, expected (B, d={p.d})")
+    _, final, run = layer_forward(LayerParams.pack([p]), X, act)
+    traces = [StepTrace(h=h, run=run) for h in run.h[1:, 0]]
+    return traces, CellState(c=final.c[0], h=final.h[0])
 
 
-def cell_backward(p: CellParams, traces: list[StepTrace], dh_seq, act: str,
-                  dc_final: np.ndarray | None = None
+def cell_backward(p: CellParams, traces: list[StepTrace], dh_seq, act: str
                   ) -> tuple[CellParams, list[np.ndarray], CellState]:
-    """Reverse-mode gradients through the unrolled cell.
+    """Reverse-mode gradients through the run that ``traces`` come from.
 
     ``dh_seq[t]`` is the loss gradient arriving directly at h_t (same
-    shape as h_t; zero arrays for steps the loss ignores), and
-    ``dc_final`` an optional gradient on the last cell state. Returns
+    shape as h_t; zero arrays for steps the loss ignores). Returns
     (parameter gradients, per-step input gradients, initial-state
     gradients).
     """
-    check_activation(act)
-    dh_seq = [np.asarray(dh, dtype=np.float64) for dh in dh_seq]
-    if len(dh_seq) != len(traces):
-        raise ShapeError(
-            f"cell_backward: got {len(dh_seq)} h-gradients for {len(traces)} steps"
-        )
-    for t, (dh, tr) in enumerate(zip(dh_seq, traces)):
-        if dh.shape != tr.h.shape:
-            raise ShapeError(
-                f"cell_backward: h-gradient at step {t} has shape {dh.shape}, "
-                f"expected {tr.h.shape}"
-            )
-    batched = traces[0].h.ndim == 2
-
-    def stack(arrays):  # T per-step (B, .) or (.,) arrays -> (T, 1, B, .)
-        out = np.stack(arrays)
-        return out[:, None] if batched else out[:, None, None]
-
-    def unbatch(a):  # (B, .) -> the caller's layout
-        return a if batched else a[0]
-
-    c = stack([traces[0].c_prev] + [tr.c for tr in traces])
-    trace = LayerTrace(
-        x=stack([tr.x for tr in traces]).transpose(1, 0, 2, 3),
-        gates=np.stack([stack([getattr(tr, g) for tr in traces]) for g in "ifzo"], axis=1),
-        c=c, h=stack([traces[0].h_prev] + [tr.h for tr in traces]),
-        g_c=inner_activation(act, c[1:]))
-    if dc_final is not None:
-        dc_final = np.asarray(dc_final, dtype=np.float64).reshape(1, -1, p.n)
-    grads, dX, dinit = layer_backward(LayerParams.pack([p]), trace, stack(dh_seq), act,
-                                      dc_final)
-
-    dx_seq = [unbatch(dX[0, t]) for t in range(len(traces))]
-    return grads.cell(0), dx_seq, CellState(c=unbatch(dinit.c[0]), h=unbatch(dinit.h[0]))
+    run = traces[0].run
+    if [np.shape(dh) for dh in dh_seq] != [h.shape for h in run.h[1:, 0]]:
+        raise ShapeError(f"cell_backward: expected {len(run.h) - 1} h-gradients of shape "
+                         f"{run.h.shape[2:]}")
+    grads, dX, dinit = layer_backward(LayerParams.pack([p]), run, np.stack(dh_seq)[:, None], act)
+    return grads.cell(0), list(dX[0]), CellState(c=dinit.c[0], h=dinit.h[0])

@@ -375,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for key, value in vars(args).items():
+        if value == []:  # argparse reads "--seed=--" as an empty list, not as a value
+            parser.error(f"argument {key}: expected one argument")
     try:
         return args.func(args)
     except DivergenceError as exc:

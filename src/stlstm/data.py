@@ -382,8 +382,8 @@ class WindowArrays:
     so consecutive windows share T-1 rows of memory and the layer engine
     projects each row once. ``y`` (N,) holds the raw targets,
     ``window_ids`` (N,) each window's first input row and
-    ``target_dates`` each window's target day. ``record[i]`` is window i
-    as a ``Window``, built on demand, whose inputs are the view ``X[i]``.
+    ``target_dates`` each window's target day. ``record[i]``, window i as
+    a ``Window`` whose inputs are the view ``X[i]``, serves the benchmark.
     """
 
     X: np.ndarray

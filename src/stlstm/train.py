@@ -64,6 +64,9 @@ class TrainConfig:
         for name, type_name in CONFIG_FIELDS.items():
             if type_name == "float" and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
+            raise ConfigError("Adam needs 0 <= adam_beta1, adam_beta2 < 1 and adam_eps > 0, got "
+                              f"{self.adam_beta1}, {self.adam_beta2}, {self.adam_eps}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
 
@@ -283,35 +286,37 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
     ws = Workspace()  # every batch and prediction after the first runs in the first one's buffers
     curve: list[float] = []
     val_curve: list[float] | None = [] if config.validation_holdout else None
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for batch, lo in enumerate(range(0, n, config.batch_size), start=1):
-            idx = order[lo:lo + config.batch_size]
-            # gathered into the workspace (np.take would first copy a sliding view whole)
-            Xb = np.stack([X[i] for i in idx], out=ws.take("batch", (len(idx),) + X.shape[1:]))
-            batch_loss, grads = _batch_loss_and_grads(spec, params, Xb, y[idx],
-                                                      config.l2_lambda, ws)
-            if not math.isfinite(batch_loss):
-                raise DivergenceError(epoch, batch)
-            # a finite loss can still carry overflowed gradients, which the optimizer
-            # would write into the parameters (min and max show NaN and inf, unallocated)
-            if not (math.isfinite(grads.flat.min()) and math.isfinite(grads.flat.max())):
-                name = next(name for name, g in grads.tensors() if not np.isfinite(g).all())
-                raise DivergenceError(epoch, batch, f"gradient {name}")
-            opt.step([grads.flat])
-            epoch_losses.append(batch_loss)
-        epoch_loss = float(np.mean(epoch_losses))
-        if not math.isfinite(epoch_loss):
-            raise DivergenceError(epoch, tensor="epoch mean loss")
-        curve.append(epoch_loss)
-        if val_curve is not None:
-            val_loss = loss(predict_batch(spec, params, val_X, ws), val_y, params,
-                            config.l2_lambda)
-            if not math.isfinite(val_loss):
-                raise NonFiniteResultError(f"validation loss after epoch {epoch} is "
-                                           f"non-finite ({val_loss!r})")
-            val_curve.append(val_loss)
+    # an overflow needs no numpy warning: the checks below refuse every non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            epoch_losses = []
+            for batch, lo in enumerate(range(0, n, config.batch_size), start=1):
+                idx = order[lo:lo + config.batch_size]
+                # gathered into the workspace (np.take would first copy a sliding view whole)
+                Xb = np.stack([X[i] for i in idx], out=ws.take("batch", (len(idx),) + X.shape[1:]))
+                batch_loss, grads = _batch_loss_and_grads(spec, params, Xb, y[idx],
+                                                          config.l2_lambda, ws)
+                if not math.isfinite(batch_loss):
+                    raise DivergenceError(epoch, batch)
+                # a finite loss can still carry overflowed gradients, which the optimizer
+                # would write into the parameters (min and max show NaN and inf, unallocated)
+                if not (math.isfinite(grads.flat.min()) and math.isfinite(grads.flat.max())):
+                    name = next(name for name, g in grads.tensors() if not np.isfinite(g).all())
+                    raise DivergenceError(epoch, batch, f"gradient {name}")
+                opt.step([grads.flat])
+                epoch_losses.append(batch_loss)
+            epoch_loss = float(np.mean(epoch_losses))
+            if not math.isfinite(epoch_loss):
+                raise DivergenceError(epoch, tensor="epoch mean loss")
+            curve.append(epoch_loss)
+            if val_curve is not None:
+                val_loss = loss(predict_batch(spec, params, val_X, ws), val_y, params,
+                                config.l2_lambda)
+                if not math.isfinite(val_loss):
+                    raise NonFiniteResultError(f"validation loss after epoch {epoch} is "
+                                               f"non-finite ({val_loss!r})")
+                val_curve.append(val_loss)
 
     result = RunResult(seed=seed, loss_curve=curve, params=params, val_curve=val_curve)
     if test_set:
@@ -434,7 +439,7 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     worst = ("", 0.0)
     analytic_by_name = dict(analytic.tensors())
     for name, arr in params.tensors():
-        a_flat = analytic_by_name[name].ravel()
+        a_flat = analytic_by_name[name].ravel().tolist()  # Python floats divide inf/inf silently
         flat = arr.ravel()
         for j in range(flat.shape[0]):
             keep = flat[j]

@@ -204,7 +204,7 @@ def test_criterion_7_determinism(tmp_path):
 
 
 def test_criterion_8_protocol_fidelity(tmp_path):
-    """Window counts, median-of-5 aggregation, and leakage boundaries."""
+    """Counts of windows, median-of-5 aggregation, and leakage boundaries."""
     import datetime as dt
 
     days = 40
@@ -230,8 +230,8 @@ def test_criterion_8_protocol_fidelity(tmp_path):
     T, q = 5, 2
     tr = train_windows(ds, T, q)
     te = test_windows(ds, T, q)
-    assert all(w.window_id + T - 1 + q < ds.test_start_idx for w in tr)
-    assert [w.window_id + T - 1 + q for w in te] == list(range(30, 40))
-    assert max(w.window_id + T - 1 + q for w in tr) == ds.test_start_idx - 1
+    assert all(tr.window_ids + T - 1 + q < ds.test_start_idx)
+    assert (te.window_ids + T - 1 + q).tolist() == list(range(30, 40))
+    assert max(tr.window_ids + T - 1 + q) == ds.test_start_idx - 1
     report("[PASS] criterion 8: protocol fidelity, window counts, lower-middle "
            "median, leakage boundaries")

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from stlstm import CellParams, CellState, ShapeError, cell_backward, sequence_forward
-from stlstm.cell import LayerParams, init_cell_into, layer_forward
+from stlstm import CellParams, CellState, ShapeError
+from stlstm.cell import LayerParams, as_layer_input, init_cell_into, layer_backward, layer_forward
 
 
 def random_cell(n, d, rng, scale=0.5):
@@ -84,13 +84,13 @@ def test_forward_matches_scalar_loop_oracle(act):
 
 
 def test_zero_params_give_half_gates_zero_state():
-    p = CellParams.zeros(4, 3)
-    (trace,), state = sequence_forward(p, [np.ones(3)], "tanh")
-    assert np.array_equal(trace.i, np.full(4, 0.5))
-    assert np.array_equal(trace.f, np.full(4, 0.5))
-    assert np.array_equal(trace.o, np.full(4, 0.5))
-    assert np.array_equal(state.c, np.zeros(4))
-    assert np.array_equal(state.h, np.zeros(4))
+    _, state, trace = layer_forward(LayerParams.zeros(1, 4, 3), np.ones((1, 1, 1, 3)), "tanh")
+    i, f, _, o = trace.gates[0, :, 0, 0]
+    assert np.array_equal(i, np.full(4, 0.5))
+    assert np.array_equal(f, np.full(4, 0.5))
+    assert np.array_equal(o, np.full(4, 0.5))
+    assert np.array_equal(state.c, np.zeros((1, 1, 4)))
+    assert np.array_equal(state.h, np.zeros((1, 1, 4)))
 
 
 def test_saturated_forget_gate_retains_memory():
@@ -98,87 +98,89 @@ def test_saturated_forget_gate_retains_memory():
     p = CellParams.zeros(5, 2)
     p.b_f[...] = 20.0
     v = rng.uniform(-1.0, 1.0, size=5)
-    prev = CellState(c=v.copy(), h=np.zeros(5))
-    _, state = sequence_forward(p, [rng.normal(size=2)], "tanh", init=prev)
-    assert np.max(np.abs(state.c - v)) < 1e-8
+    prev = CellState(c=v.reshape(1, 1, 5).copy(), h=np.zeros((1, 1, 5)))
+    _, state, _ = layer_forward(LayerParams.pack([p]), rng.normal(size=(1, 1, 1, 2)), "tanh",
+                                init=prev)
+    assert np.max(np.abs(state.c[0, 0] - v)) < 1e-8
 
 
 def test_sequence_length_one_equals_single_step():
+    # a one-step run is bit for bit the first step of a longer run
     rng = np.random.default_rng(3)
-    p = random_cell(3, 2, rng)
-    x = rng.normal(size=2)
-    traces, final = sequence_forward(p, [x], "tanh")
-    _, state, _ = layer_forward(LayerParams.pack([p]), x.reshape(1, 1, 1, 2), "tanh")
-    assert len(traces) == 1
-    assert np.array_equal(final.c, state.c[0, 0])
-    assert np.array_equal(final.h, state.h[0, 0])
+    layer = LayerParams.pack([random_cell(3, 2, rng)])
+    X = rng.normal(size=(1, 6, 1, 2))
+    H, _, _ = layer_forward(layer, X, "tanh")
+    H_one, state, _ = layer_forward(layer, X[:, :1], "tanh")
+    assert H_one.shape == (1, 1, 1, 3)
+    assert np.array_equal(H_one[0], H[0]) and np.array_equal(state.h, H[0])
 
 
 def test_zero_params_sequence_stays_zero():
     # holds for tanh, whose g(0) = 0; sigmoid's g(0) = 0.5 feeds the cell
-    p = CellParams.zeros(3, 2)
-    xs = [np.ones(2) * t for t in range(6)]
-    _, final = sequence_forward(p, xs, "tanh")
-    assert np.array_equal(final.c, np.zeros(3))
-    assert np.array_equal(final.h, np.zeros(3))
+    X = np.arange(6.0).repeat(2).reshape(1, 6, 1, 2)  # step t is (t, t)
+    _, final, _ = layer_forward(LayerParams.zeros(1, 3, 2), X, "tanh")
+    assert np.array_equal(final.c, np.zeros((1, 1, 3)))
+    assert np.array_equal(final.h, np.zeros((1, 1, 3)))
 
 
 def test_split_sequence_composes_bit_exactly():
     rng = np.random.default_rng(5)
-    p = random_cell(4, 3, rng)
-    xs = [rng.normal(size=3) for _ in range(10)]
-    _, full = sequence_forward(p, xs, "tanh")
-    _, mid = sequence_forward(p, xs[:4], "tanh")
-    _, carried = sequence_forward(p, xs[4:], "tanh", init=mid)
+    layer = LayerParams.pack([random_cell(4, 3, rng)])
+    X = rng.normal(size=(1, 10, 1, 3))
+    _, full, _ = layer_forward(layer, X, "tanh")
+    _, mid, _ = layer_forward(layer, X[:, :4], "tanh")
+    _, carried, _ = layer_forward(layer, X[:, 4:], "tanh", init=mid)
     assert np.array_equal(full.c, carried.c)
     assert np.array_equal(full.h, carried.h)
 
 
 def test_empty_sequence_is_an_error():
-    p = CellParams.zeros(2, 2)
     with pytest.raises(ShapeError):
-        sequence_forward(p, [], "tanh")
+        as_layer_input([], 2)
 
 
 def test_dimension_mismatch_errors():
-    p = CellParams.zeros(3, 2)
+    layer = LayerParams.zeros(1, 3, 2)
     with pytest.raises(ShapeError):
-        sequence_forward(p, [np.zeros(5)], "tanh", init=CellState.zeros(3))
+        as_layer_input([np.zeros(5)], 2)  # steps wider than the cell's input
     with pytest.raises(ShapeError):
-        sequence_forward(p, [np.zeros(2)], "tanh", init=CellState.zeros(4))
+        as_layer_input([np.zeros(2), np.zeros(3)], 2)  # ragged steps
     with pytest.raises(ShapeError):
-        sequence_forward(p, [np.zeros(2), np.zeros(3)], "tanh")  # ragged steps
-    with pytest.raises(ShapeError):
-        sequence_forward(p, [np.zeros((4, 2)), np.zeros(2)], "tanh")  # batched and not
+        as_layer_input([np.zeros((4, 2)), np.zeros(2)], 2)  # batched and not
+    X = np.zeros((1, 1, 1, 2))
+    for shape in ((1, 1, 4), (3,), (1, 3), (1, 2, 3)):  # wrong width, or unbatched
+        with pytest.raises(ShapeError):
+            layer_forward(layer, X, "tanh", init=CellState(c=np.zeros(shape), h=np.zeros(shape)))
+    with pytest.raises(ShapeError):  # c and h of different shapes
+        layer_forward(layer, X, "tanh",
+                      init=CellState(c=np.zeros((1, 1, 3)), h=np.zeros((1, 1, 4))))
 
 
 @pytest.mark.parametrize("act,lo,hi", [("tanh", -1.0, 1.0), ("sigmoid", 0.0, 1.0)])
 def test_hidden_state_bounds(act, lo, hi):
     rng = np.random.default_rng(13)
     for _ in range(20):
-        p = random_cell(4, 3, rng, scale=2.0)
-        xs = [rng.normal(size=3) * 3.0 for _ in range(8)]
-        traces, _ = sequence_forward(p, xs, act)
-        for tr in traces:
-            assert np.all(tr.h > lo) and np.all(tr.h < hi)
+        layer = LayerParams.pack([random_cell(4, 3, rng, scale=2.0)])
+        H, _, _ = layer_forward(layer, rng.normal(size=(1, 8, 1, 3)) * 3.0, act)
+        assert np.all(H > lo) and np.all(H < hi)
 
 
 def test_batched_forward_matches_per_sample():
     rng = np.random.default_rng(17)
-    p = random_cell(3, 4, rng)
-    X = rng.normal(size=(5, 4))
-    _, batch_state = sequence_forward(p, [X], "tanh", init=CellState.zeros(3, batch=5))
+    layer = LayerParams.pack([random_cell(3, 4, rng)])
+    X = rng.normal(size=(1, 1, 5, 4))
+    _, batch_state, _ = layer_forward(layer, X, "tanh")
     for b in range(5):
-        _, one = sequence_forward(p, [X[b]], "tanh")
-        assert np.allclose(batch_state.c[b], one.c, atol=1e-15)
-        assert np.allclose(batch_state.h[b], one.h, atol=1e-15)
+        _, one, _ = layer_forward(layer, X[:, :, b:b + 1], "tanh")
+        assert np.allclose(batch_state.c[0, b], one.c[0, 0], atol=1e-15)
+        assert np.allclose(batch_state.h[0, b], one.h[0, 0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 def scalar_loss_extended(p, xs, act, u_seq, v_final):
-    """sum_t u_t . h_t + v . c_final evaluated in longdouble.
+    """sum_t u_t . h_t + v . c_final over the (d,) steps ``xs``, evaluated in longdouble.
 
     Longdouble keeps the finite-difference cancellation noise far below
     the 1e-6 relative gate.
@@ -211,13 +213,15 @@ def test_backward_matches_central_finite_differences(act):
     n, d, T = 2, 2, 3
     rng = np.random.default_rng(42)
     p = random_cell(n, d, rng)
-    xs = [rng.normal(size=d) for _ in range(T)]
+    X = rng.normal(size=(1, T, 1, d))  # one cell, one window
     u_seq = [rng.uniform(0.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
              for _ in range(T)]
     v_final = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
 
-    traces, _ = sequence_forward(p, xs, act)
-    grads, dx_seq, dinit = cell_backward(p, traces, u_seq, act, dc_final=v_final)
+    layer = LayerParams.pack([p])
+    _, _, trace = layer_forward(layer, X, act)
+    grads, dX, _ = layer_backward(layer, trace, np.reshape(u_seq, (T, 1, 1, n)), act,
+                                  dc_final=v_final.reshape(1, 1, n))
 
     step = 1e-5
 
@@ -227,18 +231,17 @@ def test_backward_matches_central_finite_differences(act):
         for j in range(arr.shape[0]):
             keep = arr[j]
             arr[j] = keep + step
-            up = scalar_loss_extended(p, xs, act, u_seq, v_final)
+            up = scalar_loss_extended(p, X[0, :, 0], act, u_seq, v_final)
             arr[j] = keep - step
-            down = scalar_loss_extended(p, xs, act, u_seq, v_final)
+            down = scalar_loss_extended(p, X[0, :, 0], act, u_seq, v_final)
             arr[j] = keep
             numeric = float((up - down) / np.longdouble(2 * step))
             rel = abs(flat_a[j] - numeric) / max(abs(flat_a[j]), abs(numeric), 1e-8)
             assert rel < 1e-6
 
-    for (name, g_arr), (_, p_arr) in zip(grads.tensors(), p.tensors()):
+    for (name, g_arr), (_, p_arr) in zip(grads.cell(0).tensors(), p.tensors()):
         check(g_arr, p_arr)
-    for t in range(T):
-        check(dx_seq[t], xs[t])
+    check(dX, X)
 
 
 def test_backward_initial_state_gradients_match_fd():
@@ -248,10 +251,12 @@ def test_backward_initial_state_gradients_match_fd():
     xs = [rng.normal(size=d) for _ in range(T)]
     u_seq = [rng.normal(size=n) for _ in range(T)]
     v_final = rng.normal(size=n)
-    init = CellState(c=rng.normal(size=n), h=rng.normal(size=n))
+    init = CellState(c=rng.normal(size=(1, 1, n)), h=rng.normal(size=(1, 1, n)))
 
-    traces, _ = sequence_forward(p, xs, "tanh", init=init)
-    _, _, dinit = cell_backward(p, traces, u_seq, "tanh", dc_final=v_final)
+    layer = LayerParams.pack([p])
+    _, _, trace = layer_forward(layer, np.reshape(xs, (1, T, 1, d)), "tanh", init)
+    _, _, dinit = layer_backward(layer, trace, np.reshape(u_seq, (T, 1, 1, n)), "tanh",
+                                 dc_final=v_final.reshape(1, 1, n))
 
     def loss_from_init(c0, h0):
         ld = np.longdouble
@@ -269,13 +274,13 @@ def test_backward_initial_state_gradients_match_fd():
         return total + v_final.astype(ld) @ c
 
     step = 1e-5
-    for analytic, arr in ((dinit.c, init.c), (dinit.h, init.h)):
+    for analytic, arr in ((dinit.c[0, 0], init.c[0, 0]), (dinit.h[0, 0], init.h[0, 0])):
         for j in range(n):
             keep = arr[j]
             arr[j] = keep + step
-            up = loss_from_init(init.c, init.h)
+            up = loss_from_init(init.c[0, 0], init.h[0, 0])
             arr[j] = keep - step
-            down = loss_from_init(init.c, init.h)
+            down = loss_from_init(init.c[0, 0], init.h[0, 0])
             arr[j] = keep
             numeric = float((up - down) / np.longdouble(2 * step))
             rel = abs(analytic[j] - numeric) / max(abs(analytic[j]), abs(numeric), 1e-8)
@@ -284,39 +289,26 @@ def test_backward_initial_state_gradients_match_fd():
 
 def test_zero_upstream_gradients_give_zero_parameter_gradients():
     rng = np.random.default_rng(21)
-    p = random_cell(3, 2, rng)
-    xs = [rng.normal(size=2) for _ in range(4)]
-    traces, _ = sequence_forward(p, xs, "tanh")
-    grads, dx_seq, dinit = cell_backward(p, traces, [np.zeros(3)] * 4, "tanh")
-    for _, arr in grads.tensors():
+    layer = LayerParams.pack([random_cell(3, 2, rng)])
+    _, _, trace = layer_forward(layer, rng.normal(size=(1, 4, 1, 2)), "tanh")
+    grads, dX, dinit = layer_backward(layer, trace, np.zeros((4, 1, 1, 3)), "tanh")
+    for arr in grads.arrays():
         assert np.array_equal(arr, np.zeros_like(arr))
-    for dx in dx_seq:
-        assert np.array_equal(dx, np.zeros_like(dx))
-    assert np.array_equal(dinit.c, np.zeros(3))
-    assert np.array_equal(dinit.h, np.zeros(3))
+    assert np.array_equal(dX, np.zeros((1, 4, 1, 2)))
+    assert np.array_equal(dinit.c, np.zeros((1, 1, 3)))
+    assert np.array_equal(dinit.h, np.zeros((1, 1, 3)))
 
 
 def test_causality_loss_on_early_step_ignores_later_inputs():
     rng = np.random.default_rng(23)
-    p = random_cell(3, 2, rng)
-    xs = [rng.normal(size=2) for _ in range(5)]
-    traces, _ = sequence_forward(p, xs, "tanh")
-    dh_seq = [np.zeros(3) for _ in range(5)]
-    dh_seq[1] = rng.normal(size=3)  # loss depends on h_1 only
-    _, dx_seq, _ = cell_backward(p, traces, dh_seq, "tanh")
-    for t in (2, 3, 4):
-        assert np.array_equal(dx_seq[t], np.zeros(2))
-    assert np.any(dx_seq[0] != 0.0)
-    assert np.any(dx_seq[1] != 0.0)
-
-
-def test_backward_rejects_wrong_gradient_count():
-    p = CellParams.zeros(2, 2)
-    traces, _ = sequence_forward(p, [np.zeros(2)] * 3, "tanh")
-    with pytest.raises(ShapeError):
-        cell_backward(p, traces, [np.zeros(2)] * 2, "tanh")
-    with pytest.raises(ShapeError):
-        cell_backward(p, traces, [np.zeros(3)] * 3, "tanh")
+    layer = LayerParams.pack([random_cell(3, 2, rng)])
+    _, _, trace = layer_forward(layer, rng.normal(size=(1, 5, 1, 2)), "tanh")
+    dH = np.zeros((5, 1, 1, 3))
+    dH[1] = rng.normal(size=3)  # loss depends on h_1 only
+    _, dX, _ = layer_backward(layer, trace, dH, "tanh")
+    assert np.array_equal(dX[0, 2:], np.zeros((3, 1, 2)))
+    assert np.any(dX[0, 0] != 0.0)
+    assert np.any(dX[0, 1] != 0.0)
 
 
 def test_init_cell_into_ranges_and_forget_bias():

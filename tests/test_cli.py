@@ -420,7 +420,7 @@ def test_compare_refuses_a_string_horizon_beside_an_int_one_with_exit_2(tmp_path
     assert "field 'horizon' has the wrong JSON type" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_exits_3(tmp_path, capsys):
     manifest = gen_tiny(tmp_path, capsys)
     code, _, err = run_cli(["train", "--manifest", str(manifest),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlstm import gen_synthetic, load_dataset, load_manifest, make_windows, test_windows, train_windows
-from stlstm.data import _read_location_csv, normalize, synthetic_series, windows_to_arrays
+from stlstm.data import _read_location_csv, normalize, synthetic_series
 from stlstm.errors import (
     CsvFormatError,
     DataError,
@@ -173,8 +173,8 @@ def test_window_count_exactly_one(tmp_path):
     ds = make_counting_dataset(tmp_path, 11)
     windows = make_windows(ds, 10, 1)
     assert len(windows) == 1
-    assert windows[0].target == 10.0          # raw value of day 11 (index 10)
-    assert windows[0].target_date == ds.dates[10]
+    assert windows.y[0] == 10.0          # raw value of day 11 (index 10)
+    assert windows.target_dates[0] == ds.dates[10]
 
 
 def test_window_count_zero_is_empty_not_an_error(tmp_path):
@@ -187,10 +187,9 @@ def test_window_layout_and_raw_targets(tmp_path):
     windows = make_windows(ds, 5, 3)
     assert len(windows) == 30 - 5 - 3 + 1
     norm = normalize(ds)
-    for w in windows:
-        d = w.window_id
-        assert np.array_equal(w.inputs, norm[d:d + 5])
-        assert w.target == float(d + 5 - 1 + 3)  # raw scale, not z-scored
+    for i, d in enumerate(windows.window_ids):
+        assert np.array_equal(windows.X[i], norm[d:d + 5])
+        assert windows.y[i] == float(d + 5 - 1 + 3)  # raw scale, not z-scored
 
 
 def test_train_test_split_has_no_leakage(tmp_path):
@@ -199,13 +198,11 @@ def test_train_test_split_has_no_leakage(tmp_path):
     T, q = 5, 2
     tr = train_windows(ds, T, q)
     te = test_windows(ds, T, q)
-    for w in tr:
-        assert w.window_id + T - 1 + q < ds.test_start_idx
+    assert all(tr.window_ids + T - 1 + q < ds.test_start_idx)
     # test targets exactly cover the declared range
-    target_rows = [w.window_id + T - 1 + q for w in te]
-    assert target_rows == list(range(30, 40))
+    assert (te.window_ids + T - 1 + q).tolist() == list(range(30, 40))
     # the last training window reaches the boundary but never crosses it
-    assert max(w.window_id + T - 1 + q for w in tr) == 29
+    assert max(tr.window_ids + T - 1 + q) == 29
 
 
 def test_normalization_stats_come_from_train_rows_only(tmp_path):
@@ -261,6 +258,8 @@ def test_window_inputs_are_read_only_rows_of_one_view(tmp_path):
 
 
 def test_windows_to_arrays_shapes(tmp_path):
+    from stlstm.data import windows_to_arrays  # benchmarks/workloads.py copies records with it
+
     ds = make_counting_dataset(tmp_path, 20)
     windows = make_windows(ds, 10, 1)
     X, y = windows_to_arrays(windows)

@@ -15,12 +15,11 @@ from stlstm import (
     CellState,
     ModelParams,
     ModelSpec,
-    cell_backward,
+    ShapeError,
     dense_head,
     init_model_params,
     model_forward,
     random_model_params,
-    sequence_forward,
 )
 from stlstm.cell import LayerParams, LayerTrace, input_rows, layer_backward, layer_forward
 from stlstm.model import is_penalized
@@ -63,18 +62,50 @@ def test_k_cell_layer_equals_k_single_cell_runs(act, with_init, with_dc_final):
     grads, dX, dinit = layer_backward(layer, trace, dH, act, dc_final)
 
     for k in range(K):
-        cell = layer.cell(k)
-        init_k = None if init is None else CellState(c=init.c[k], h=init.h[k])
-        traces, final_k = sequence_forward(cell, list(X[k]), act, init=init_k)
-        assert max(np.max(np.abs(H[t, k] - tr.h)) for t, tr in enumerate(traces)) <= 1e-14
-        assert np.max(np.abs(final.c[k] - final_k.c)) <= 1e-14
-        g_k, dx_k, dinit_k = cell_backward(cell, traces, list(dH[:, k]), act,
-                                           dc_final=None if dc_final is None else dc_final[k])
-        for (name, a), (_, b) in zip(grads.cell(k).tensors(), g_k.tensors()):
+        one = LayerParams.pack([layer.cell(k)])
+        init_k = None if init is None else CellState(c=init.c[k:k + 1], h=init.h[k:k + 1])
+        H_k, final_k, trace_k = layer_forward(one, X[k:k + 1], act, init_k)
+        assert np.max(np.abs(H[:, k] - H_k[:, 0])) <= 1e-14
+        assert np.max(np.abs(final.c[k] - final_k.c[0])) <= 1e-14
+        g_k, dX_k, dinit_k = layer_backward(one, trace_k, dH[:, k:k + 1], act,
+                                            None if dc_final is None else dc_final[k:k + 1])
+        for (name, a), (_, b) in zip(grads.cell(k).tensors(), g_k.cell(0).tensors()):
             assert np.max(np.abs(a - b)) <= 1e-14, name
-        assert max(np.max(np.abs(dX[k, t] - dx)) for t, dx in enumerate(dx_k)) <= 1e-14
-        assert np.max(np.abs(dinit.c[k] - dinit_k.c)) <= 1e-14
-        assert np.max(np.abs(dinit.h[k] - dinit_k.h)) <= 1e-14
+        assert np.max(np.abs(dX[k] - dX_k[0])) <= 1e-14
+        assert np.max(np.abs(dinit.c[k] - dinit_k.c[0])) <= 1e-14
+        assert np.max(np.abs(dinit.h[k] - dinit_k.h[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+def test_the_benchmark_adapters_equal_a_one_cell_layer_bit_for_bit(act):
+    # benchmarks/workloads.py steps a model through these per-cell adapters
+    from stlstm.cell import cell_backward, sequence_forward
+
+    n, d, T, B = 4, 3, 5, 6
+    rng = np.random.default_rng(26)
+    p = random_cell(n, d, rng)
+    xs = [rng.normal(size=(B, d)) for _ in range(T)]
+    dhs = [rng.normal(size=(B, n)) for _ in range(T)]
+    traces, final = sequence_forward(p, xs, act)
+    grads, dxs, dinit = cell_backward(p, traces, dhs, act)
+
+    layer = LayerParams.pack([p])
+    H, want_final, trace = layer_forward(layer, np.stack(xs)[None], act)
+    want_grads, dX, want_dinit = layer_backward(layer, trace, np.stack(dhs)[:, None], act)
+    assert np.array_equal(np.stack([tr.h for tr in traces]), H[:, 0])
+    assert np.array_equal(final.c, want_final.c[0]) and np.array_equal(final.h, want_final.h[0])
+    for (name, a), (_, b) in zip(grads.tensors(), want_grads.cell(0).tensors()):
+        assert np.array_equal(a, b), name
+    assert np.array_equal(np.stack(dxs), dX[0])
+    assert np.array_equal(dinit.c, want_dinit.c[0]) and np.array_equal(dinit.h, want_dinit.h[0])
+
+    # they take only (B, d) steps, and one (B, n) h-gradient per step
+    with pytest.raises(ShapeError):
+        sequence_forward(p, np.stack(xs)[:, 0], act)  # one (T, d) window
+    with pytest.raises(ShapeError):
+        cell_backward(p, traces, dhs[:-1], act)
+    with pytest.raises(ShapeError):
+        cell_backward(p, traces, [dh[:, :-1] for dh in dhs], act)
 
 
 def test_trace_free_forward_matches_the_traced_one():
@@ -214,15 +245,17 @@ def st_model():
 
 
 def views_forward(spec, params, X):
-    """The model's forward pass through its per-gate views, one cell at a time."""
-    xs = [X[:, t, :] for t in range(spec.seq_len)]
+    """The model's forward pass read through its per-gate views, one cell at a time."""
+    steps = X.transpose(1, 0, 2)[None]  # (1, T, B, c*m): one cell's input
     d = spec.loc_inputs
-    per_cell = [sequence_forward(cell, [x[:, k * d:(k + 1) * d] for x in xs], spec.activation)[0]
-                for k, cell in enumerate(params.layer1)]
-    h1 = [np.concatenate([traces[t].h for traces in per_cell], axis=1)
-          for t in range(spec.seq_len)]
-    _, final = sequence_forward(params.layer2, h1, spec.activation)
-    return dense_head(final.h, params.w_dense, params.b_dense)
+    h1 = []
+    for k, cell in enumerate(params.layer1):
+        H, _, _ = layer_forward(LayerParams.pack([cell]), steps[..., k * d:(k + 1) * d],
+                                spec.activation)
+        h1.append(H[:, 0])
+    _, final, _ = layer_forward(LayerParams.pack([params.layer2]),
+                                np.concatenate(h1, axis=-1)[None], spec.activation)
+    return dense_head(final.h[0], params.w_dense, params.b_dense)
 
 
 def test_every_tensor_is_a_view_of_the_flat_buffer(st_model):
@@ -279,9 +312,9 @@ def test_copy_shares_no_memory_with_its_source(st_model):
 
 def test_a_model_built_from_loose_cells_is_the_same_model(st_model):
     spec, params = st_model
-    loose = ModelParams(layer1=[cell.copy() for cell in params.layer1],
-                        layer2=params.layer2.copy(), w_dense=params.w_dense.copy(),
-                        b_dense=params.b_dense.copy())
+    # the model copies the cells, head and bias it is given
+    loose = ModelParams(layer1=params.layer1, layer2=params.layer2, w_dense=params.w_dense,
+                        b_dense=params.b_dense)
     assert not np.shares_memory(loose.flat, params.flat)
     assert np.array_equal(loose.flat, params.flat)
     for (name_a, a), (name_b, b) in zip(params.tensors(), loose.tensors()):

@@ -7,8 +7,10 @@ contract. The location-CSV reader must also give the same result or
 error as the csv.reader-only reader kept in ``csv_reference.py``. The
 end-to-end property runs the CLI on a tree with one mutated file: every
 exit code must be 0, 2, 3 or 4, and a command that exits 0 must have
-written only finite numbers. Runs are derandomized so the suite stays
-deterministic.
+written only finite numbers. The argument property runs ``train`` and
+``gradcheck`` on drawn flag values and holds them to the same exit
+codes, with no numpy warning and no file left by a failed run. Runs are
+derandomized so the suite stays deterministic.
 """
 
 import contextlib
@@ -510,3 +512,82 @@ def test_cli_exit_codes_hold_for_one_mutated_input(e2e_tree, name, edits):
         if code == 0:
             for path in [written] if written.is_file() else sorted(written.iterdir()):
                 _assert_numbers_finite(path)
+
+
+# ---------------------------------------------------------------------------
+# The CLI's exit-code contract at its argument boundary: train and gradcheck
+
+# every flag draws from its own few valid values or from one shared pool of
+# zero, negatives, non-finite and huge numbers, the empty string and text. The
+# text has no digits, and the sizes start small and are only ever set to
+# another small value, so no accepted run is big.
+TRAIN_SIZES = ["--epochs=1", "--repeats=1", "--n1=2", "--n2=2", "--seq-len=3", "--batch-size=16"]
+GRADCHECK_SIZES = ["--locations=2", "--vars=1", "--n1=2", "--n2=1", "--seq-len=2"]
+ARGV_POOL = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", "1e200", "", "x", "1.5.0"]
+ARGV_TEXT = st.text(alphabet="xyzé -=:,\t", max_size=4)
+TRAIN_FLAGS = {
+    "--model-kind": ["stacked", "st"], "--locations": ["2"], "--vars-per-location": ["2"],
+    "--n1": ["2", "4"], "--n2": ["1", "3"], "--activation": ["tanh", "sigmoid"],
+    "--seq-len": ["1", "3"], "--horizon": ["1", "2"], "--learning-rate": ["0.01", "0.5"],
+    "--epochs": ["1", "2"], "--batch-size": ["4", "16"], "--l2-lambda": ["0.001"],
+    "--optimizer": ["sgd", "adam"], "--adam-beta1": ["0.5"], "--adam-beta2": ["0.9"],
+    "--adam-eps": ["1e-6"], "--seed": ["1"], "--repeats": ["1", "2"],
+    "--forget-bias-init": ["true", "off"], "--validation-holdout": ["yes", "0"],
+    "--missing-policy": ["ffill"],
+}
+GRADCHECK_FLAGS = {
+    "--model-kind": ["stacked", "st"], "--activation": ["tanh", "sigmoid"], "--seed": ["1"],
+    "--locations": ["1", "2"], "--vars": ["1", "2"], "--n1": ["2"], "--n2": ["1", "2"],
+    "--seq-len": ["1", "2"], "--l2-lambda": ["0", "0.5"],
+}
+
+
+def pooled(valid: list[str]):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(ARGV_POOL), ARGV_TEXT)
+
+
+@st.composite
+def cli_flags(draw) -> tuple[str, list[str]]:
+    """A train or gradcheck command and some of its flags, each set to a pooled value."""
+    command = draw(st.sampled_from(["train", "gradcheck"]))
+    flags = TRAIN_FLAGS if command == "train" else GRADCHECK_FLAGS
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    if command == "gradcheck" and "--model-kind" not in chosen:
+        chosen.append("--model-kind")  # required, so an argv without it tests only argparse
+    return command, [f"{flag}={draw(pooled(flags[flag]))}" for flag in chosen]
+
+
+@pytest.fixture(scope="module")
+def argv_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    manifest = gen_synthetic(root / "data", locations=2, vars_per_location=2, days=50,
+                             coupling=0.6, seed=1, test_days=5)
+    return root, manifest
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a refusal is the only report
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cli_flags())
+@example(case=("train", ["--learning-rate=1e200"]))  # numpy warned before its error line
+@example(case=("gradcheck", ["--model-kind=st", "--l2-lambda=1e308"]))  # and before exit 4
+@example(case=("train", ["--adam-beta1=--"]))  # argparse read an empty list
+def test_cli_exit_codes_hold_for_any_train_or_gradcheck_argv(argv_data, case):
+    root, manifest = argv_data
+    out = root / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    command, flags = case
+    # a flag given twice takes its last value, so the drawn flags override the sizes
+    argv = ([command, "--manifest", str(manifest), "--out", str(out)] + TRAIN_SIZES
+            if command == "train" else [command] + GRADCHECK_SIZES) + flags
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors, which exit 2
+            code = "usage" if exc.code == 2 else exc.code
+    assert code in (0, 2, 3, 4, "usage"), (argv, code)
+    if code in (2, 3):
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().startswith("error: "), \
+            (argv, stderr.getvalue())
+    if code != 0:
+        assert not out.exists() or not any(out.iterdir()), (argv, sorted(out.iterdir()))

@@ -126,7 +126,7 @@ def test_training_reduces_loss(tiny_data):
     assert all(np.isfinite(v) for v in result.loss_curve)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_reports_the_epoch(tiny_data):
     spec, tr, _ = tiny_data
     cfg = TrainConfig(learning_rate=1e12, epochs=5, optimizer="sgd", repeats=1)
@@ -159,7 +159,7 @@ def test_training_on_a_sliding_record_equals_training_on_its_contiguous_copy(tin
     assert on_view.params.flat.tobytes() == on_copy.params.flat.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_non_finite_validation_loss_is_refused(tiny_data):
     # finite predictions, but squared errors against these targets overflow
     spec, tr, _ = tiny_data
@@ -172,7 +172,7 @@ def test_a_non_finite_validation_loss_is_refused(tiny_data):
         train_once(spec, cfg, tr, seed=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_non_finite_test_score_is_refused(tiny_data):
     spec, tr, te = tiny_data
     te = WindowArrays(X=te.X, y=np.full(len(te), 1e200), window_ids=te.window_ids,
@@ -390,7 +390,7 @@ def test_penalty_gradient_is_exactly_2_lambda_w():
             assert np.array_equal(g, 2.0 * lam * w)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
     # a huge head and layer-2 weights give a finite loss (~4e305) whose
     # layer-1 gradients overflow; unchecked, Adam writes NaN into the
@@ -425,7 +425,16 @@ def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
     lambda: TrainConfig(optimizer="rmsprop"),
     lambda: TrainConfig(learning_rate=float("nan")),
     lambda: TrainConfig(seed=-1),
-], ids=["kind", "activation", "horizon", "optimizer", "learning_rate", "seed"])
+    # Adam outside 0 <= beta1, beta2 < 1 and eps > 0, which diverged or trained anyway
+    lambda: TrainConfig(adam_beta1=1.0),
+    lambda: TrainConfig(adam_beta1=2.0),
+    lambda: TrainConfig(adam_beta1=-0.1),
+    lambda: TrainConfig(adam_beta2=1.0),
+    lambda: TrainConfig(adam_beta2=-0.5),
+    lambda: TrainConfig(adam_eps=0.0),
+    lambda: TrainConfig(adam_eps=-1.0),
+], ids=["kind", "activation", "horizon", "optimizer", "learning_rate", "seed", "beta1=1",
+        "beta1=2", "beta1<0", "beta2=1", "beta2<0", "eps=0", "eps<0"])
 def test_an_invalid_spec_or_config_cannot_be_built(build):
     with pytest.raises(ConfigError):
         build()

@@ -21,7 +21,8 @@ Format v1, still read but no longer written, has the same first lines
 its rows*cols values, one shortest round-trip decimal per line.
 
 Either way save -> load -> save is byte-identical, and a non-finite value
-is refused on save (before any file is opened) and on load.
+is refused on save (before any file is opened) and on load, named by its
+tensor and flat index (``ModelParams.first_non_finite``), in v1 by its line.
 """
 
 from __future__ import annotations
@@ -79,26 +80,17 @@ def _record_shape(arr: np.ndarray) -> tuple[int, int]:
     return (arr.shape[0], 1) if arr.ndim == 1 else arr.shape
 
 
-def _locate(params: ModelParams, index: int) -> tuple[str, int]:
-    """Name and flat index of value ``index`` of all tensors, counted in canonical order."""
-    for name, arr in params.tensors():
-        if index < arr.size:
-            return name, index
-        index -= arr.size
-    raise IndexError(index)
-
-
 def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
     """Write ``path`` atomically; a non-finite value is refused before any file is opened."""
-    tensors = list(params.tensors())
-    values = np.concatenate([arr.ravel() for _, arr in tensors])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        name, index = _locate(params, bad[0])
+    bad = params.first_non_finite()
+    if bad:
+        name, index, value = bad
         raise NonFiniteModelError(
-            f"{path}: refusing to save non-finite value {float(values[bad[0]])!r} "
+            f"{path}: refusing to save non-finite value {value!r} "
             f"at flat index {index} of tensor {name}"
         )
+    tensors = list(params.tensors())
+    values = np.concatenate([arr.ravel() for _, arr in tensors])
     blob = values.astype(VALUE_DTYPE, copy=False).tobytes()
     lines = [HEADER, _spec_line(spec)]
     lines.extend("{} {} {}".format(name, *_record_shape(arr)) for name, arr in tensors)
@@ -201,20 +193,18 @@ def _load_v2(path, data: bytes, pos: int) -> tuple[ModelSpec, ModelParams]:
         )
 
     params = zero_model_params(spec)
+    values = np.frombuffer(blob, dtype=VALUE_DTYPE)
+    start = 0
     for lineno, line, (name, arr) in zip(range(3, values_lineno), records, params.tensors()):
         _check_record(path, lineno, line, name, arr)
-    values = np.frombuffer(blob, dtype=VALUE_DTYPE)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        name, index = _locate(params, bad[0])
-        raise CheckpointFormatError(
-            f"{path}: non-finite value {float(values[bad[0]])!r} at flat index {index} "
-            f"of tensor {name}"
-        )
-    start = 0
-    for _, arr in params.tensors():
         arr[...] = values[start:start + arr.size].reshape(arr.shape)
         start += arr.size
+    bad = params.first_non_finite()
+    if bad:
+        name, index, value = bad
+        raise CheckpointFormatError(
+            f"{path}: non-finite value {value!r} at flat index {index} of tensor {name}"
+        )
     return spec, params
 
 

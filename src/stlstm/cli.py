@@ -160,19 +160,19 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_train(args) -> int:
     settings = _resolve_settings(args)
+    config = TrainConfig(**{name: settings[name] for name in CONFIG_FIELDS})
     manifest = load_manifest(args.manifest)
     ds = load_dataset(manifest, missing_policy=args.missing_policy)
     spec = _spec_from_settings(settings, ds)
-    config = TrainConfig(**{name: settings[name] for name in CONFIG_FIELDS})
 
     _banner(args, **settings | {"locations": spec.locations,
                                 "vars_per_location": spec.vars_per_location})
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
-
     tr = train_windows(ds, spec.seq_len, spec.horizon)
     te = (test_windows(ds, spec.seq_len, spec.horizon)
           if ds.test_start_idx is not None else None)
+    config.fitted_windows(len(tr))  # too few windows are refused before --out is created
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
     result = train_repeated(spec, config, tr, te)
 
     log_lines = []

@@ -203,6 +203,17 @@ class ModelParams:
         yield "head.w_dense", self.w_dense
         yield "head.b_dense", self.b_dense
 
+    def first_non_finite(self) -> tuple[str, int, float] | None:
+        """The first NaN or infinity in ``tensors()`` order, as (tensor name, flat
+        index within that tensor, value), or None if every value is finite."""
+        # min and max show any NaN or infinity without allocating
+        if math.isfinite(self.flat.min()) and math.isfinite(self.flat.max()):
+            return None
+        for name, arr in self.tensors():
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                return name, int(bad[0]), float(arr.flat[bad[0]])
+
     def copy(self) -> "ModelParams":
         return ModelParams.from_flat(self.layout, self.flat.copy())
 

@@ -70,6 +70,17 @@ class TrainConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
 
+    def fitted_windows(self, n_windows: int) -> int:
+        """How many leading training windows are fitted: all, or about 90% with a holdout."""
+        if n_windows == 0:
+            raise ShapeError("train_once: no training windows")
+        if not self.validation_holdout:
+            return n_windows
+        split = min(max(1, int(round(n_windows * 0.9))), n_windows - 1)
+        if split < 1:
+            raise ShapeError("validation holdout needs at least two training windows")
+        return split
+
 
 CONFIG_FIELDS = field_types(TrainConfig)
 
@@ -262,21 +273,11 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
                seed: int, test_set: WindowArrays | None = None) -> RunResult:
     """One deterministic run on a ``WindowArrays`` record's own X and y (no copy):
     init, shuffle, fit, optionally score the test set."""
-    if not train_set:
-        raise ShapeError("train_once: no training windows")
+    split = config.fitted_windows(len(train_set))
     X, y = train_set.X, train_set.y
     if X.shape[1] != spec.seq_len:
         raise ShapeError(f"windows have T={X.shape[1]}, spec.seq_len is {spec.seq_len}")
-
-    val_X = val_y = None
-    if config.validation_holdout:
-        split = max(1, int(round(len(train_set) * 0.9)))
-        if split == len(train_set):
-            split = len(train_set) - 1
-        if split < 1:
-            raise ShapeError("validation holdout needs at least two training windows")
-        X, val_X = X[:split], X[split:]
-        y, val_y = y[:split], y[split:]
+    X, val_X, y, val_y = X[:split], X[split:], y[:split], y[split:]
 
     rng = np.random.default_rng(seed)
     params = init_model_params(spec, rng, config.forget_bias_init)
@@ -300,10 +301,10 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
                 if not math.isfinite(batch_loss):
                     raise DivergenceError(epoch, batch)
                 # a finite loss can still carry overflowed gradients, which the optimizer
-                # would write into the parameters (min and max show NaN and inf, unallocated)
-                if not (math.isfinite(grads.flat.min()) and math.isfinite(grads.flat.max())):
-                    name = next(name for name, g in grads.tensors() if not np.isfinite(g).all())
-                    raise DivergenceError(epoch, batch, f"gradient {name}")
+                # would write into the parameters
+                bad = grads.first_non_finite()
+                if bad:
+                    raise DivergenceError(epoch, batch, f"gradient {bad[0]}")
                 opt.step([grads.flat])
                 epoch_losses.append(batch_loss)
             epoch_loss = float(np.mean(epoch_losses))
@@ -356,8 +357,8 @@ def train_repeated(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays
 # Finite-difference gradient oracle
 
 def _loss_extended(spec: ModelSpec, params: ModelParams, X: np.ndarray,
-                   y: np.ndarray, l2_lambda: float) -> np.longdouble:
-    """Full loss via an independent forward pass in extended precision.
+                   y: np.ndarray) -> np.longdouble:
+    """Data loss (no L2 term) via an independent forward pass in extended precision.
 
     The oracle differences two nearly equal loss values; float64
     evaluation noise (~1e-16 relative) divided by the 2e-5 step would
@@ -400,10 +401,7 @@ def _loss_extended(spec: ModelSpec, params: ModelParams, X: np.ndarray,
         h1 = run_cell(params.layer1[0], xs)
     h2_final = run_cell(params.layer2, h1)[-1]
     preds = h2_final @ params.w_dense.astype(ld) + ld(params.b_dense[0])
-    data = np.mean((preds - y.astype(ld)) ** 2)
-    penalty = sum(np.sum(arr.astype(ld) ** 2) for name, arr in params.tensors()
-                  if is_penalized(name))
-    return data + ld(l2_lambda) * penalty
+    return np.mean((preds - y.astype(ld)) ** 2)
 
 
 @dataclass
@@ -424,9 +422,13 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     Builds random parameters (every tensor uniform, so peephole and
     bias paths are exercised away from zero), random windows and
     targets, then perturbs every parameter component by +-step and
-    differences the full loss (L2 term included). Relative error is
+    differences the loss: the oracle's data loss plus, for a penalized
+    tensor, l2_lambda * (w+^2 - w-^2), so the L2 term's rounding cannot
+    swamp the data gradient. Relative error is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Intended
-    for toy sizes; the cost is two forward passes per parameter.
+    for toy sizes; the cost is two forward passes per parameter. A
+    non-finite analytic gradient (2 * l2_lambda overflows above about
+    9e307) raises ConfigError naming the tensor.
     """
     TrainConfig(seed=seed, l2_lambda=l2_lambda)  # training's rules for both
     rng = np.random.default_rng(seed)
@@ -435,24 +437,30 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     y = rng.normal(0.0, 1.0, size=n_windows)
 
     _, analytic = _batch_loss_and_grads(spec, params, X, y, l2_lambda)
+    bad = analytic.first_non_finite()
+    if bad:
+        name, index, value = bad
+        raise ConfigError(f"gradcheck: non-finite analytic gradient {value!r} at flat index "
+                          f"{index} of tensor {name} with l2_lambda={l2_lambda!r}")
 
+    ld = np.longdouble
     worst = ("", 0.0)
-    analytic_by_name = dict(analytic.tensors())
-    for name, arr in params.tensors():
-        a_flat = analytic_by_name[name].ravel().tolist()  # Python floats divide inf/inf silently
+    for (name, arr), (_, grad) in zip(params.tensors(), analytic.tensors()):
+        a_flat = grad.ravel().tolist()  # Python floats divide inf/inf silently
+        lam = ld(l2_lambda if is_penalized(name) else 0.0)
         flat = arr.ravel()
         for j in range(flat.shape[0]):
             keep = flat[j]
             flat[j] = keep + step
-            up = _loss_extended(spec, params, X, y, l2_lambda)
-            up_w = flat[j]
+            up = _loss_extended(spec, params, X, y)
+            up_w = ld(flat[j])
             flat[j] = keep - step
-            down = _loss_extended(spec, params, X, y, l2_lambda)
-            down_w = flat[j]
+            down = _loss_extended(spec, params, X, y)
+            down_w = ld(flat[j])
             flat[j] = keep
             # the float64 perturbation rounds, so difference by the step
             # actually applied rather than the nominal 2*step
-            numeric = float((up - down) / (np.longdouble(up_w) - np.longdouble(down_w)))
+            numeric = float((up - down + lam * (up_w ** 2 - down_w ** 2)) / (up_w - down_w))
             rel = abs(a_flat[j] - numeric) / max(abs(a_flat[j]), abs(numeric), 1e-8)
             if math.isfinite(worst[1]) and not rel <= worst[1]:  # a NaN error is the worst
                 worst = (f"{name}[{j}]", rel)

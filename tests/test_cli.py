@@ -296,6 +296,124 @@ def test_an_uncovered_range_is_named_as_given(tmp_path, capsys):
     assert not out.exists()
 
 
+TEST_LINE = "test_start=2007-03-23,test_end=2007-03-31\n"  # gen_tiny's last 9 of 90 days
+
+
+def _edited(path, old, new):
+    """``path`` with its one occurrence of ``old`` replaced by ``new``."""
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return path
+
+
+def _written(tmp_path, data: bytes):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(data)
+    return path
+
+
+def _two_by_three_checkpoint(tmp_path):
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=3, n1=4, n2=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(spec, init_model_params(spec, np.random.default_rng(0)), path)
+    return path
+
+
+# Inputs that each must exit 2 with one error line and write nothing: for
+# each, the fragment of that line and the arguments before --out, given the
+# test's directory and a gen_tiny manifest (2 locations x 2 variables, 90 days).
+REFUSALS = {
+    "train-locations": ("disagrees with the manifest's data",
+                        lambda t, m: ["train", "--manifest", m, "--locations", "3"]),
+    "train-learning-rate": ("learning_rate must be >= 0",
+                            lambda t, m: ["train", "--manifest", m, "--learning-rate", "-1"]),
+    # the settings are checked before the manifest is read
+    "train-epochs-before-manifest": ("epochs, batch_size and repeats must all be >= 1",
+                                     lambda t, m: ["train", "--manifest", t / "nope.txt",
+                                                   "--epochs", "0"]),
+    "gen-coupling": ("coupling must be in [0, 1]",
+                     lambda t, m: ["gen-synthetic", "--coupling", "2"]),
+    "gen-locations": ("at least one location",
+                      lambda t, m: ["gen-synthetic", "--locations", "0"]),
+    "manifest-reversed-test-range": (
+        "is after test_end",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-03-23,test_end=2007-03-01\n")]),
+    "manifest-target-without-variable": (
+        "target must be <location>:<variable>",
+        lambda t, m: ["train", "--manifest", _edited(m, "target=loc1:temperature", "target=loc1")]),
+    "manifest-test-range-past-the-data": (
+        "not covered by the data",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-03-23,test_end=2007-04-30\n")]),
+    # a test window needs seq_len - 1 + horizon = 85 rows before the test range's 81
+    "train-no-history": ("not enough history",
+                         lambda t, m: ["train", "--manifest", m, "--seq-len", "85"]),
+    # the test range starts on row seq_len + horizon - 1 = 10 (the defaults), so no
+    # window fits before it
+    "train-no-windows": (
+        "no training windows",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-01-11,test_end=2007-03-31\n")]),
+    "train-one-window-holdout": (
+        "at least two training windows",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-01-12,test_end=2007-03-31\n"),
+                      "--validation-holdout", "true"]),
+    "predict-no-test-range": (
+        "declares no test range",
+        lambda t, m: ["predict", "--model", DATA / "v2_stacked.ckpt",
+                      "--manifest", _edited(m, TEST_LINE, ""), "--range", "test"]),
+    "predict-range-form": ("must be 'test' or 'START:END'",
+                           lambda t, m: ["predict", "--model", DATA / "v2_stacked.ckpt",
+                                         "--manifest", m, "--range", "foo"]),
+    "predict-range-dates": ("bad --range dates",
+                            lambda t, m: ["predict", "--model", DATA / "v2_stacked.ckpt",
+                                          "--manifest", m, "--range", "2007-13-01:2007-02-01"]),
+    "predict-checkpoint-data-mismatch": (
+        "checkpoint expects 2 locations x 3 variables",
+        lambda t, m: ["predict", "--model", _two_by_three_checkpoint(t), "--manifest", m]),
+    "checkpoint-unknown-spec-key": (
+        "unknown keys",
+        lambda t, m: ["predict", "--manifest", m, "--model",
+                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
+                          b"horizon=1\n", b"horizon=1 extra=1\n", 1))]),
+    "checkpoint-v1-trailing-value": (
+        "trailing data after the last tensor",
+        lambda t, m: ["predict", "--manifest", m, "--model",
+                      _written(t, (DATA / "v1_stacked.ckpt").read_bytes() + b"0.0\n")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_refused_input_exits_2_with_one_error_line_and_writes_nothing(tmp_path, capsys, case):
+    fragment, build = REFUSALS[case]
+    manifest = gen_tiny(tmp_path, capsys)
+    out = tmp_path / "out"
+    code, _, err = run_cli([str(arg) for arg in build(tmp_path, manifest)] + ["--out", str(out)],
+                           capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0], err
+    assert not out.exists()
+
+
+def test_train_without_a_test_range_names_the_lower_middle_final_loss(tmp_path, capsys):
+    manifest = _edited(gen_tiny(tmp_path, capsys), TEST_LINE, "")
+    out = tmp_path / "run"
+    code, stdout, _ = run_cli(["train", "--manifest", str(manifest), "--out", str(out),
+                               *TRAIN_FAST], capsys)
+    assert code == 0
+    log = (out / "run.log").read_text().splitlines()
+    finals = [float(line.split("final_loss=")[1].split()[0]) for line in log
+              if "final_loss=" in line]
+    best = f"repeat{finals.index(min(finals))}.ckpt"  # the lower middle of two
+    assert (out / "best.txt").read_text() == best + "\n"
+    assert log[-1] == f"median_mae=None median_mse=None best={best}"
+    assert "median test MAE" not in stdout
+
+
 # Outputs of the committed v2 checkpoints on gen_synthetic(2 locations, 2
 # variables, 300 days, coupling 0.6, seed 3), written before windows shared
 # rows: the predict path must keep reproducing them byte for byte.
@@ -497,6 +615,18 @@ def test_gradcheck_refuses_a_negative_l2_lambda_as_train_does(capsys):
     assert code == 2
     assert "l2_lambda must be >= 0, got -1.0" in err
     assert "verification passed" not in stdout
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gradcheck_refuses_an_overflowing_gradient_with_exit_2(capsys):
+    # 2 * l2_lambda overflows float64 while the longdouble oracle stays finite:
+    # an input the gradients cannot hold, not a gradient bug (exit 4)
+    code, stdout, err = run_cli(["gradcheck", "--model-kind", "st", "--l2-lambda", "1e308"],
+                                capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: gradcheck: non-finite analytic gradient inf at flat "
+                                "index 0 of tensor layer1.loc0.W_xi with l2_lambda=1e+308"]
+    assert "verification" not in stdout
 
 
 def test_param_count_reference_values(capsys):

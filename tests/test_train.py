@@ -332,23 +332,31 @@ def test_gradcheck_passes_at_toy_size():
     assert report.worst_param
 
 
+@pytest.mark.parametrize("l2_lambda", [1e4, 1e8, 1e306])
+def test_gradcheck_passes_at_a_large_l2_lambda(l2_lambda):
+    # differencing the whole L2 term let its rounding swamp the data gradient:
+    # at 1e4 a bias, which the penalty never touches, failed the gate
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=2, seq_len=3)
+    report = gradcheck(spec, seed=0, l2_lambda=l2_lambda)
+    assert report.ok, (report.max_rel_err, report.worst_param)
+
+
 def test_gradcheck_counts_a_nan_error_as_the_worst(monkeypatch):
+    # a non-finite analytic gradient is refused before any comparison, so the
+    # NaN goes into the oracle's first loss, that of the first component
     spec = ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=1, seq_len=2)
-    inner = train._batch_loss_and_grads
-    nan_at = []
+    inner = train._loss_extended
+    calls = []
 
-    def nan_in_the_first_tensor(*args):
-        value, grads = inner(*args)
-        name, g = next(grads.tensors())
-        g.flat[0] = np.nan
-        nan_at.append(f"{name}[0]")
-        return value, grads
+    def nan_first(*args):
+        calls.append(None)
+        return np.longdouble(np.nan) if len(calls) == 1 else inner(*args)
 
-    monkeypatch.setattr(train, "_batch_loss_and_grads", nan_in_the_first_tensor)
+    monkeypatch.setattr(train, "_loss_extended", nan_first)
     report = gradcheck(spec, seed=0)
     # every later component has a finite error, which must not displace the NaN
     assert not report.ok and np.isnan(report.max_rel_err)
-    assert report.worst_param == nan_at[0]
+    assert report.worst_param == f"{next(zero_model_params(spec).tensors())[0]}[0]"
 
 
 @pytest.mark.parametrize("bad, message", [({"l2_lambda": float("nan")}, "l2_lambda must be finite"),

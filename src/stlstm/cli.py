@@ -170,6 +170,10 @@ def cmd_train(args) -> int:
     tr = train_windows(ds, spec.seq_len, spec.horizon)
     te = (test_windows(ds, spec.seq_len, spec.horizon)
           if ds.test_start_idx is not None else None)
+    if not tr:
+        rows = ds.n_days if ds.test_start_idx is None else ds.test_start_idx
+        raise ConfigError(f"no training windows: {rows} rows before any test range, a window "
+                          f"needs seq_len + horizon = {spec.seq_len + spec.horizon}")
     config.fitted_windows(len(tr))  # too few windows are refused before --out is created
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training

@@ -72,7 +72,7 @@ def parse_field(types: dict[str, str], key: str, text: str):
         raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Architecture description shared by construction, training, and checkpoints."""
 
@@ -225,8 +225,7 @@ def is_penalized(name: str) -> bool:
 
 
 def check_params(spec: ModelSpec, params: ModelParams) -> None:
-    """Validate a caller's model once, where it enters (not on every batch)."""
-    spec.validate()
+    """Validate a caller's model once, where it enters (a frozen spec is checked when built)."""
     K, n, d, n2, d2 = params.layout
     if K != spec.loc_cells:
         raise ShapeError(f"spec expects {spec.loc_cells} layer-1 cell(s), params carry {K}")
@@ -278,7 +277,7 @@ class ModelTrace:
     layer1: LayerTrace  # all spec.loc_cells layer-1 cells, stacked
     layer2: LayerTrace
     batched: bool       # False for a single window of T vectors
-    ws: Workspace | None = None  # the forward's workspace, which model_backward then uses
+    ws: Workspace       # the forward's workspace, which model_backward then uses
 
     @property
     def final_hidden(self) -> np.ndarray:
@@ -287,36 +286,28 @@ class ModelTrace:
         return h if self.batched else h[0]
 
 
-def _window_array(spec: ModelSpec, window) -> tuple[np.ndarray, bool]:
-    """The window as one (T, B, c*m) array, and whether it came with a batch axis."""
+def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool, ws: Workspace):
     X, step_shape = as_layer_input(window, spec.input_dim)
     if X.shape[1] != spec.seq_len:
         raise ShapeError(f"window has {X.shape[1]} steps, spec.seq_len is {spec.seq_len}")
-    return X[0], len(step_shape) == 2
-
-
-def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool,
-             ws: Workspace | None = None):
-    X, batched = _window_array(spec, window)
+    X, batched = X[0], len(step_shape) == 2
     T, B = X.shape[:2]
     act = spec.activation
-    work = Workspace() if ws is None else ws
     # layer-1 cell k reads input slice k: (T, B, K*d) -> (K, T, B, d). Only a
     # trace needs it contiguous; a view lets the engine see windows that share rows
     X1 = X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3)
     if keep_trace:
-        X1 = work.contiguous("x1", X1)
+        X1 = ws.contiguous("x1", X1)
     h1, _, trace1 = layer_forward(params.l1, X1, act, keep_trace=keep_trace,
-                                  ws=Workspace(work.buffers, "l1"))
+                                  ws=Workspace(ws.buffers, "l1"))
     # layer 2 reads the cells' hidden states side by side, in manifest order:
     # (T, K, B, n) -> (1, T, B, K*n)
-    X2 = work.contiguous("x2", h1.transpose(0, 2, 1, 3)).reshape(1, T, B, spec.n1)
+    X2 = ws.contiguous("x2", h1.transpose(0, 2, 1, 3)).reshape(1, T, B, spec.n1)
     _, final, trace2 = layer_forward(params.l2, X2, act, keep_trace=keep_trace,
-                                     ws=Workspace(work.buffers, "l2"))
+                                     ws=Workspace(ws.buffers, "l2"))
     pred = dense_head(final.h[0] if batched else final.h[0, 0], params.w_dense, params.b_dense)
     if np.ndim(pred) == 0:
         pred = float(pred)
-    # a trace keeps only a caller's workspace: model_forward's backpropagates into fresh arrays
     return pred, (ModelTrace(trace1, trace2, batched, ws) if keep_trace else None)
 
 
@@ -326,11 +317,12 @@ def model_forward(spec: ModelSpec, params: ModelParams, window
 
     ``window`` is one (T, locations*vars_per_location) array, (T, B, .)
     for a batch, or a list of its T steps. Returns the raw-scale
-    prediction(s) and the full trace. Only the final layer-2 hidden
-    state reaches the head. ``params`` are trusted to match ``spec``;
-    ``check_params`` validates a model where it comes in.
+    prediction(s) and the full trace, which owns the fresh workspace the
+    forward ran in. Only the final layer-2 hidden state reaches the
+    head. ``params`` are trusted to match ``spec``; ``check_params``
+    validates a model where it comes in.
     """
-    return _forward(spec, params, window, keep_trace=True)
+    return _forward(spec, params, window, keep_trace=True, ws=Workspace())
 
 
 def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
@@ -339,14 +331,13 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
 
     ``dy`` is the loss gradient on the prediction(s): a scalar for a
     single window, shape (B,) for a batch. Returns a ModelParams of
-    gradients, laid out like ``params``; from a trace made in a workspace,
-    they live in it until its next batch.
+    gradients, laid out like ``params``, written into the trace's
+    workspace, where they live until that workspace's next pass.
     """
     T, B = trace.layer2.x.shape[1:3]
     if T != spec.seq_len:
         raise ShapeError(f"trace has {T} layer-2 steps, spec.seq_len is {spec.seq_len}")
     dy = np.asarray(dy, dtype=np.float64)
-    ws = Workspace() if trace.ws is None else trace.ws
     h2_final = trace.final_hidden
     if dy.shape != h2_final.shape[:-1]:
         raise ShapeError(
@@ -354,19 +345,19 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
         )
 
     # every gradient is written below, so the buffer needs no zeroing
-    grads = ModelParams.from_flat(params.layout, ws.take("grads", params.flat.shape))
+    grads = ModelParams.from_flat(params.layout, trace.ws.take("grads", params.flat.shape))
     grads.w_dense[...] = dy * h2_final if dy.ndim == 0 else h2_final.T @ dy
     grads.b_dense[0] = np.sum(dy)
     # head touches only the final step; earlier layer-2 h-grads are zero
-    dH2 = ws.take("dH2", (T, 1, B, spec.n2))
+    dH2 = trace.ws.take("dH2", (T, 1, B, spec.n2))
     dH2[:-1] = 0.0
     dH2[-1, 0] = np.multiply.outer(dy, params.w_dense)
     _, dX2, _ = layer_backward(params.l2, trace.layer2, dH2, spec.activation, grads=grads.l2,
-                               ws=ws)
+                               ws=trace.ws)
     # (1, T, B, K*n) -> (T, K, B, n): each layer-1 cell's slice of layer 2's input gradient
     dH1 = dX2[0].reshape(T, B, spec.loc_cells, spec.loc_neurons).transpose(0, 2, 1, 3)
     layer_backward(params.l1, trace.layer1, dH1, spec.activation, grads=grads.l1,
-                   need_dx=False, ws=ws)
+                   need_dx=False, ws=trace.ws)
     return grads
 
 

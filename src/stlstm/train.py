@@ -34,7 +34,7 @@ from .model import (
 OPTIMIZERS = ("sgd", "adam")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
@@ -73,7 +73,7 @@ class TrainConfig:
     def fitted_windows(self, n_windows: int) -> int:
         """How many leading training windows are fitted: all, or about 90% with a holdout."""
         if n_windows == 0:
-            raise ShapeError("train_once: no training windows")
+            raise ShapeError("no training windows")
         if not self.validation_holdout:
             return n_windows
         split = min(max(1, int(round(n_windows * 0.9))), n_windows - 1)
@@ -137,16 +137,11 @@ class Adam:
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if not all(a.flags.c_contiguous for a in arrays):
             raise ValueError("Adam updates C-contiguous arrays only")
-        self.arrays = arrays
+        self.arrays = [a.reshape(-1) for a in arrays]  # flat views: writes reach the tensors
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
-        self.chunks = []  # per tensor: the (parameters, m, v) 1-D views of each chunk
-        for a, m, v in zip(arrays, self.m, self.v):
-            a, m, v = a.reshape(-1), m.reshape(-1), v.reshape(-1)
-            self.chunks.append([(a[lo:lo + self.CHUNK], m[lo:lo + self.CHUNK],
-                                 v[lo:lo + self.CHUNK]) for lo in range(0, a.size, self.CHUNK)])
+        self.m = [np.zeros(a.size) for a in arrays]
+        self.v = [np.zeros(a.size) for a in arrays]
         size = min(self.CHUNK, max(a.size for a in arrays))
         self.scratch = (np.empty(size), np.empty(size))
         self.t = 0
@@ -156,13 +151,13 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for chunks, g in zip(self.chunks, grads):
+        size = self.scratch[0].size  # CHUNK, or the largest tensor if that is smaller
+        for flat, m_all, v_all, g in zip(self.arrays, self.m, self.v, grads):
             g = g.reshape(-1)
-            lo = 0
-            for arr, m, v in chunks:
-                n = arr.size
-                gc, s, u = g[lo:lo + n], self.scratch[0][:n], self.scratch[1][:n]
-                lo += n
+            for lo in range(0, flat.size, size):
+                hi = lo + size
+                arr, m, v, gc = flat[lo:hi], m_all[lo:hi], v_all[lo:hi], g[lo:hi]
+                s, u = self.scratch[0][:arr.size], self.scratch[1][:arr.size]
                 # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
                 m *= b1
                 np.multiply(gc, 1.0 - b1, out=s)
@@ -179,13 +174,6 @@ class Adam:
                 u *= self.lr
                 u /= s
                 arr -= u
-
-
-def _make_optimizer(config: TrainConfig, arrays: list[np.ndarray]):
-    if config.optimizer == "sgd":
-        return Sgd(arrays, config.learning_rate)
-    return Adam(arrays, config.learning_rate, config.adam_beta1,
-                config.adam_beta2, config.adam_eps)
 
 
 @dataclass
@@ -281,7 +269,9 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
 
     rng = np.random.default_rng(seed)
     params = init_model_params(spec, rng, config.forget_bias_init)
-    opt = _make_optimizer(config, [params.flat])
+    opt = (Sgd([params.flat], config.learning_rate) if config.optimizer == "sgd" else
+           Adam([params.flat], config.learning_rate, config.adam_beta1, config.adam_beta2,
+                config.adam_eps))
 
     n = X.shape[0]
     ws = Workspace()  # every batch and prediction after the first runs in the first one's buffers

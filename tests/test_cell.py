@@ -154,6 +154,17 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ShapeError):  # c and h of different shapes
         layer_forward(layer, X, "tanh",
                       init=CellState(c=np.zeros((1, 1, 3)), h=np.zeros((1, 1, 4))))
+    # a loose cell is checked where it is packed into a layer
+    wide = CellParams.zeros(3, 2)
+    wide.W_hi = np.zeros((3, 4))
+    with pytest.raises(ShapeError, match=r"W_hi has shape \(3, 4\), expected \(3, 3\)"):
+        LayerParams.pack([wide])
+    single = CellParams.zeros(3, 2)
+    single.b_o = np.zeros(3, dtype=np.float32)
+    with pytest.raises(ShapeError, match="cell tensor b_o must be float64, got float32"):
+        LayerParams.pack([single])
+    with pytest.raises(ShapeError, match="cells of one layer differ in shape"):
+        LayerParams.pack([CellParams.zeros(3, 2), CellParams.zeros(3, 4)])
 
 
 @pytest.mark.parametrize("act,lo,hi", [("tanh", -1.0, 1.0), ("sigmoid", 0.0, 1.0)])

@@ -353,7 +353,8 @@ REFUSALS = {
     # the test range starts on row seq_len + horizon - 1 = 10 (the defaults), so no
     # window fits before it
     "train-no-windows": (
-        "no training windows",
+        "no training windows: 10 rows before any test range, a window needs "
+        "seq_len + horizon = 11",
         lambda t, m: ["train", "--manifest",
                       _edited(m, TEST_LINE, "test_start=2007-01-11,test_end=2007-03-31\n")]),
     "train-one-window-holdout": (
@@ -627,6 +628,26 @@ def test_gradcheck_refuses_an_overflowing_gradient_with_exit_2(capsys):
     assert err.splitlines() == ["error: gradcheck: non-finite analytic gradient inf at flat "
                                 "index 0 of tensor layer1.loc0.W_xi with l2_lambda=1e+308"]
     assert "verification" not in stdout
+
+
+def test_gradcheck_exits_4_naming_a_wrong_gradient_component(capsys, monkeypatch):
+    from stlstm import train
+
+    backward = train.model_backward
+
+    def off_by_one(*args):
+        grads = backward(*args)
+        dict(grads.tensors())["layer1.W_hf"].flat[3] += 1.0
+        return grads
+
+    monkeypatch.setattr(train, "model_backward", off_by_one)
+    code, stdout, err = run_cli(["gradcheck", "--model-kind", "stacked", "--locations", "1",
+                                 "--vars", "1", "--n1", "2", "--n2", "1", "--seq-len", "2"],
+                                capsys)
+    assert code == 4
+    assert err.splitlines() == ["verification FAILED: layer1.W_hf[3] exceeds 1e-6"]
+    assert any(line.startswith("checked 59 parameters: ") for line in stdout.splitlines())
+    assert "verification passed" not in stdout
 
 
 def test_param_count_reference_values(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from stlstm import (
     ConfigError,
+    ModelParams,
     ModelSpec,
     ShapeError,
     block_diagonal_embed,
@@ -122,6 +123,12 @@ def test_params_are_validated_where_a_model_comes_in():
             predict_batch(spec, params, X)
         with pytest.raises(ShapeError):
             block_diagonal_embed(spec, params)
+    # a model built from loose cells checks its head too
+    params = zero_model_params(spec)
+    with pytest.raises(ShapeError, match=r"w_dense has shape \(4,\), expected \(3,\)"):
+        ModelParams(params.layer1, params.layer2, np.zeros(4), params.b_dense)
+    with pytest.raises(ShapeError, match=r"b_dense has shape \(\), expected \(1,\)"):
+        ModelParams(params.layer1, params.layer2, params.w_dense, np.float64(0.0))
 
 
 # ---------------------------------------------------------------------------

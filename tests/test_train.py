@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import stlstm
 from stlstm import (
     ConfigError,
+    DataError,
     DivergenceError,
     ModelSpec,
     NonFiniteResultError,
@@ -26,6 +27,7 @@ from stlstm import (
     train_windows,
 )
 from stlstm import model, train
+from stlstm.data import make_windows, windows_to_arrays
 from stlstm.model import random_model_params, zero_model_params
 from stlstm.train import (
     PREDICT_BLOCK_ROWS,
@@ -446,3 +448,72 @@ def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
 def test_an_invalid_spec_or_config_cannot_be_built(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=2),
+    lambda: TrainConfig(),
+], ids=["spec", "config"])
+def test_a_built_spec_or_config_is_frozen(build):
+    # check_params does not validate a spec again: a built one cannot change
+    built = build()
+    for field in dataclasses.fields(built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, field.name, getattr(built, field.name))
+
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory):
+    """A 50-day dataset (2 x 2, test range on its last 3 days), its manifest,
+    and a single-window trace of a seq_len=3 model."""
+    manifest = load_manifest(gen_synthetic(tmp_path_factory.mktemp("refusals"), locations=2,
+                                           vars_per_location=2, days=50, coupling=0.5,
+                                           seed=1, test_days=3))
+    spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=3)
+    params = zero_model_params(spec)
+    _, trace = model.model_forward(spec, params, np.zeros((3, 4)))
+    return {
+        "manifest": manifest, "ds": load_dataset(manifest), "spec": spec, "params": params,
+        "trace": trace}
+
+
+# Library calls outside their domain that no other test, demo or benchmark
+# smoke makes: each names its error class and a fragment of its message.
+REFUSED_CALLS = {
+    "loss-shape": (ShapeError, "loss: 2 predictions vs 1 targets",
+                   lambda d: loss([1.0, 2.0], [1.0])),
+    "loss-l2-without-params": (ConfigError, "l2_lambda > 0 requires the model parameters",
+                               lambda d: loss([1.0], [1.0], l2_lambda=0.5)),
+    "adam-non-contiguous": (ValueError, "C-contiguous arrays only",
+                            lambda d: train.Adam([np.zeros((3, 4))[:, ::2]], 0.1)),
+    "train-once-seq-len": (ShapeError, "windows have T=3, spec.seq_len is 4",
+                           lambda d: train_once(dataclasses.replace(d["spec"], seq_len=4),
+                                                TrainConfig(epochs=1),
+                                                train_windows(d["ds"], 3, 1), seed=0)),
+    "backward-trace-length": (ShapeError, "trace has 3 layer-2 steps, spec.seq_len is 4",
+                              lambda d: model.model_backward(
+                                  dataclasses.replace(d["spec"], seq_len=4), d["params"],
+                                  d["trace"], 0.0)),
+    "backward-dy-shape": (ShapeError, "loss gradient has shape (2,), predictions have shape ()",
+                          lambda d: model.model_backward(d["spec"], d["params"], d["trace"],
+                                                         np.zeros(2))),
+    "missing-policy": (DataError, "unknown missing_policy 'bfill'",
+                       lambda d: load_dataset(d["manifest"], missing_policy="bfill")),
+    "make-windows-seq-len": (ShapeError, "seq_len and horizon must be >= 1, got 0, 1",
+                             lambda d: make_windows(d["ds"], 0, 1)),
+    "make-windows-range": (ShapeError, "window range [0, 51) outside dataset of 50 rows",
+                           lambda d: make_windows(d["ds"], 3, 1, 0, 51)),
+    "test-windows-no-range": (DataError, "dataset has no test range",
+                              lambda d: test_windows(load_dataset(dataclasses.replace(
+                                  d["manifest"], test_range=None)), 3, 1)),
+    "windows-to-arrays-empty": (ShapeError, "no windows to stack",
+                                lambda d: windows_to_arrays(make_windows(d["ds"], 3, 1, 0, 3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CALLS))
+def test_a_call_outside_its_domain_is_refused_with_its_cause(refusal_inputs, case):
+    error, fragment, call = REFUSED_CALLS[case]
+    with pytest.raises(error) as raised:
+        call(refusal_inputs)
+    assert fragment in str(raised.value)

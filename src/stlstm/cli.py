@@ -29,27 +29,40 @@ from .data import (
     train_windows,
 )
 from .errors import ConfigError, DivergenceError, NonFiniteResultError, StlstmError
-from .metrics import EvalReport, comparison_csv, comparison_report, comparison_text, mae, mse
+from .metrics import EvalReport, comparison_csv, comparison_report, comparison_text
 from .model import SPEC_FIELDS, ModelSpec, param_count, parse_field
 from .train import CONFIG_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
 
 # every config key and train flag: the ModelSpec and TrainConfig fields
 _FIELDS = {**SPEC_FIELDS, **CONFIG_FIELDS}
-# the CLI's defaults for the spec fields ModelSpec leaves without one
-_SPEC_DEFAULTS = {"kind": "stacked", "n1": 20, "n2": 32}
+# every flag's type under the library's name for it: the config keys and gen_synthetic's
+_TYPES = {**_FIELDS, "days": "int", "coupling": "float", "ar_coef": "float",
+          "noise_std": "float", "test_days": "int"}
+# the spellings a key takes besides --dashed-key and --raw_key, and the kinds' aliases
+_ALIASES = {"kind": ("--model-kind", "--model_kind"), "vars_per_location": ("--vars",),
+            "noise_std": ("--noise",)}
+_KIND_ALIASES = {"st": "st_stacked", "st-stacked": "st_stacked"}
+
+# each settings subcommand's flags and their defaults; None leaves a value
+# to the library (test_days) or the data (train's locations, vars_per_location)
+_GEN_DEFAULTS = {"locations": 5, "vars_per_location": 3, "days": 800, "coupling": 0.6,
+                 "seed": 7, "ar_coef": 0.7, "noise_std": 0.3, "test_days": None}
+_TRAIN_DEFAULTS = {f.name: None if f.default is MISSING else f.default
+                   for cls in (ModelSpec, TrainConfig) for f in fields(cls)}
+_TRAIN_DEFAULTS.update(kind="stacked", n1=20, n2=32)
+_GRADCHECK_DEFAULTS = {"activation": "tanh", "seed": 0, "locations": 2, "vars_per_location": 3,
+                       "n1": 8, "n2": 4, "seq_len": 5, "l2_lambda": 0.01}
+_PARAM_COUNT_KEYS = ("kind", "locations", "vars_per_location", "n1", "n2")
 
 
-def _flag(parser, key: str) -> None:
-    """Register a config key as a flag under both dashed and raw spellings."""
-    names = [f"--{key.replace('_', '-')}"]
-    if "_" in key:
-        names.append(f"--{key}")
-    parser.add_argument(*names, dest=key, default=None)
-
-
-def _normalize_kind(value: str) -> str:
-    aliases = {"st": "st_stacked", "st-stacked": "st_stacked"}
-    return aliases.get(value, value)
+def _flags(parser, keys, required: bool = False) -> None:
+    """Register each settings key as a flag under its dashed and raw spellings and aliases."""
+    for key in keys:
+        names = [f"--{key.replace('_', '-')}"]
+        if "_" in key:
+            names.append(f"--{key}")
+        parser.add_argument(*names, *_ALIASES.get(key, ()), dest=key, default=None,
+                            required=required)
 
 
 def read_config_file(path) -> dict:
@@ -72,19 +85,18 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _resolve_settings(args) -> dict:
-    """defaults < config file < explicit CLI flags, all keys coerced."""
-    settings = {f.name: f.default for cls in (TrainConfig, ModelSpec) for f in fields(cls)
-                if f.default is not MISSING}
-    settings.update(_SPEC_DEFAULTS)
+def _resolve_settings(args, defaults: dict) -> dict:
+    """``defaults`` < config file < explicit CLI flags, all keys coerced."""
+    settings = dict(defaults)
     if getattr(args, "config", None):
         for key, value in read_config_file(args.config).items():
             settings[key] = parse_field(_FIELDS, key, value)
-    for key in _FIELDS:
+    for key in _TYPES:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
-            settings[key] = parse_field(_FIELDS, key, cli_value)
-    settings["kind"] = _normalize_kind(settings["kind"])
+            settings[key] = parse_field(_TYPES, key, cli_value)
+    if "kind" in settings:
+        settings["kind"] = _KIND_ALIASES.get(settings["kind"], settings["kind"])
     return settings
 
 
@@ -97,15 +109,15 @@ def _banner(args, **resolved) -> None:
     print(f"effective-config: command={args.command} {pairs}")
 
 
-def _spec_from_settings(settings: dict, ds: Dataset) -> ModelSpec:
-    data = {"locations": len(ds.locations), "vars_per_location": len(ds.variables)}
+def _spec_from_settings(settings: dict, ds: Dataset | None = None) -> ModelSpec:
+    """The settings' ModelSpec; a dataset's shape gives locations and vars_per_location."""
+    data = {} if ds is None else {"locations": len(ds.locations),
+                                  "vars_per_location": len(ds.variables)}
     for key, actual in data.items():
         declared = settings.get(key)
         if declared is not None and declared != actual:
-            raise ConfigError(
-                f"{key}={declared} disagrees with the manifest's data ({actual})"
-            )
-    return ModelSpec(**{name: data.get(name, settings.get(name)) for name in SPEC_FIELDS})
+            raise ConfigError(f"{key}={declared} disagrees with the manifest's data ({actual})")
+    return ModelSpec(**{key: settings[key] for key in SPEC_FIELDS if key in settings} | data)
 
 
 def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str) -> WindowArrays:
@@ -148,18 +160,15 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str) -> WindowA
 # Subcommands
 
 def cmd_gen_synthetic(args) -> int:
-    _banner(args)
-    manifest = gen_synthetic(args.out, locations=args.locations,
-                             vars_per_location=args.vars, days=args.days,
-                             coupling=args.coupling, seed=args.seed,
-                             ar_coef=args.ar_coef, noise_std=args.noise,
-                             test_days=args.test_days)
+    settings = _resolve_settings(args, _GEN_DEFAULTS)
+    _banner(args, **settings)
+    manifest = gen_synthetic(args.out, **settings)
     print(f"wrote {manifest}")
     return 0
 
 
 def cmd_train(args) -> int:
-    settings = _resolve_settings(args)
+    settings = _resolve_settings(args, _TRAIN_DEFAULTS)
     config = TrainConfig(**{name: settings[name] for name in CONFIG_FIELDS})
     manifest = load_manifest(args.manifest)
     ds = load_dataset(manifest, missing_policy=args.missing_policy)
@@ -245,19 +254,16 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     _banner(args)
     spec, params, manifest, _, windows = _load_model_and_windows(args)
-    preds = _predict_windows(spec, params, windows)
-    truths = windows.y.tolist()
-    print(f"n_windows={len(windows)} MAE={mae(preds, truths)!r} MSE={mse(preds, truths)!r}")
+    report = EvalReport(
+        model_kind=spec.kind, horizon=spec.horizon,
+        target=f"{manifest.target[0]}:{manifest.target[1]}",
+        activation=spec.activation, testset=args.label or args.range,
+        window_ids=windows.window_ids.tolist(),
+        dates=[date.isoformat() for date in windows.target_dates],
+        predictions=_predict_windows(spec, params, windows).tolist(), truths=windows.y.tolist(),
+    )
+    print(f"n_windows={report.n_windows} MAE={report.mae!r} MSE={report.mse!r}")
     if args.report:
-        label = args.label or args.range
-        report = EvalReport(
-            model_kind=spec.kind, horizon=spec.horizon,
-            target=f"{manifest.target[0]}:{manifest.target[1]}",
-            activation=spec.activation, testset=label,
-            window_ids=windows.window_ids.tolist(),
-            dates=[date.isoformat() for date in windows.target_dates],
-            predictions=preds.tolist(), truths=truths,
-        )
         report.save(args.report)
         print(f"wrote report to {args.report}")
     return 0
@@ -275,11 +281,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    spec = ModelSpec(kind=args.model_kind, locations=args.locations,
-                     vars_per_location=args.vars, n1=args.n1, n2=args.n2,
-                     activation=args.activation, seq_len=args.seq_len, horizon=1)
-    _banner(args)
-    report = gradcheck(spec, seed=args.seed, l2_lambda=args.l2_lambda)
+    settings = _resolve_settings(args, _GRADCHECK_DEFAULTS)
+    spec = _spec_from_settings(settings)
+    _banner(args, **settings)
+    report = gradcheck(spec, seed=settings["seed"], l2_lambda=settings["l2_lambda"])
     print(f"checked {report.n_params} parameters: max_rel_err={report.max_rel_err:.3e} "
           f"worst={report.worst_param}")
     if not report.ok:
@@ -290,9 +295,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    spec = ModelSpec(kind=args.kind, locations=args.locations, vars_per_location=args.vars,
-                     n1=args.n1, n2=args.n2)
-    _banner(args)
+    settings = _resolve_settings(args, {})
+    spec = _spec_from_settings(settings)
+    _banner(args, **settings)
     counts = param_count(spec)
     for key in ("layer1", "layer2", "head", "total"):
         print(f"{key}={counts[key]}")
@@ -309,27 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="write coupled synthetic CSVs + manifest")
-    p.add_argument("--locations", type=int, default=5)
-    p.add_argument("--vars", type=int, default=3)
-    p.add_argument("--days", type=int, default=800)
-    p.add_argument("--coupling", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
-    p.add_argument("--ar-coef", "--ar_coef", dest="ar_coef", type=float, default=0.7)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--test-days", "--test_days", dest="test_days", type=int, default=None)
+    _flags(p, _GEN_DEFAULTS)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("train", help="train one model kind with the repeat protocol")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="flat key = value file")
-    p.add_argument("--model-kind", "--model_kind", "--kind", dest="kind", default=None)
     p.add_argument("--missing-policy", "--missing_policy", dest="missing_policy",
                    choices=("error", "ffill"), default="error")
-    for key in _FIELDS:
-        if key != "kind":
-            _flag(p, key)
+    _flags(p, _TRAIN_DEFAULTS)
     p.set_defaults(func=cmd_train)
 
     for name, func in (("predict", cmd_predict), ("evaluate", cmd_evaluate)):
@@ -353,24 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--model-kind", "--model_kind", dest="model_kind", type=_normalize_kind,
-                   required=True)
-    p.add_argument("--activation", choices=("tanh", "sigmoid"), default="tanh")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--locations", type=int, default=2)
-    p.add_argument("--vars", type=int, default=3)
-    p.add_argument("--n1", type=int, default=8)
-    p.add_argument("--n2", type=int, default=4)
-    p.add_argument("--seq-len", "--seq_len", dest="seq_len", type=int, default=5)
-    p.add_argument("--l2-lambda", "--l2_lambda", dest="l2_lambda", type=float, default=0.01)
+    _flags(p, ["kind"], required=True)
+    _flags(p, _GRADCHECK_DEFAULTS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("param-count", help="closed-form parameter counts")
-    p.add_argument("--kind", type=_normalize_kind, required=True)
-    p.add_argument("--locations", type=int, required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    _flags(p, _PARAM_COUNT_KEYS, required=True)
     p.set_defaults(func=cmd_param_count)
 
     return parser
@@ -390,8 +373,12 @@ def main(argv=None) -> int:
     except StlstmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy refuses an array larger than the address space
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
     except OSError as exc:
-        print(f"error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 2
 
 

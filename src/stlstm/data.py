@@ -43,13 +43,13 @@ from .errors import (
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Manifest:
-    locations: list[tuple[str, Path]]  # (name, csv path) in canonical order
-    target: tuple[str, str]            # (location, variable)
+    locations: tuple[tuple[str, Path], ...]  # (name, csv path) in canonical order
+    target: tuple[str, str]                  # (location, variable)
     test_range: tuple[dt.date, dt.date] | None = None  # inclusive
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.locations:
             raise ManifestError("manifest lists no locations")
         names = [name for name, _ in self.locations]
@@ -111,9 +111,7 @@ def load_manifest(path) -> Manifest:
     if target is None:
         raise ManifestError(f"{path}: manifest declares no target")
     test_range = (test_start, test_end) if test_start is not None else None
-    manifest = Manifest(locations=locations, target=target, test_range=test_range)
-    manifest.validate()
-    return manifest
+    return Manifest(locations=tuple(locations), target=target, test_range=test_range)
 
 
 @dataclass
@@ -282,7 +280,6 @@ def load_dataset(manifest: Manifest, missing_policy: str = "error") -> Dataset:
     """
     if missing_policy not in ("error", "ffill"):
         raise DataError(f"unknown missing_policy {missing_policy!r}")
-    manifest.validate()
     dates0: list[dt.date] | None = None
     variables0: list[str] | None = None
     per_loc = []

@@ -1,3 +1,4 @@
+import errno
 import json
 from pathlib import Path
 
@@ -551,6 +552,21 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert "diverged" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_epoch_mean_loss_exits_3(tmp_path, capsys, monkeypatch):
+    from stlstm import train
+
+    monkeypatch.setattr(train, "loss", lambda *_: 1e308)  # finite per batch, not in sum
+    manifest = gen_tiny(tmp_path, capsys)
+    out = tmp_path / "o"
+    code, _, err = run_cli(["train", "--manifest", str(manifest), "--out", str(out),
+                            "--batch-size", "4", *TRAIN_FAST], capsys)
+    assert code == 3
+    assert err.splitlines() == ["error: training diverged (non-finite epoch mean loss) "
+                                "at epoch 1"]
+    assert not any(out.iterdir())
+
+
 def _overflowing_model(tmp_path, w_dense, b_dense=0.0, layer2_bias=0.0):
     """A stacked model on gen_synthetic(2, 2, 60, 0.6, seed=1) data with huge but finite values."""
     manifest = gen_synthetic(tmp_path / "data", 2, 2, 60, 0.6, seed=1)
@@ -659,6 +675,99 @@ def test_param_count_reference_values(capsys):
                                "--n1", "160", "--n2", "64", "--kind", "st"], capsys)
     assert code == 0
     assert "layer1=33120" in stdout
+
+
+# three runs, each with another of the three spellings of kind and of vars_per_location
+SPELLINGS = [("--kind", "--vars"), ("--model-kind", "--vars-per-location"),
+             ("--model_kind", "--vars_per_location")]
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck", "param-count"])
+def test_every_spelling_of_a_setting_sets_its_one_key(tmp_path, capsys, command):
+    manifest = gen_tiny(tmp_path, capsys)
+    runs = []
+    for i, (kind_flag, vars_flag) in enumerate(SPELLINGS):
+        out = tmp_path / f"run{i}"
+        sizes = {"train": ["--manifest", str(manifest), "--out", str(out), "--epochs", "1",
+                           "--repeats", "1", "--n1", "4", "--n2", "3", "--seq-len", "6"],
+                 "gradcheck": ["--locations", "2", "--n1", "2", "--n2", "1", "--seq-len", "2"],
+                 "param-count": ["--locations", "2", "--n1", "4", "--n2", "3"]}[command]
+        code, stdout, err = run_cli([command, *sizes, kind_flag, "st", vars_flag, "2"], capsys)
+        assert code == 0, err
+        items = banner_items(stdout)
+        assert (items["kind"], items["vars_per_location"]) == ("st_stacked", "2")
+        items.pop("out", None)
+        written = (out / "repeat0.ckpt").read_bytes() if command == "train" else stdout
+        runs.append((items, written))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_gen_synthetic_takes_every_spelling_of_vars_and_noise(tmp_path, capsys):
+    banners = []
+    for vars_flag, noise_flag in [("--vars", "--noise"), ("--vars-per-location", "--noise-std"),
+                                  ("--vars_per_location", "--noise_std")]:
+        out = tmp_path / vars_flag
+        code, stdout, _ = run_cli(["gen-synthetic", "--locations", "2", vars_flag, "2",
+                                   noise_flag, "0.2", "--days", "60", "--out", str(out)], capsys)
+        assert code == 0
+        items = banner_items(stdout)
+        assert (items.pop("vars_per_location"), items.pop("noise_std")) == ("2", "0.2")
+        items.pop("out")
+        banners.append(items)
+        for name in ("loc1.csv", "loc2.csv", "manifest.txt"):
+            assert (out / name).read_bytes() == (tmp_path / "--vars" / name).read_bytes()
+    assert banners[1] == banners[0] and banners[2] == banners[0]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["gradcheck", "--model-kind", "stacked", "--n1", "2.5"], "n1"),
+    (["gradcheck", "--kind", "stacked", "--l2_lambda", "small"], "l2_lambda"),
+    (["param-count", "--kind", "st", "--locations", "2", "--vars", "x", "--n1", "4",
+      "--n2", "3"], "vars_per_location"),
+    (["gen-synthetic", "--noise", "loud", "--out", "d"], "noise_std"),
+])
+def test_a_settings_value_that_does_not_parse_exits_2_naming_its_key(tmp_path, capsys,
+                                                                     monkeypatch, argv, key):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: expected "), err
+    assert not list(tmp_path.iterdir())
+
+
+# each asks numpy for an array larger than any address space, which it refuses
+# before allocating anything
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--model-kind", "stacked", "--n1", "100000000", "--n2", "1"],
+    ["gen-synthetic", "--locations", "100000000"],
+    ["train", "--epochs", "1", "--repeats", "1", "--n1", "100000000", "--n2", "1"],
+])
+def test_an_array_numpy_refuses_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    manifest = gen_tiny(tmp_path, capsys)
+    out = tmp_path / "out"
+    if argv[0] != "gradcheck":
+        argv = [*argv, "--out", str(out)]
+    if argv[0] == "train":
+        argv = [*argv, "--manifest", str(manifest)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate "), err
+    assert not out.exists() or (argv[0] == "train" and not any(out.iterdir()))
+
+
+def test_an_os_error_without_a_file_is_one_line_without_one(capsys, monkeypatch):
+    from stlstm import cli
+
+    def broken_pipe(args):
+        raise OSError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_param_count", broken_pipe)
+    code, _, err = run_cli(["param-count", "--kind", "stacked", "--locations", "1",
+                            "--vars", "1", "--n1", "2", "--n2", "1"], capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: Broken pipe"]
 
 
 def test_subcommand_help_exits_zero(capsys):

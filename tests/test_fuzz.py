@@ -7,8 +7,9 @@ contract. The location-CSV reader must also give the same result or
 error as the csv.reader-only reader kept in ``csv_reference.py``. The
 end-to-end property runs the CLI on a tree with one mutated file: every
 exit code must be 0, 2, 3 or 4, and a command that exits 0 must have
-written only finite numbers. The argument property runs ``train`` and
-``gradcheck`` on drawn flag values and holds them to the same exit
+written only finite numbers. The argument property runs ``train``,
+``gradcheck``, ``param-count`` and ``gen-synthetic`` on drawn flag values,
+every spelling of a setting among them, and holds them to the same exit
 codes, with no numpy warning and no file left by a failed run. Runs are
 derandomized so the suite stays deterministic.
 """
@@ -515,18 +516,26 @@ def test_cli_exit_codes_hold_for_one_mutated_input(e2e_tree, name, edits):
 
 
 # ---------------------------------------------------------------------------
-# The CLI's exit-code contract at its argument boundary: train and gradcheck
+# The CLI's exit-code contract at its argument boundary: the subcommands that
+# take settings (train, gradcheck, param-count, gen-synthetic)
 
 # every flag draws from its own few valid values or from one shared pool of
 # zero, negatives, non-finite and huge numbers, the empty string and text. The
 # text has no digits, and the sizes start small and are only ever set to
 # another small value, so no accepted run is big.
-TRAIN_SIZES = ["--epochs=1", "--repeats=1", "--n1=2", "--n2=2", "--seq-len=3", "--batch-size=16"]
-GRADCHECK_SIZES = ["--locations=2", "--vars=1", "--n1=2", "--n2=1", "--seq-len=2"]
+# each command's sizes, and the flags it requires
+SIZES = {
+    "train": ["--epochs=1", "--repeats=1", "--n1=2", "--n2=2", "--seq-len=3", "--batch-size=16"],
+    "gradcheck": ["--model-kind=stacked", "--locations=2", "--vars=1", "--n1=2", "--n2=1",
+                  "--seq-len=2"],
+    "param-count": ["--kind=stacked", "--locations=2", "--vars=1", "--n1=2", "--n2=1"],
+    "gen-synthetic": ["--locations=2", "--vars=1", "--days=50"],
+}
 ARGV_POOL = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e308", "1e200", "", "x", "1.5.0"]
 ARGV_TEXT = st.text(alphabet="xyzé -=:,\t", max_size=4)
+KIND_FLAGS = {"--kind": ["stacked", "st"], "--model-kind": ["stacked", "st"]}
 TRAIN_FLAGS = {
-    "--model-kind": ["stacked", "st"], "--locations": ["2"], "--vars-per-location": ["2"],
+    **KIND_FLAGS, "--locations": ["2"], "--vars-per-location": ["2"], "--vars": ["2"],
     "--n1": ["2", "4"], "--n2": ["1", "3"], "--activation": ["tanh", "sigmoid"],
     "--seq-len": ["1", "3"], "--horizon": ["1", "2"], "--learning-rate": ["0.01", "0.5"],
     "--epochs": ["1", "2"], "--batch-size": ["4", "16"], "--l2-lambda": ["0.001"],
@@ -536,10 +545,21 @@ TRAIN_FLAGS = {
     "--missing-policy": ["ffill"],
 }
 GRADCHECK_FLAGS = {
-    "--model-kind": ["stacked", "st"], "--activation": ["tanh", "sigmoid"], "--seed": ["1"],
-    "--locations": ["1", "2"], "--vars": ["1", "2"], "--n1": ["2"], "--n2": ["1", "2"],
-    "--seq-len": ["1", "2"], "--l2-lambda": ["0", "0.5"],
+    **KIND_FLAGS, "--activation": ["tanh", "sigmoid"], "--seed": ["1"],
+    "--locations": ["1", "2"], "--vars": ["1", "2"], "--vars-per-location": ["1", "2"],
+    "--n1": ["2"], "--n2": ["1", "2"], "--seq-len": ["1", "2"], "--l2-lambda": ["0", "0.5"],
 }
+PARAM_COUNT_FLAGS = {
+    **KIND_FLAGS, "--locations": ["1", "2"], "--vars": ["1", "2"],
+    "--vars-per-location": ["1", "2"], "--n1": ["2", "4"], "--n2": ["1", "3"],
+}
+GEN_FLAGS = {
+    "--locations": ["1", "2"], "--vars": ["1", "2"], "--vars-per-location": ["1", "2"],
+    "--days": ["50", "60"], "--coupling": ["0", "0.5"], "--seed": ["1"], "--ar-coef": ["0.5"],
+    "--noise": ["0.1"], "--noise-std": ["0", "0.1"], "--test-days": ["5"],
+}
+FLAGS = {"train": TRAIN_FLAGS, "gradcheck": GRADCHECK_FLAGS, "param-count": PARAM_COUNT_FLAGS,
+         "gen-synthetic": GEN_FLAGS}
 
 
 def pooled(valid: list[str]):
@@ -548,12 +568,10 @@ def pooled(valid: list[str]):
 
 @st.composite
 def cli_flags(draw) -> tuple[str, list[str]]:
-    """A train or gradcheck command and some of its flags, each set to a pooled value."""
-    command = draw(st.sampled_from(["train", "gradcheck"]))
-    flags = TRAIN_FLAGS if command == "train" else GRADCHECK_FLAGS
+    """A settings command and some of its flags, each set to a pooled value."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
-    if command == "gradcheck" and "--model-kind" not in chosen:
-        chosen.append("--model-kind")  # required, so an argv without it tests only argparse
     return command, [f"{flag}={draw(pooled(flags[flag]))}" for flag in chosen]
 
 
@@ -577,8 +595,9 @@ def test_cli_exit_codes_hold_for_any_train_or_gradcheck_argv(argv_data, case):
     shutil.rmtree(out, ignore_errors=True)
     command, flags = case
     # a flag given twice takes its last value, so the drawn flags override the sizes
-    argv = ([command, "--manifest", str(manifest), "--out", str(out)] + TRAIN_SIZES
-            if command == "train" else [command] + GRADCHECK_SIZES) + flags
+    paths = {"train": ["--manifest", str(manifest), "--out", str(out)],
+             "gen-synthetic": ["--out", str(out)]}
+    argv = [command, *paths.get(command, []), *SIZES[command], *flags]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:

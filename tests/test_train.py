@@ -137,6 +137,18 @@ def test_divergence_reports_the_epoch(tiny_data):
     assert err.value.epoch >= 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_finite_batch_losses_whose_mean_overflows_are_a_divergence(tiny_data, monkeypatch):
+    spec, tr, _ = tiny_data
+    cfg = TrainConfig(epochs=2, repeats=1)
+    assert len(tr) > cfg.batch_size  # two batches or more, so their sum overflows
+    monkeypatch.setattr(train, "loss", lambda *_: 1e308)
+    with pytest.raises(DivergenceError) as err:
+        train_once(spec, cfg, tr, seed=0)
+    assert str(err.value) == "training diverged (non-finite epoch mean loss) at epoch 1"
+    assert (err.value.epoch, err.value.batch) == (1, None)
+
+
 def test_validation_holdout_records_a_curve(tiny_data):
     spec, tr, _ = tiny_data
     cfg = TrainConfig(epochs=2, validation_holdout=True, repeats=1)

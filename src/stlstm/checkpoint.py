@@ -1,6 +1,6 @@
 """Checkpoint files: a readable header, binary values, bit-exact round trips.
 
-Format v2, the one ``save_checkpoint`` writes:
+Format v2, the one ``save_checkpoint`` writes and ``load_checkpoint`` reads:
 
     stlstm-checkpoint v2
     kind=stacked locations=5 vars_per_location=3 n1=20 n2=32 activation=tanh seq_len=10 horizon=1
@@ -16,13 +16,13 @@ tensor row-major, with nothing after them. Vectors are written as
 (len x 1) tensors, the head bias as (1 x 1). A v2 file is text up to the
 end of the ``values`` line and binary after it.
 
-Format v1, still read but no longer written, has the same first lines
-(with ``v1``) and no ``values`` line: each tensor header is followed by
-its rows*cols values, one shortest round-trip decimal per line.
+A file whose first line is any other ``stlstm-checkpoint vN``, such as
+v1 (the text format written before v2), is a ``CheckpointVersionError``;
+any other first line is not a checkpoint.
 
-Either way save -> load -> save is byte-identical, and a non-finite value
-is refused on save (before any file is opened) and on load, named by its
-tensor and flat index (``ModelParams.first_non_finite``), in v1 by its line.
+save -> load -> save is byte-identical, and a non-finite value is refused
+on save (before any file is opened) and on load, named by its tensor and
+flat index (``ModelParams.first_non_finite``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
 from .cell import CELL_TENSOR_NAMES
 from .model import SPEC_FIELDS, ModelParams, ModelSpec, param_count, parse_field, zero_model_params
 
-HEADER_V1 = "stlstm-checkpoint v1"
 HEADER = "stlstm-checkpoint v2"
 VALUE_DTYPE = np.dtype("<f8")
 
@@ -111,32 +110,20 @@ def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
-    """Parse and validate a v2 or v1 checkpoint; never returns a partial model."""
+    """Parse and validate a checkpoint; never returns a partial model."""
     with open(path, "rb") as fh:
         data = fh.read()
-    first_end = data.find(b"\n")
-    if first_end < 0:
-        first_end = len(data)
-    first = data[:first_end]
-    if first == HEADER.encode():
-        return _load_v2(path, data, first_end + 1)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        if first.startswith(b"stlstm-checkpoint") and first != HEADER_V1.encode():
-            raise _version_error(path, first.decode("utf-8", "replace")) from exc
-        raise CheckpointFormatError(f"{path}: not a text checkpoint ({exc.reason})") from exc
-    return _load_v1(path, text.splitlines())
+    end = data.find(b"\n")
+    first = data[:end] if end >= 0 else data
+    if first != HEADER.encode():
+        shown = first.decode("utf-8", "replace")
+        if first.startswith(b"stlstm-checkpoint"):
+            raise CheckpointVersionError(
+                f"{path}: unsupported checkpoint version {shown!r}, only {HEADER!r} is read"
+            )
+        raise CheckpointFormatError(f"{path}: not a checkpoint (first line {shown!r})")
+    pos = len(first) + 1
 
-
-def _version_error(path, first_line: str) -> CheckpointVersionError:
-    return CheckpointVersionError(
-        f"{path}: unsupported checkpoint version {first_line!r}, expected {HEADER!r} "
-        f"or {HEADER_V1!r}"
-    )
-
-
-def _load_v2(path, data: bytes, pos: int) -> tuple[ModelSpec, ModelParams]:
     def lines(count: int, lineno: int) -> list[str]:
         # ``count`` header lines from ``pos``; stops at the end of the file,
         # so a corrupt spec cannot make this loop run long
@@ -228,44 +215,3 @@ def _check_record(path, lineno: int, line: str, name: str, arr: np.ndarray) -> N
             f"{path}:{lineno}: tensor {name} is {rows}x{cols}, spec implies "
             f"{want[0]}x{want[1]}"
         )
-
-
-def _load_v1(path, lines: list[str]) -> tuple[ModelSpec, ModelParams]:
-    if not lines:
-        raise CheckpointFormatError(f"{path}: empty checkpoint file")
-    if lines[0] != HEADER_V1:
-        if lines[0].startswith("stlstm-checkpoint"):
-            raise _version_error(path, lines[0])
-        raise CheckpointFormatError(f"{path}: not a checkpoint (first line {lines[0]!r})")
-    if len(lines) < 2:
-        raise CheckpointFormatError(f"{path}: truncated before the spec line")
-    spec = _parse_spec_line(lines[1])
-    # a header line per tensor and a line per value; checked before
-    # allocating, so a corrupt spec line cannot request a huge model
-    needed = 2 + _n_tensors(spec) + param_count(spec)["total"]
-    if len(lines) < needed:
-        raise CheckpointFormatError(
-            f"{path}: truncated: the spec implies {needed} lines, the file has {len(lines)}"
-        )
-
-    params = zero_model_params(spec)
-    pos = 2
-    for name, arr in params.tensors():
-        _check_record(path, pos + 1, lines[pos], name, arr)
-        count = arr.size
-        pos += 1
-        try:
-            values = np.array(lines[pos:pos + count], dtype=np.float64)
-        except ValueError as exc:
-            raise CheckpointFormatError(f"{path}: bad value in tensor {name}: {exc}") from exc
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise CheckpointFormatError(
-                f"{path}:{pos + bad[0] + 1}: non-finite value {lines[pos + bad[0]]!r} "
-                f"in tensor {name}"
-            )
-        arr[...] = values.reshape(arr.shape)
-        pos += count
-    if any(line.strip() for line in lines[pos:]):
-        raise CheckpointFormatError(f"{path}: trailing data after the last tensor")
-    return spec, params

@@ -520,6 +520,11 @@ def synthetic_series(locations: int, vars_per_location: int, days: int,
     if seed < 0:  # numpy's generators take no negative seed
         raise DataError(f"seed must be >= 0, got {seed}")
     c, m = locations, vars_per_location
+    # numpy refuses, with a ValueError, the (c, c) lags or the (days, c, m) values
+    # if their byte count exceeds its index type
+    if 8 * max(c * c, days * c * m) > np.iinfo(np.intp).max:
+        raise DataError(f"locations={c}, vars_per_location={m} and days={days} need an array "
+                        "larger than numpy can index")
     rng = np.random.default_rng(seed)
 
     lags = rng.integers(1, 3, size=(c, c))  # delta_jk in {1, 2}

@@ -252,6 +252,11 @@ def init_model_params(spec: ModelSpec, rng: np.random.Generator,
 
 def zero_model_params(spec: ModelSpec) -> ModelParams:
     """All-zero parameters (gradient accumulators, degenerate models)."""
+    total = param_count(spec)["total"]
+    if 8 * total > np.iinfo(np.intp).max:  # numpy refuses this buffer with a ValueError
+        raise ConfigError(f"locations={spec.locations}, vars_per_location="
+                          f"{spec.vars_per_location}, n1={spec.n1} and n2={spec.n2} give "
+                          f"{total} parameters, more than numpy can index")
     return ModelParams.from_flat(
         (spec.loc_cells, spec.loc_neurons, spec.loc_inputs, spec.n2, spec.n1))
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from ckpt_files import join_v2, split_v2, write_v1
+from ckpt_files import join_v2, split_v2
 
 from stlstm import ModelSpec, load_checkpoint, model_forward, random_model_params, save_checkpoint
 from stlstm.errors import (
@@ -23,14 +23,6 @@ def st_model():
                      activation="sigmoid", seq_len=4, horizon=2)
     params = random_model_params(spec, np.random.default_rng(0))
     return spec, params
-
-
-@pytest.fixture
-def v1_path(tmp_path, st_model):
-    """``st_model`` in format v1, which the text-edit tests below corrupt line by line."""
-    path = tmp_path / "v1.ckpt"
-    write_v1(*st_model, path)
-    return path
 
 
 @pytest.fixture
@@ -98,26 +90,6 @@ def test_a_failed_save_leaves_no_temp_file(tmp_path, st_model):
     assert target.is_dir() and list(target.iterdir()) == []
 
 
-# ---------------------------------------------------------------------------
-# Format v1: damaged text files keep their error classes, messages and lines
-
-def test_truncated_file_is_a_parse_error(tmp_path, v1_path):
-    lines = v1_path.read_text().splitlines()
-    for cut in (1, 2, 10, len(lines) - 5):
-        trimmed = tmp_path / "trimmed.ckpt"
-        trimmed.write_text("\n".join(lines[:cut]) + "\n")
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(trimmed)
-
-
-def test_unknown_version_is_a_version_error(v1_path):
-    lines = v1_path.read_text().splitlines()
-    lines[0] = "stlstm-checkpoint v9"
-    v1_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointVersionError, match="unsupported checkpoint version"):
-        load_checkpoint(v1_path)
-
-
 def test_not_a_checkpoint_at_all(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_text("hello\nworld\n")
@@ -125,40 +97,23 @@ def test_not_a_checkpoint_at_all(tmp_path):
         load_checkpoint(path)
 
 
-def test_shape_corruption_is_a_shape_error(v1_path):
-    lines = v1_path.read_text().splitlines()
-    idx = next(i for i, line in enumerate(lines) if line.startswith("layer1.loc0.W_xi "))
-    lines[idx] = "layer1.loc0.W_xi 6 3"
-    v1_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointShapeError, match=f"{v1_path}:{idx + 1}: .* is 6x3"):
-        load_checkpoint(v1_path)
+# a file in the v1 text format, and first lines that are not UTF-8 or empty
+V1_REST = (b"\nkind=stacked locations=1 vars_per_location=1 n1=1 n2=1 activation=tanh "
+           b"seq_len=1 horizon=1\nlayer1.W_xi 4 1\n0.5\n")
 
 
-def test_out_of_order_tensor_is_a_shape_error(v1_path):
-    lines = v1_path.read_text().splitlines()
-    idx = next(i for i, line in enumerate(lines) if line.startswith("layer1.loc0.W_xi "))
-    lines[idx] = "layer1.loc0.W_hi 6 2"
-    v1_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointShapeError, match=f"{v1_path}:{idx + 1}: .* out of order"):
-        load_checkpoint(v1_path)
-
-
-def test_bad_value_is_a_parse_error(v1_path):
-    lines = v1_path.read_text().splitlines()
-    lines[3] = "not-a-number"
-    v1_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match="bad value in tensor layer1.loc0.W_xi"):
-        load_checkpoint(v1_path)
-
-
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
-def test_non_finite_value_is_a_parse_error(v1_path, token):
-    lines = v1_path.read_text().splitlines()
-    idx = next(i for i, line in enumerate(lines) if line.startswith("layer2.b_f "))
-    lines[idx + 2] = token
-    v1_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match=f"{v1_path}:{idx + 3}: .*layer2.b_f"):
-        load_checkpoint(v1_path)
+@pytest.mark.parametrize("first, error, message", [
+    (b"stlstm-checkpoint v1", CheckpointVersionError,
+     "unsupported checkpoint version 'stlstm-checkpoint v1', only 'stlstm-checkpoint v2' is read"),
+    (b"stlstm-checkpoint v\xff", CheckpointVersionError, "only 'stlstm-checkpoint v2' is read"),
+    (b"\xff\xfe", CheckpointFormatError, "not a checkpoint"),
+    (b"", CheckpointFormatError, "not a checkpoint"),
+], ids=["v1", "v-not-utf8", "not-utf8", "empty"])
+def test_a_first_line_other_than_v2s_is_refused(tmp_path, first, error, message):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(first + V1_REST)
+    with pytest.raises(error, match=message):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -173,16 +128,8 @@ def test_a_non_finite_model_is_refused_before_any_file_is_written(tmp_path, st_m
     assert list(tmp_path.iterdir()) == []
 
 
-def test_spec_larger_than_the_file_fails_before_allocating(v1_path):
-    lines = v1_path.read_text().splitlines()
-    lines[1] = lines[1].replace("n1=6", "n1=3000000000").replace("locations=3", "locations=1")
-    v1_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match="truncated"):
-        load_checkpoint(v1_path)
-
-
 # ---------------------------------------------------------------------------
-# Format v2: the same damage, and damage only binary values can have
+# Damaged files: each names its error class, and its line where it has one
 
 def edit_header(path, old: bytes, new: bytes) -> None:
     head, _ = split_v2(path.read_bytes())
@@ -219,6 +166,29 @@ def test_v2_shape_corruption_is_a_shape_error(v2_path):
 def test_v2_out_of_order_tensor_is_a_shape_error(v2_path):
     edit_header(v2_path, b"layer1.loc0.W_xi ", b"layer1.loc0.W_hi ")
     with pytest.raises(CheckpointShapeError, match=f"{v2_path}:3: .* out of order"):
+        load_checkpoint(v2_path)
+
+
+@pytest.mark.parametrize("new, message", [
+    (b"layer1.loc0.W_xi 2\n", ":3: expected 'name rows cols'"),
+    (b"layer1.loc0.W_xi x 2\n", ":3: bad tensor header"),
+    (b"layer1.loc0.W_x\xc3\xad 2 2\n", ":3: header line is not ASCII"),
+], ids=["two-fields", "rows-not-a-number", "not-ascii"])
+def test_v2_malformed_tensor_header_is_a_parse_error(v2_path, new, message):
+    edit_header(v2_path, b"layer1.loc0.W_xi 2 2\n", new)
+    with pytest.raises(CheckpointFormatError, match=f"{v2_path}{message}"):
+        load_checkpoint(v2_path)
+
+
+@pytest.mark.parametrize("new, message", [
+    (b" n1 6 ", "bad spec token 'n1'"),
+    (b" ", r"spec line is missing \['n1'\]"),
+    (b" n1=6 depth=2 ", r"spec line has unknown keys \['depth'\]"),
+    (b" n1=7 ", "checkpoint spec is invalid"),
+], ids=["token-without-equals", "missing-key", "unknown-key", "invalid-spec"])
+def test_v2_malformed_spec_line_is_a_parse_error(v2_path, new, message):
+    edit_header(v2_path, b" n1=6 ", new)
+    with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(v2_path)
 
 
@@ -281,31 +251,23 @@ def test_v2_spec_with_fewer_tensors_than_the_header_is_a_parse_error(v2_path):
         load_checkpoint(v2_path)
 
 
-# Files saved by the per-tensor implementation that preceded the packed
+# Models saved by the per-tensor implementation that preceded the packed
 # parameter buffer, with that implementation's predictions on
-# default_rng(1).normal(size=(3, 4, 4)). v2_<kind>.ckpt is each one
-# loaded and saved again.
-V1_FILES = {
+# default_rng(1).normal(size=(3, 4, 4)). That implementation wrote them in
+# the v1 text format; v2_<kind>.ckpt is each one loaded and saved again.
+BEFORE_PACKING = {
     "stacked": [-0.17556556474877327, -0.15869294854132276, -0.17250091688355493],
     "st_stacked": [0.13451630796982395, 0.1321119188359257, 0.13243591634863988],
 }
 
 
-@pytest.mark.parametrize("kind", sorted(V1_FILES))
-def test_a_v1_file_from_before_packing_loads_predicts_and_resaves_identically(tmp_path, kind):
+@pytest.mark.parametrize("kind", sorted(BEFORE_PACKING))
+def test_a_file_from_before_packing_loads_predicts_and_resaves_identically(tmp_path, kind):
     from stlstm.train import predict_batch
 
-    spec, params = load_checkpoint(DATA / f"v1_{kind}.ckpt")
+    path = DATA / f"v2_{kind}.ckpt"
+    spec, params = load_checkpoint(path)
     X = np.random.default_rng(1).normal(size=(3, 4, 4))
-    assert np.max(np.abs(predict_batch(spec, params, X) - V1_FILES[kind])) < 1e-12
+    assert np.max(np.abs(predict_batch(spec, params, X) - BEFORE_PACKING[kind])) < 1e-12
     save_checkpoint(spec, params, tmp_path / "again.ckpt")
-    assert (tmp_path / "again.ckpt").read_bytes() == (DATA / f"v2_{kind}.ckpt").read_bytes()
-    spec2, params2 = load_checkpoint(DATA / f"v2_{kind}.ckpt")
-    assert spec2 == spec
-    assert_same_model(params, params2)
-
-
-@pytest.mark.parametrize("kind", sorted(V1_FILES))
-def test_the_v1_writer_here_reproduces_the_committed_v1_files(tmp_path, kind):
-    write_v1(*load_checkpoint(DATA / f"v1_{kind}.ckpt"), tmp_path / "v1.ckpt")
-    assert (tmp_path / "v1.ckpt").read_bytes() == (DATA / f"v1_{kind}.ckpt").read_bytes()
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()

@@ -381,10 +381,15 @@ REFUSALS = {
         lambda t, m: ["predict", "--manifest", m, "--model",
                       _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
                           b"horizon=1\n", b"horizon=1 extra=1\n", 1))]),
-    "checkpoint-v1-trailing-value": (
-        "trailing data after the last tensor",
+    "checkpoint-v1": (
+        "unsupported checkpoint version 'stlstm-checkpoint v1'",
         lambda t, m: ["predict", "--manifest", m, "--model",
-                      _written(t, (DATA / "v1_stacked.ckpt").read_bytes() + b"0.0\n")]),
+                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
+                          b"stlstm-checkpoint v2\n", b"stlstm-checkpoint v1\n", 1))]),
+    "checkpoint-trailing-byte": (
+        "trailing data: 1 bytes after the last value",
+        lambda t, m: ["predict", "--manifest", m, "--model",
+                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes() + b"\0")]),
 }
 
 
@@ -737,13 +742,22 @@ def test_a_settings_value_that_does_not_parse_exits_2_naming_its_key(tmp_path, c
 
 
 # each asks numpy for an array larger than any address space, which it refuses
-# before allocating anything
-@pytest.mark.parametrize("argv", [
-    ["gradcheck", "--model-kind", "stacked", "--n1", "100000000", "--n2", "1"],
-    ["gen-synthetic", "--locations", "100000000"],
-    ["train", "--epochs", "1", "--repeats", "1", "--n1", "100000000", "--n2", "1"],
+# before allocating anything: with a MemoryError, or, past its index type, with
+# a ValueError, which the library forestalls by refusing the settings by name
+@pytest.mark.parametrize("argv, fragment", [
+    (["gradcheck", "--model-kind", "stacked", "--n1", "100000000", "--n2", "1"],
+     "Unable to allocate "),
+    (["gen-synthetic", "--locations", "100000000"], "Unable to allocate "),
+    (["train", "--epochs", "1", "--repeats", "1", "--n1", "100000000", "--n2", "1"],
+     "Unable to allocate "),
+    (["gradcheck", "--model-kind", "stacked", "--n1", "10000000000", "--n2", "1"],
+     "n1=10000000000 and n2=1 give 400000000350000000013 parameters, more than numpy can "
+     "index"),
+    (["gen-synthetic", "--locations", "100000000000"],
+     "locations=100000000000, vars_per_location=3 and days=800 need an array larger than "
+     "numpy can index"),
 ])
-def test_an_array_numpy_refuses_exits_2_with_one_error_line(tmp_path, capsys, argv):
+def test_an_array_numpy_refuses_exits_2_with_one_error_line(tmp_path, capsys, argv, fragment):
     manifest = gen_tiny(tmp_path, capsys)
     out = tmp_path / "out"
     if argv[0] != "gradcheck":
@@ -753,7 +767,7 @@ def test_an_array_numpy_refuses_exits_2_with_one_error_line(tmp_path, capsys, ar
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate "), err
+    assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0], err
     assert not out.exists() or (argv[0] == "train" and not any(out.iterdir()))
 
 

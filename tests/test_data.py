@@ -429,6 +429,18 @@ def test_oversized_field_of_a_clean_looking_file_is_a_format_error(tmp_path):
         load_dataset(load_manifest(tmp_path / "m.txt"))
 
 
+def test_a_read_error_while_csv_reader_streams_names_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "quoted.csv"
+    path.write_text('date,t\n2020-01-01,"1.0"\n2020-01-02,"2.0"\n')
+
+    def failing_reader(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("stlstm.data.csv.reader", failing_reader)
+    with pytest.raises(DataError, match=f"cannot read {path}: .*Input/output error"):
+        _read_location_csv(path, "error")
+
+
 def test_clean_lf_and_crlf_files_load_without_csv_reader(tmp_path, monkeypatch):
     manifest = gen_synthetic(tmp_path / "lf", locations=1, vars_per_location=3, days=60,
                              coupling=0.0, seed=2)

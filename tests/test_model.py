@@ -285,6 +285,21 @@ def test_init_draws_are_deterministic_per_seed():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
+def test_forget_bias_init_sets_every_forget_bias_and_nothing_else(kind):
+    spec = ModelSpec(kind=kind, locations=2, vars_per_location=3, n1=4, n2=3)
+    plain = init_model_params(spec, np.random.default_rng(9))
+    raised = init_model_params(spec, np.random.default_rng(9), forget_bias_init=True)
+    forget_biases = 0
+    for (name, x), (_, y) in zip(plain.tensors(), raised.tensors()):
+        if name.endswith(".b_f"):
+            forget_biases += 1
+            assert np.all(y == 1.0), name
+        else:
+            assert np.array_equal(x, y), name
+    assert forget_biases == spec.loc_cells + 1  # every layer-1 cell and layer 2
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ModelSpec(kind="st_stacked", locations=3, vars_per_location=1, n1=7, n2=2).validate()

@@ -502,6 +502,9 @@ REFUSED_CALLS = {
                            lambda d: train_once(dataclasses.replace(d["spec"], seq_len=4),
                                                 TrainConfig(epochs=1),
                                                 train_windows(d["ds"], 3, 1), seed=0)),
+    "train-once-no-windows": (ShapeError, "no training windows",
+                              lambda d: train_once(d["spec"], TrainConfig(epochs=1),
+                                                   make_windows(d["ds"], 3, 1, 0, 3), seed=0)),
     "backward-trace-length": (ShapeError, "trace has 3 layer-2 steps, spec.seq_len is 4",
                               lambda d: model.model_backward(
                                   dataclasses.replace(d["spec"], seq_len=4), d["params"],

@@ -31,12 +31,11 @@ rng = np.random.default_rng(1)
 params = random_model_params(spec, rng)
 embedded_spec, embedded = block_diagonal_embed(spec, params)
 
-worst = 0.0
-for _ in range(50):
-    window = [x for x in rng.normal(size=(spec.seq_len, spec.input_dim))]
-    a, _ = model_forward(spec, params, window)
-    b, _ = model_forward(embedded_spec, embedded, window)
-    worst = max(worst, abs(a - b))
+# the model runs a batch of windows, time-major: (T, B, c*m)
+windows = rng.normal(size=(50, spec.seq_len, spec.input_dim)).transpose(1, 0, 2)
+a, _ = model_forward(spec, params, windows)
+b, _ = model_forward(embedded_spec, embedded, windows)
+worst = np.max(np.abs(a - b))
 print(f"\nblock-diagonal embedding: max |pred difference| over 50 windows = {worst:.2e}")
 
 # --- 3. What the embedding built: location blocks on the diagonal, zeros

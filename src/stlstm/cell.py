@@ -25,6 +25,8 @@ time loop. Given a ``Workspace``, both keep their large arrays in its
 reused buffers, so a batch of a shape seen before allocates nothing large.
 One cell at one step is ``layer_forward`` with K = T = B = 1.
 
+The engine trusts the shape of its (K, T, B, d) input: ``as_layer_input``
+converts and checks a batch of sequences once, where it enters.
 ``sequence_forward`` and ``cell_backward`` are K=1 adapters over the
 engine that only ``benchmarks/workloads.py`` calls: lists of (B, d)
 steps, from the zero state. All arrays are float64.
@@ -287,19 +289,19 @@ def _by_gate(W: np.ndarray, ws: Workspace, name: str, transpose: bool) -> np.nda
     return ws.contiguous(name, W4.transpose(0, 1, 3, 2) if transpose else W4)
 
 
-def as_layer_input(x_seq, d: int) -> tuple[np.ndarray, tuple]:
-    """One input sequence as the (1, T, B, d) input of a one-cell layer, and its step shape.
+def as_layer_input(x_seq, d: int) -> np.ndarray:
+    """One batch of sequences as the (1, T, B, d) float64 input of a one-cell layer.
 
-    ``x_seq`` is a (T, d) or (T, B, d) array or a list of its T steps;
-    ragged steps, T = 0 or a width other than d raise ShapeError.
+    ``x_seq`` is a (T, B, d) array or a list of its T (B, d) steps; ragged
+    steps, any other rank, T = 0 or a width other than d raise ShapeError.
     """
     try:
         X = np.asarray(x_seq, dtype=np.float64)
     except ValueError as exc:  # steps of unequal shape
         raise ShapeError(f"sequence steps differ in shape: {exc}") from None
-    if X.ndim not in (2, 3) or X.shape[0] == 0 or X.shape[-1] != d:
-        raise ShapeError(f"input has shape {X.shape}, expected (T >= 1, [B,] d={d})")
-    return (X if X.ndim == 3 else X[:, None, :])[None], X.shape[1:]
+    if X.ndim != 3 or X.shape[0] == 0 or X.shape[-1] != d:
+        raise ShapeError(f"input has shape {X.shape}, expected (T >= 1, B, d={d})")
+    return X[None]
 
 
 def input_rows(X: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, int]:
@@ -468,14 +470,8 @@ class StepTrace:
 
 
 def sequence_forward(p: CellParams, x_seq, act: str) -> tuple[list[StepTrace], CellState]:
-    """Run one cell from the zero state over a list of T (B, d) input steps.
-
-    A (T, d) window raises ShapeError.
-    """
-    X, x_shape = as_layer_input(x_seq, p.d)
-    if len(x_shape) != 2:
-        raise ShapeError(f"input steps have shape {x_shape}, expected (B, d={p.d})")
-    _, final, run = layer_forward(LayerParams.pack([p]), X, act)
+    """Run one cell from the zero state over a list of T (B, d) input steps (``as_layer_input``)."""
+    _, final, run = layer_forward(LayerParams.pack([p]), as_layer_input(x_seq, p.d), act)
     traces = [StepTrace(h=h, run=run) for h in run.h[1:, 0]]
     return traces, CellState(c=final.c[0], h=final.h[0])
 

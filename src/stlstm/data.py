@@ -38,6 +38,7 @@ from .errors import (
     ManifestError,
     MissingValueError,
     ShapeError,
+    check_indexable,
 )
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
@@ -406,6 +407,8 @@ def make_windows(ds: Dataset, seq_len: int, horizon: int,
     """
     if seq_len < 1 or horizon < 1:
         raise ShapeError(f"seq_len and horizon must be >= 1, got {seq_len}, {horizon}")
+    check_indexable(seq_len * ds.input_dim, ShapeError, f"seq_len={seq_len} and {ds.input_dim} "
+                    "values a day give windows larger than numpy can index")
     L = ds.n_days
     stop = L if stop is None else stop
     if start < 0 or stop > L or start > stop:
@@ -520,11 +523,9 @@ def synthetic_series(locations: int, vars_per_location: int, days: int,
     if seed < 0:  # numpy's generators take no negative seed
         raise DataError(f"seed must be >= 0, got {seed}")
     c, m = locations, vars_per_location
-    # numpy refuses, with a ValueError, the (c, c) lags or the (days, c, m) values
-    # if their byte count exceeds its index type
-    if 8 * max(c * c, days * c * m) > np.iinfo(np.intp).max:
-        raise DataError(f"locations={c}, vars_per_location={m} and days={days} need an array "
-                        "larger than numpy can index")
+    check_indexable(max(c * c, days * c * m), DataError,  # the (c, c) lags, the (days, c, m) values
+                    f"locations={c}, vars_per_location={m} and days={days} need an array larger "
+                    "than numpy can index")
     rng = np.random.default_rng(seed)
 
     lags = rng.integers(1, 3, size=(c, c))  # delta_jk in {1, 2}

@@ -1,4 +1,6 @@
-"""Exception hierarchy for the stlstm package."""
+"""Exception hierarchy for the stlstm package, and the one size check numpy forces."""
+
+import sys
 
 
 class StlstmError(Exception):
@@ -72,3 +74,10 @@ class NonFiniteResultError(StlstmError):
 
 class ReportError(StlstmError):
     """Evaluation reports cannot be merged (e.g. duplicate grid cells)."""
+
+
+def check_indexable(values: int, error: type[StlstmError], message: str) -> None:
+    """Raise ``error(message)`` where numpy refuses ``values`` float64s with a ValueError."""
+    # past its Py_ssize_t index type, even beside a zero-length axis
+    if 8 * values > sys.maxsize:
+        raise error(message)

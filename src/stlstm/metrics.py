@@ -135,7 +135,7 @@ class EvalReport:
                 predictions=[_typed(w, "prediction", (int, float)) for w in windows],
                 truths=[_typed(w, "truth", (int, float)) for w in windows],
             )
-        except (ValueError, KeyError, TypeError, StlstmError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError, StlstmError) as exc:
             raise ReportError(f"{path}: not a valid evaluation report: {exc!r}") from exc
 
 

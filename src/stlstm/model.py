@@ -15,12 +15,14 @@ cells, cell k reading input slice k and producing hidden slice k, and
 ``stacked`` is the single-cell case. The layer engine in ``cell`` runs
 all of a layer's cells at once, on tensors packed into the model's one
 flat parameter buffer (``ModelParams``).
+The model runs B windows at once, time-major (T, B, c*m); ``model_forward``,
+``predict_batch`` and ``train_once`` check that shape once, where it enters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +40,7 @@ from .cell import (
     # not called here: benchmarks/workloads.py:instrument wraps model.sequence_forward by name
     sequence_forward,  # noqa: F401
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_indexable
 
 KINDS = ("stacked", "st_stacked")
 
@@ -253,10 +255,9 @@ def init_model_params(spec: ModelSpec, rng: np.random.Generator,
 def zero_model_params(spec: ModelSpec) -> ModelParams:
     """All-zero parameters (gradient accumulators, degenerate models)."""
     total = param_count(spec)["total"]
-    if 8 * total > np.iinfo(np.intp).max:  # numpy refuses this buffer with a ValueError
-        raise ConfigError(f"locations={spec.locations}, vars_per_location="
-                          f"{spec.vars_per_location}, n1={spec.n1} and n2={spec.n2} give "
-                          f"{total} parameters, more than numpy can index")
+    check_indexable(total, ConfigError, f"locations={spec.locations}, vars_per_location="
+                    f"{spec.vars_per_location}, n1={spec.n1} and n2={spec.n2} give {total} "
+                    "parameters, more than numpy can index")
     return ModelParams.from_flat(
         (spec.loc_cells, spec.loc_neurons, spec.loc_inputs, spec.n2, spec.n1))
 
@@ -281,77 +282,67 @@ class ModelTrace:
 
     layer1: LayerTrace  # all spec.loc_cells layer-1 cells, stacked
     layer2: LayerTrace
-    batched: bool       # False for a single window of T vectors
     ws: Workspace       # the forward's workspace, which model_backward then uses
 
     @property
     def final_hidden(self) -> np.ndarray:
-        """The last layer-2 hidden state: (n2,), or (B, n2) for a batch."""
-        h = self.layer2.h[-1, 0]
-        return h if self.batched else h[0]
+        """The last layer-2 hidden state of each window, (B, n2)."""
+        return self.layer2.h[-1, 0]
 
 
-def _forward(spec: ModelSpec, params: ModelParams, window, keep_trace: bool, ws: Workspace):
-    X, step_shape = as_layer_input(window, spec.input_dim)
-    if X.shape[1] != spec.seq_len:
-        raise ShapeError(f"window has {X.shape[1]} steps, spec.seq_len is {spec.seq_len}")
-    X, batched = X[0], len(step_shape) == 2
+def _forward(spec: ModelSpec, params: ModelParams, X: np.ndarray, keep_trace: bool, ws: Workspace):
+    """The model on a (T, B, input_dim) float64 batch, whose shape its caller has checked."""
     T, B = X.shape[:2]
-    act = spec.activation
     # layer-1 cell k reads input slice k: (T, B, K*d) -> (K, T, B, d). Only a
     # trace needs it contiguous; a view lets the engine see windows that share rows
     X1 = X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3)
     if keep_trace:
         X1 = ws.contiguous("x1", X1)
-    h1, _, trace1 = layer_forward(params.l1, X1, act, keep_trace=keep_trace,
+    h1, _, trace1 = layer_forward(params.l1, X1, spec.activation, keep_trace=keep_trace,
                                   ws=Workspace(ws.buffers, "l1"))
     # layer 2 reads the cells' hidden states side by side, in manifest order:
     # (T, K, B, n) -> (1, T, B, K*n)
     X2 = ws.contiguous("x2", h1.transpose(0, 2, 1, 3)).reshape(1, T, B, spec.n1)
-    _, final, trace2 = layer_forward(params.l2, X2, act, keep_trace=keep_trace,
+    _, final, trace2 = layer_forward(params.l2, X2, spec.activation, keep_trace=keep_trace,
                                      ws=Workspace(ws.buffers, "l2"))
-    pred = dense_head(final.h[0] if batched else final.h[0, 0], params.w_dense, params.b_dense)
-    if np.ndim(pred) == 0:
-        pred = float(pred)
-    return pred, (ModelTrace(trace1, trace2, batched, ws) if keep_trace else None)
+    pred = dense_head(final.h[0], params.w_dense, params.b_dense)
+    return pred, (ModelTrace(trace1, trace2, ws) if keep_trace else None)
 
 
-def model_forward(spec: ModelSpec, params: ModelParams, window
-                  ) -> tuple[np.ndarray | float, ModelTrace]:
-    """Run a T-step window through layer 1, layer 2, and the head.
+def model_forward(spec: ModelSpec, params: ModelParams, window) -> tuple[np.ndarray, ModelTrace]:
+    """Run a batch of B T-step windows through layer 1, layer 2, and the head.
 
-    ``window`` is one (T, locations*vars_per_location) array, (T, B, .)
-    for a batch, or a list of its T steps. Returns the raw-scale
-    prediction(s) and the full trace, which owns the fresh workspace the
-    forward ran in. Only the final layer-2 hidden state reaches the
-    head. ``params`` are trusted to match ``spec``; ``check_params``
-    validates a model where it comes in.
+    ``window`` is a (T, B, locations*vars_per_location) array or a list
+    of its T (B, .) steps, checked here (ShapeError). Returns the B
+    raw-scale predictions and the full trace, which owns the fresh
+    workspace the forward ran in. Only the final layer-2 hidden state
+    reaches the head. ``params`` are trusted to match ``spec``;
+    ``check_params`` validates a model where it comes in.
     """
-    return _forward(spec, params, window, keep_trace=True, ws=Workspace())
+    X = as_layer_input(window, spec.input_dim)[0]
+    if X.shape[0] != spec.seq_len:
+        raise ShapeError(f"window has {X.shape[0]} steps, spec.seq_len is {spec.seq_len}")
+    return _forward(spec, params, X, keep_trace=True, ws=Workspace())
 
 
-def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace,
-                   dy) -> ModelParams:
+def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace, dy) -> ModelParams:
     """Gradients of a scalar loss w.r.t. every parameter.
 
-    ``dy`` is the loss gradient on the prediction(s): a scalar for a
-    single window, shape (B,) for a batch. Returns a ModelParams of
-    gradients, laid out like ``params``, written into the trace's
-    workspace, where they live until that workspace's next pass.
+    ``dy`` is the loss gradient on the trace's B predictions, shape (B,).
+    Returns a ModelParams of gradients, laid out like ``params``, written
+    into the trace's workspace, where they live until that workspace's
+    next pass.
     """
     T, B = trace.layer2.x.shape[1:3]
     if T != spec.seq_len:
         raise ShapeError(f"trace has {T} layer-2 steps, spec.seq_len is {spec.seq_len}")
     dy = np.asarray(dy, dtype=np.float64)
-    h2_final = trace.final_hidden
-    if dy.shape != h2_final.shape[:-1]:
-        raise ShapeError(
-            f"loss gradient has shape {dy.shape}, predictions have shape {h2_final.shape[:-1]}"
-        )
+    if dy.shape != (B,):
+        raise ShapeError(f"loss gradient has shape {dy.shape}, predictions have shape {(B,)}")
 
     # every gradient is written below, so the buffer needs no zeroing
     grads = ModelParams.from_flat(params.layout, trace.ws.take("grads", params.flat.shape))
-    grads.w_dense[...] = dy * h2_final if dy.ndim == 0 else h2_final.T @ dy
+    grads.w_dense[...] = trace.final_hidden.T @ dy
     grads.b_dense[0] = np.sum(dy)
     # head touches only the final step; earlier layer-2 h-grads are zero
     dH2 = trace.ws.take("dH2", (T, 1, B, spec.n2))
@@ -392,9 +383,7 @@ def block_diagonal_embed(spec: ModelSpec, params: ModelParams
     big.b[0].reshape(4, c, nc)[...] = src.b.reshape(c, 4, nc).transpose(1, 0, 2)
     big.wc[0].reshape(3, c, nc)[...] = src.wc.transpose(1, 0, 2)
 
-    out_spec = ModelSpec(kind="stacked", locations=c, vars_per_location=m,
-                         n1=spec.n1, n2=spec.n2, activation=spec.activation,
-                         seq_len=spec.seq_len, horizon=spec.horizon)
+    out_spec = replace(spec, kind="stacked")
     out_params = ModelParams(layer1=[big.cell(0)], layer2=params.layer2,
                              w_dense=params.w_dense, b_dense=params.b_dense)
     return out_spec, out_params

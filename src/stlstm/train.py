@@ -16,7 +16,7 @@ import numpy.random  # noqa: F401 -- numpy 2 defers it to first use; pay that at
 
 from .cell import Workspace
 from .data import WindowArrays
-from .errors import ConfigError, DivergenceError, NonFiniteResultError, ShapeError
+from .errors import ConfigError, DivergenceError, NonFiniteResultError, ShapeError, check_indexable
 from .metrics import mae, median_low, mse
 from .model import (
     ModelParams,
@@ -200,10 +200,10 @@ def _batch_loss_and_grads(spec: ModelSpec, params: ModelParams,
                           Xb: np.ndarray, yb: np.ndarray, l2_lambda: float,
                           ws: Workspace | None = None) -> tuple[float, ModelParams]:
     ws = Workspace() if ws is None else ws
-    # the batch as a time-major (T, B, c*m) view
+    # the batch, whose shape the caller has checked, as a time-major (T, B, c*m) view
     preds, trace = _forward(spec, params, Xb.transpose(1, 0, 2), keep_trace=True, ws=ws)
     batch_loss = loss(preds, yb, params, l2_lambda)
-    dy = 2.0 * (np.asarray(preds) - yb) / yb.shape[0]
+    dy = 2.0 * (preds - yb) / yb.shape[0]
     grads = model_backward(spec, params, trace, dy)
     if l2_lambda != 0.0:  # the engine's projection buffer is free again after the backward pass
         grads.penalized += np.multiply(params.penalized, 2.0 * l2_lambda,
@@ -222,7 +222,7 @@ PREDICT_BLOCK_ROWS = 128
 
 def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray,
                   ws: Workspace | None = None) -> np.ndarray:
-    """Raw-scale predictions for windows X of shape (N, T, c*m).
+    """Raw-scale predictions for windows X of shape (N, seq_len, c*m), checked once.
 
     Windows are independent, so they run in blocks of PREDICT_BLOCK_ROWS
     rows; each block's predictions land in one preallocated (N,) array.
@@ -237,15 +237,15 @@ def predict_batch(spec: ModelSpec, params: ModelParams, X: np.ndarray,
         X = np.asarray(X, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"predict_batch: X is not a float array (N, T, c*m): {exc}") from exc
-    if X.ndim != 3:
-        raise ShapeError(f"predict_batch: X must have shape (N, T, c*m), got {X.shape}")
+    if X.shape[1:] != (spec.seq_len, spec.input_dim):
+        raise ShapeError(f"predict_batch: X must have shape (N, {spec.seq_len}, "
+                         f"{spec.input_dim}), got {X.shape}")
     out = np.empty(X.shape[0])
     # every block after the first runs in the first one's buffers
     ws = Workspace() if ws is None else ws
-    # an empty X still makes one call, so its shape is checked as before; an
-    # overflow needs no numpy warning, as a non-finite prediction is refused below
+    # an overflow needs no numpy warning, as a non-finite prediction is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, max(X.shape[0], 1), PREDICT_BLOCK_ROWS):
+        for start in range(0, X.shape[0], PREDICT_BLOCK_ROWS):
             block = X[start:start + PREDICT_BLOCK_ROWS].transpose(1, 0, 2)  # (T, rows, c*m)
             pred, _ = _forward(spec, params, block, keep_trace=False, ws=ws)
             out[start:start + block.shape[1]] = pred
@@ -263,8 +263,9 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
     init, shuffle, fit, optionally score the test set."""
     split = config.fitted_windows(len(train_set))
     X, y = train_set.X, train_set.y
-    if X.shape[1] != spec.seq_len:
-        raise ShapeError(f"windows have T={X.shape[1]}, spec.seq_len is {spec.seq_len}")
+    if X.shape[1:] != (spec.seq_len, spec.input_dim):  # checked once, not on every batch
+        raise ShapeError(f"windows have T={X.shape[1]}, spec.seq_len is {spec.seq_len}; "
+                         f"width {X.shape[2]}, spec.input_dim is {spec.input_dim}")
     X, val_X, y, val_y = X[:split], X[split:], y[:split], y[split:]
 
     rng = np.random.default_rng(seed)
@@ -421,6 +422,9 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     9e307) raises ConfigError naming the tensor.
     """
     TrainConfig(seed=seed, l2_lambda=l2_lambda)  # training's rules for both
+    check_indexable(n_windows * spec.seq_len * spec.input_dim, ConfigError,
+                    f"gradcheck: {n_windows} windows of seq_len={spec.seq_len} need an array "
+                    "larger than numpy can index")
     rng = np.random.default_rng(seed)
     params = random_model_params(spec, rng)
     X = rng.normal(0.0, 1.0, size=(n_windows, spec.seq_len, spec.input_dim))

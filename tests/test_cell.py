@@ -142,7 +142,9 @@ def test_empty_sequence_is_an_error():
 def test_dimension_mismatch_errors():
     layer = LayerParams.zeros(1, 3, 2)
     with pytest.raises(ShapeError):
-        as_layer_input([np.zeros(5)], 2)  # steps wider than the cell's input
+        as_layer_input([np.zeros((1, 5))], 2)  # steps wider than the cell's input
+    with pytest.raises(ShapeError):
+        as_layer_input([np.zeros(2)], 2)  # one unbatched (T, d) sequence
     with pytest.raises(ShapeError):
         as_layer_input([np.zeros(2), np.zeros(3)], 2)  # ragged steps
     with pytest.raises(ShapeError):

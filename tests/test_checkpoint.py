@@ -55,10 +55,10 @@ def test_round_tripped_model_predicts_identically(v2_path, st_model):
     spec, params = st_model
     spec2, params2 = load_checkpoint(v2_path)
     rng = np.random.default_rng(1)
-    window = [rng.normal(size=spec.input_dim) for _ in range(spec.seq_len)]
+    window = [rng.normal(size=(1, spec.input_dim)) for _ in range(spec.seq_len)]
     a, _ = model_forward(spec, params, window)
     b, _ = model_forward(spec2, params2, window)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_v2_layout_is_header_lines_then_little_endian_values(v2_path, st_model):

@@ -386,6 +386,16 @@ REFUSALS = {
         lambda t, m: ["predict", "--manifest", m, "--model",
                       _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
                           b"stlstm-checkpoint v2\n", b"stlstm-checkpoint v1\n", 1))]),
+    # the CRC covers the values alone, so an edited seq_len still loads
+    "checkpoint-seq-len-past-numpy": (
+        "seq_len=10000000000000000000 and 4 values a day give windows larger than numpy can "
+        "index",
+        lambda t, m: ["predict", "--manifest", m, "--range", "2007-01-01:2007-03-01", "--model",
+                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
+                          b" seq_len=4 ", b" seq_len=10000000000000000000 ", 1))]),
+    "compare-deeply-nested-report": (
+        "not a valid evaluation report: RecursionError(",
+        lambda t, m: ["compare", "--reports", _written(t, b"[" * 100_000 + b"]" * 100_000)]),
     "checkpoint-trailing-byte": (
         "trailing data: 1 bytes after the last value",
         lambda t, m: ["predict", "--manifest", m, "--model",
@@ -756,6 +766,17 @@ def test_a_settings_value_that_does_not_parse_exits_2_naming_its_key(tmp_path, c
     (["gen-synthetic", "--locations", "100000000000"],
      "locations=100000000000, vars_per_location=3 and days=800 need an array larger than "
      "numpy can index"),
+    # gradcheck's (4, seq_len, 6) windows: too many bytes, then an axis past the index type
+    (["gradcheck", "--model-kind", "stacked", "--seq-len", "100000000000000000"],
+     "gradcheck: 4 windows of seq_len=100000000000000000 need an array larger than numpy can "
+     "index"),
+    (["gradcheck", "--model-kind", "stacked", "--seq-len", "10000000000000000000"],
+     "gradcheck: 4 windows of seq_len=10000000000000000000 need an array larger than numpy "
+     "can index"),
+    # no window fits, and even the empty (0, seq_len, 4) record is past the index type
+    (["train", "--epochs", "1", "--repeats", "1", "--seq-len", "10000000000000000000"],
+     "seq_len=10000000000000000000 and 4 values a day give windows larger than numpy can "
+     "index"),
 ])
 def test_an_array_numpy_refuses_exits_2_with_one_error_line(tmp_path, capsys, argv, fragment):
     manifest = gen_tiny(tmp_path, capsys)

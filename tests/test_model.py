@@ -31,9 +31,9 @@ def enumeration_count(spec):
     return by_part
 
 
-def random_window(spec, rng, batch=None):
-    shape = (spec.seq_len, spec.input_dim) if batch is None else (spec.seq_len, batch, spec.input_dim)
-    return [x for x in rng.normal(size=shape)]
+def random_window(spec, rng, batch=1):
+    """A batch of windows as the list of its T (batch, c*m) steps."""
+    return list(rng.normal(size=(spec.seq_len, batch, spec.input_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -47,26 +47,28 @@ def test_zero_params_predict_the_bias():
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=5)
     params = zero_model_params(spec)
     rng = np.random.default_rng(0)
-    pred, _ = model_forward(spec, params, random_window(spec, rng))
-    assert pred == 0.0
+    pred, _ = model_forward(spec, params, random_window(spec, rng, 3))
+    assert np.array_equal(pred, np.zeros(3))
     params.b_dense[0] = 2.5
-    pred, _ = model_forward(spec, params, random_window(spec, rng))
-    assert pred == 2.5
+    pred, _ = model_forward(spec, params, random_window(spec, rng, 3))
+    assert np.array_equal(pred, np.full(3, 2.5))
 
 
 def test_forward_rejects_bad_windows():
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=5)
     params = zero_model_params(spec)
+    with pytest.raises(ShapeError, match="window has 4 steps, spec.seq_len is 5"):
+        model_forward(spec, params, [np.zeros((1, 4))] * 4)  # wrong T
     with pytest.raises(ShapeError):
-        model_forward(spec, params, [np.zeros(4)] * 4)  # wrong T
+        model_forward(spec, params, [np.zeros((1, 3))] * 5)  # wrong width
     with pytest.raises(ShapeError):
-        model_forward(spec, params, [np.zeros(3)] * 5)  # wrong width
-    with pytest.raises(ShapeError):
-        model_forward(spec, params, [np.zeros(4)] * 4 + [np.zeros(3)])  # ragged steps
+        model_forward(spec, params, [np.zeros((1, 4))] * 4 + [np.zeros((1, 3))])  # ragged steps
     with pytest.raises(ShapeError):
         model_forward(spec, params, [np.zeros((2, 4))] * 4 + [np.zeros(4)])  # batched and not
     with pytest.raises(ShapeError):
         model_forward(spec, params, np.zeros((5, 2, 2, 4)))  # one axis too many
+    with pytest.raises(ShapeError, match=r"input has shape \(5, 4\), expected \(T >= 1, B, d=4\)"):
+        model_forward(spec, params, np.zeros((5, 4)))  # one (T, c*m) window, not a batch
 
 
 def test_batched_forward_matches_per_window():
@@ -78,15 +80,15 @@ def test_batched_forward_matches_per_window():
     # the (T, B, c*m) array those steps convert to, here as a strided view
     assert np.array_equal(model_forward(spec, params, X.transpose(1, 0, 2))[0], batch_pred)
     for b in range(7):
-        one, _ = model_forward(spec, params, [X[b, t] for t in range(spec.seq_len)])
-        assert abs(batch_pred[b] - one) < 1e-12
+        one, _ = model_forward(spec, params, [X[b:b + 1, t] for t in range(spec.seq_len)])
+        assert one.shape == (1,) and abs(batch_pred[b] - one[0]) < 1e-12
 
 
 def test_stacked_predictions_invariant_under_location_permutation():
     spec = ModelSpec(kind="stacked", locations=4, vars_per_location=3, n1=8, n2=4, seq_len=5)
     rng = np.random.default_rng(2)
     params = random_model_params(spec, rng)
-    window = random_window(spec, rng)
+    window = random_window(spec, rng, 3)
     pred, _ = model_forward(spec, params, window)
 
     perm = np.array([2, 0, 3, 1])
@@ -96,9 +98,9 @@ def test_stacked_predictions_invariant_under_location_permutation():
     for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
         arr = getattr(permuted.layer1[0], name)
         arr[...] = arr[:, col_perm]
-    window_perm = [x[col_perm] for x in window]
+    window_perm = [x[:, col_perm] for x in window]
     pred_perm, _ = model_forward(spec, permuted, window_perm)
-    assert abs(pred - pred_perm) < 1e-12
+    assert np.max(np.abs(pred - pred_perm)) < 1e-12
 
 
 def test_layer1_layout_lives_in_the_spec():
@@ -178,7 +180,7 @@ def test_embedded_model_matches_st_model(act):
             window = random_window(spec, rng)
             a, _ = model_forward(spec, params, window)
             b, _ = model_forward(e_spec, e_params, window)
-            assert abs(a - b) < 1e-12
+            assert np.max(np.abs(a - b)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +232,8 @@ def test_zero_loss_gradient_gives_zero_parameter_gradients():
     spec = ModelSpec(kind="st_stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=4)
     rng = np.random.default_rng(6)
     params = random_model_params(spec, rng)
-    _, trace = model_forward(spec, params, random_window(spec, rng))
-    grads = model_backward(spec, params, trace, 0.0)
+    _, trace = model_forward(spec, params, random_window(spec, rng, 3))
+    grads = model_backward(spec, params, trace, np.zeros(3))
     for _, arr in grads.tensors():
         assert np.array_equal(arr, np.zeros_like(arr))
 
@@ -240,9 +242,9 @@ def test_head_bias_gradient_equals_loss_gradient():
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=4)
     rng = np.random.default_rng(7)
     params = random_model_params(spec, rng)
-    _, trace = model_forward(spec, params, random_window(spec, rng))
-    grads = model_backward(spec, params, trace, 3.25)
-    assert grads.b_dense[0] == 3.25
+    _, trace = model_forward(spec, params, random_window(spec, rng, 2))
+    grads = model_backward(spec, params, trace, np.array([1.25, 2.0]))
+    assert grads.b_dense[0] == 3.25  # the sum over the batch
 
 
 @pytest.mark.parametrize("kind", ["stacked", "st_stacked"])
@@ -258,14 +260,14 @@ def test_head_reads_only_the_final_hidden_state():
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=5)
     rng = np.random.default_rng(8)
     params = random_model_params(spec, rng)
-    window = random_window(spec, rng)
+    window = random_window(spec, rng, 4)
     pred, trace = model_forward(spec, params, window)
     delta = rng.normal(size=spec.n2)
     shifted = params.copy()
     shifted.w_dense += delta
     pred_shifted, _ = model_forward(spec, shifted, window)
-    # the prediction moves exactly by delta . h_final: no other path exists
-    assert abs((pred_shifted - pred) - delta @ trace.final_hidden) < 1e-12
+    # each prediction moves exactly by delta . h_final: no other path exists
+    assert np.max(np.abs((pred_shifted - pred) - trace.final_hidden @ delta)) < 1e-12
 
 
 def test_is_penalized_excludes_biases():

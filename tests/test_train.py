@@ -477,13 +477,13 @@ def test_a_built_spec_or_config_is_frozen(build):
 @pytest.fixture(scope="module")
 def refusal_inputs(tmp_path_factory):
     """A 50-day dataset (2 x 2, test range on its last 3 days), its manifest,
-    and a single-window trace of a seq_len=3 model."""
+    and the trace of a seq_len=3 model on a batch of one window."""
     manifest = load_manifest(gen_synthetic(tmp_path_factory.mktemp("refusals"), locations=2,
                                            vars_per_location=2, days=50, coupling=0.5,
                                            seed=1, test_days=3))
     spec = ModelSpec(kind="stacked", locations=2, vars_per_location=2, n1=4, n2=3, seq_len=3)
     params = zero_model_params(spec)
-    _, trace = model.model_forward(spec, params, np.zeros((3, 4)))
+    _, trace = model.model_forward(spec, params, np.zeros((3, 1, 4)))
     return {
         "manifest": manifest, "ds": load_dataset(manifest), "spec": spec, "params": params,
         "trace": trace}
@@ -502,6 +502,14 @@ REFUSED_CALLS = {
                            lambda d: train_once(dataclasses.replace(d["spec"], seq_len=4),
                                                 TrainConfig(epochs=1),
                                                 train_windows(d["ds"], 3, 1), seed=0)),
+    # train_once and predict_batch check their windows' shape once, before any batch or block
+    "train-once-width": (ShapeError, "width 4, spec.input_dim is 6",
+                         lambda d: train_once(dataclasses.replace(d["spec"], vars_per_location=3),
+                                              TrainConfig(epochs=1),
+                                              train_windows(d["ds"], 3, 1), seed=0)),
+    "predict-batch-empty-width": (ShapeError, "X must have shape (N, 3, 4), got (0, 3, 5)",
+                                  lambda d: predict_batch(d["spec"], d["params"],
+                                                          np.zeros((0, 3, 5)))),
     "train-once-no-windows": (ShapeError, "no training windows",
                               lambda d: train_once(d["spec"], TrainConfig(epochs=1),
                                                    make_windows(d["ds"], 3, 1, 0, 3), seed=0)),
@@ -509,7 +517,7 @@ REFUSED_CALLS = {
                               lambda d: model.model_backward(
                                   dataclasses.replace(d["spec"], seq_len=4), d["params"],
                                   d["trace"], 0.0)),
-    "backward-dy-shape": (ShapeError, "loss gradient has shape (2,), predictions have shape ()",
+    "backward-dy-shape": (ShapeError, "loss gradient has shape (2,), predictions have shape (1,)",
                           lambda d: model.model_backward(d["spec"], d["params"], d["trace"],
                                                          np.zeros(2))),
     "missing-policy": (DataError, "unknown missing_policy 'bfill'",

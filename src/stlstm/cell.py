@@ -23,6 +23,8 @@ rows are projected instead of T*B), each step adds one batched matmul
 of h, and the weight gradients are one matmul each after the backward
 time loop. Given a ``Workspace``, both keep their large arrays in its
 reused buffers, so a batch of a shape seen before allocates nothing large.
+Each call broadcasts the peepholes once, and the step loops write every
+intermediate into workspace scratch: a step makes no temporaries.
 One cell at one step is ``layer_forward`` with K = T = B = 1.
 
 The engine trusts the shape of its (K, T, B, d) input: ``as_layer_input``
@@ -59,25 +61,25 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     1.1e-16 of the exact value (``expit``'s: 1.7e-16); only the relative
     error of values below ~1e-8 is larger.
     """
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
+    out = np.multiply(x, 0.5, out)
+    np.tanh(out, out)
     out *= 0.5
     out += 0.5
     return out
 
 
-def inner_activation(act: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the inner activation g (``act`` checked by the caller)."""
-    if act == "tanh":
-        return np.tanh(x, out=out)
-    return sigmoid(x, out=out)
+def _tanh_deriv(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh'(x) through its output y = tanh(x): 1 - y*y."""
+    return np.subtract(1.0, np.multiply(y, y, out), out)
 
 
-def inner_activation_deriv(act: str, out: np.ndarray) -> np.ndarray:
-    """g'(x) expressed through the already-computed output g(x)."""
-    if act == "tanh":
-        return 1.0 - out * out
-    return out * (1.0 - out)
+def _sigmoid_deriv(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma'(x) through its output y = sigma(x): y * (1 - y)."""
+    return np.multiply(y, np.subtract(1.0, y, out), out)
+
+
+# the inner activation g and its derivative through its output, by name
+_INNER = {"tanh": (np.tanh, _tanh_deriv), "sigmoid": (sigmoid, _sigmoid_deriv)}
 
 
 class Workspace:
@@ -343,14 +345,16 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
         raise ShapeError(f"initial state has c={init.c.shape}, h={init.h.shape}, "
                          f"expected {(K, B, n)}")
     ws = Workspace() if ws is None else ws
+    g = _INNER[act][0]
     rows, step = input_rows(X, ws)
     # the input projection of every distinct row, one batched matmul: (4, K, R, n)
     P = np.matmul(rows[None], _by_gate(p.Wx, ws, "Wx", transpose=True),
                   out=ws.take("A", (4, K, rows.shape[1], n)))
     P += p.b.reshape(K, 4, 1, n).transpose(1, 0, 2, 3)
     WhT = _by_gate(p.Wh, ws, "Wh", transpose=True)
-    w_if = np.ascontiguousarray(p.wc[:, :2].transpose(1, 0, 2))[:, :, None, :]  # (2, K, 1, n)
-    w_o = p.wc[:, 2, None, :]
+    W = ws.take("wc", (3, K, B, n))  # the peepholes i, f, o, broadcast over the batch once
+    W[...] = p.wc.transpose(1, 0, 2)[:, :, None]
+    w_if, w_o = W[:2], W[2]
 
     gs, cs = (T, T + 1) if keep_trace else (1, 2)
     G = ws.take(ws.tag + "G", (gs, 4, K, B, n))
@@ -358,25 +362,25 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
     GC = ws.take(ws.tag + "GC", (gs, K, B, n))
     H = ws.take(ws.tag + "H", (T + 1, K, B, n))
     s = ws.take("step", (2, K, B, n))  # scratch for each step's products
+    s0 = s[0]
     C[0] = 0.0 if init is None else init.c
     H[0] = 0.0 if init is None else init.h
 
     for t in range(T):
         a = G[t % gs]
-        np.matmul(H[t], WhT, out=a)
+        np.matmul(H[t], WhT, a)
         a += P[:, :, t * step:t * step + B]
         c_prev, c = C[t % cs], C[(t + 1) % cs]
-        a_if = a[:2]
-        a_if += np.multiply(c_prev, w_if, out=s)
-        sigmoid(a_if, out=a_if)
-        i, f, z, o = a
-        inner_activation(act, z, out=z)
-        np.multiply(f, c_prev, out=c)
-        c += np.multiply(i, z, out=s[0])
-        o += np.multiply(c, w_o, out=s[0])
-        sigmoid(o, out=o)
-        g_c = inner_activation(act, c, out=GC[t % gs])
-        np.multiply(o, g_c, out=H[t + 1])
+        a_if, z, o = a[:2], a[2], a[3]
+        a_if += np.multiply(c_prev, w_if, s)
+        sigmoid(a_if, a_if)
+        g(z, z)
+        np.multiply(a[1], c_prev, c)
+        c += np.multiply(a[0], z, s0)
+        o += np.multiply(c, w_o, s0)
+        sigmoid(o, o)
+        g_c = g(c, GC[t % gs])
+        np.multiply(o, g_c, H[t + 1])
 
     final = CellState(c=C[T % cs], h=H[T])
     trace = LayerTrace(x=X, gates=G, c=C, h=H, g_c=GC) if keep_trace else None
@@ -391,10 +395,11 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
 
     ``dH`` (T, K, B, n) is the loss gradient arriving directly at each
     h_t and ``dc_final`` (K, B, n) an optional one on the last cell
-    state. Parameter gradients are written into ``grads`` (a fresh
-    LayerParams by default). Returns (parameter gradients, input
-    gradients (K, T, B, d) or None without ``need_dx``, initial-state
-    gradients); the input gradients live in ``ws`` (a fresh Workspace by default).
+    state; any other shape is a ShapeError. Parameter gradients are
+    written into ``grads`` (a fresh LayerParams by default). Returns
+    (parameter gradients, input gradients (K, T, B, d) or None without
+    ``need_dx``, initial-state gradients); the input and initial-state
+    gradients live in ``ws`` (a fresh Workspace by default).
 
     The output gate's peephole reads the current-step c, so its
     pre-activation gradient is formed before c's gradient is complete;
@@ -406,40 +411,54 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
     X, G, C, H = trace.x, trace.gates, trace.c, trace.h
     K, T, B, d = X.shape
     n = p.n
+    if np.shape(dH) != (T, K, B, n) or (dc_final is not None and np.shape(dc_final) != (K, B, n)):
+        raise ShapeError(f"gradients have dH={np.shape(dH)}, dc_final={np.shape(dc_final)}, "
+                         f"expected {(T, K, B, n)} and {(K, B, n)}")
     ws = Workspace() if ws is None else ws
     if grads is None:
         grads = LayerParams.zeros(K, n, d)
+    g_deriv = _INNER[act][1]
     Wh = _by_gate(p.Wh, ws, "Wh", transpose=False)
-    w_ci, w_cf, w_co = (p.wc[:, j, None, :] for j in range(3))
+    W = ws.take("wc", (3, K, B, n))  # the peepholes i, f, o, broadcast over the batch once
+    W[...] = p.wc.transpose(1, 0, 2)[:, :, None]
+    w_ci, w_cf, w_co = W
     dA = ws.take("A", (T, 4, K, B, n))  # the forward's input projection is dead by now
-    dh_next = np.zeros((K, B, n))
-    dc_next = np.zeros((K, B, n)) if dc_final is None else np.array(dc_final, dtype=np.float64)
+    # dh and dc carry the state gradients from step to step; s is each step's scratch
+    dh, dc, s = ws.take("step", (3, K, B, n))
+    dh[...] = 0.0
+    dc[...] = 0.0 if dc_final is None else dc_final
     dh_gates = ws.take("packed", (4, K, B, n))  # dA's packed copy is made after the loop
 
     for t in range(T - 1, -1, -1):
-        i, f, z, o = G[t]
-        da_i, da_f, dz_pre, da_o = dA[t]
+        a, da = G[t], dA[t]
+        i, f, z, o = a[0], a[1], a[2], a[3]
+        da_i, da_f, dz_pre, da_o = da[0], da[1], da[2], da[3]
         g_c, c_prev = trace.g_c[t], C[t]
-        dh = dH[t] + dh_next
+        dh += dH[t]
 
         # h = o * g(c): the o branch first, since o's peephole feeds dc.
-        np.multiply(dh, g_c, out=da_o)
+        np.multiply(dh, g_c, da_o)
         da_o *= o
-        da_o *= 1.0 - o
-        dc = dh * o * inner_activation_deriv(act, g_c) + dc_next + da_o * w_co
+        da_o *= np.subtract(1.0, o, s)
+        np.multiply(dh, o, s)
+        s *= g_deriv(g_c, dh)  # dh is spent until the recurrence below refills it
+        dc += s
+        dc += np.multiply(da_o, w_co, s)
 
         # c = f * c_prev + i * z
-        np.multiply(dc, z, out=da_i)
+        np.multiply(dc, z, da_i)
         da_i *= i
-        da_i *= 1.0 - i
-        np.multiply(dc, c_prev, out=da_f)
+        da_i *= np.subtract(1.0, i, s)
+        np.multiply(dc, c_prev, da_f)
         da_f *= f
-        da_f *= 1.0 - f
-        np.multiply(dc, i, out=dz_pre)
-        dz_pre *= inner_activation_deriv(act, z)
+        da_f *= np.subtract(1.0, f, s)
+        np.multiply(dc, i, dz_pre)
+        dz_pre *= g_deriv(z, s)
 
-        dc_next = dc * f + da_i * w_ci + da_f * w_cf
-        dh_next = np.matmul(dA[t], Wh, out=dh_gates).sum(axis=0)
+        dc *= f
+        dc += np.multiply(da_i, w_ci, s)
+        dc += np.multiply(da_f, w_cf, s)
+        np.matmul(da, Wh, dh_gates).sum(axis=0, out=dh)
 
     # (T, 4, K, B, n) -> (K, T*B, 4n): each cell's gradients in packed gate order
     dAk = ws.contiguous("packed", dA.transpose(2, 0, 3, 1, 4)).reshape(K, T * B, 4 * n)
@@ -455,7 +474,7 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
            axis=(0, 3), out=grads.wc[:, :2].transpose(1, 0, 2))
     np.sum(np.multiply(dA[:, 3], C[1:], out=ws.take("packed", (T, K, B, n))),
            axis=(0, 2), out=grads.wc[:, 2])
-    return grads, dX, CellState(c=dc_next, h=dh_next)
+    return grads, dX, CellState(c=dc, h=dh)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_dimension_mismatch_errors():
     with pytest.raises(ShapeError):  # c and h of different shapes
         layer_forward(layer, X, "tanh",
                       init=CellState(c=np.zeros((1, 1, 3)), h=np.zeros((1, 1, 4))))
+    # the gradients layer_backward takes are (T, K, B, n) and (K, B, n), none broadcast
+    T, K, B, n = 2, 1, 3, 3
+    _, _, trace = layer_forward(layer, np.zeros((K, T, B, 2)), "tanh")
+    expected = r"expected \(2, 1, 3, 3\) and \(1, 3, 3\)"
+    for shape in ((n,), (B, n), (1, n), (2, K, B, n), (K, 1, n)):
+        with pytest.raises(ShapeError, match=expected):
+            layer_backward(layer, trace, np.zeros((T, K, B, n)), "tanh", dc_final=np.zeros(shape))
+    for shape in ((T, K, 1, n), (T + 2, K, B, n), (T - 1, K, B, n), (K, B, n)):
+        with pytest.raises(ShapeError, match=expected):
+            layer_backward(layer, trace, np.zeros(shape), "tanh")
     # a loose cell is checked where it is packed into a layer
     wide = CellParams.zeros(3, 2)
     wide.W_hi = np.zeros((3, 4))

@@ -9,6 +9,8 @@ reaches the same memory.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stlstm import (
@@ -21,10 +23,12 @@ from stlstm import (
     model_forward,
     random_model_params,
 )
-from stlstm.cell import LayerParams, LayerTrace, input_rows, layer_backward, layer_forward
+from stlstm.cell import (LayerParams, LayerTrace, Workspace, input_rows, layer_backward,
+                         layer_forward)
 from stlstm.model import is_penalized
 from stlstm.train import PREDICT_BLOCK_ROWS, Adam, predict_batch
 
+import engine_reference
 from test_cell import random_cell
 
 
@@ -169,6 +173,60 @@ def test_layer_forward_on_a_sliding_view_equals_its_contiguous_copy(act, keep_tr
                                           keep_trace=keep_trace)
     assert np.array_equal(H, H_copy)
     assert np.array_equal(final.c, final_copy.c) and np.array_equal(final.h, final_copy.h)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+engine_case = st.fixed_dictionaries({
+    "K": st.integers(1, 4), "n": st.integers(1, 4), "d": st.integers(1, 3),
+    "T": st.integers(1, 5), "B": st.integers(1, 5), "act": st.sampled_from(["tanh", "sigmoid"]),
+    "keep_trace": st.booleans(), "need_dx": st.booleans(), "with_init": st.booleans(),
+    "with_dc_final": st.booleans(), "x": st.sampled_from(["view", "copy", "shuffled"]),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cases=st.lists(engine_case, min_size=2, max_size=2))
+def test_the_engine_equals_its_frozen_reference_bit_for_bit(cases):
+    # two calls in one workspace, as training and predict reuse theirs from batch to batch
+    ws = Workspace()
+    for case in cases:
+        K, n, d, T, B = (case[key] for key in "KndTB")
+        act = case["act"]
+        rng = np.random.default_rng(case["seed"])
+        layer = random_layer(K, n, d, rng)
+        X = sliding_layer_input(K, T, B, d, rng)
+        if case["x"] != "view":
+            X = np.ascontiguousarray(X)
+        if case["x"] == "shuffled":
+            X = np.ascontiguousarray(X[:, :, rng.permutation(B)])
+        init = (CellState(c=rng.normal(size=(K, B, n)), h=rng.normal(size=(K, B, n)))
+                if case["with_init"] else None)
+        dH = rng.normal(size=(T, K, B, n))
+        dc_final = rng.normal(size=(K, B, n)) if case["with_dc_final"] else None
+
+        keep_trace = case["keep_trace"]
+        want_H, want_final, want_trace = engine_reference.layer_forward(layer, X, act, init,
+                                                                        keep_trace=keep_trace)
+        H, final, trace = layer_forward(layer, X, act, init, keep_trace=keep_trace,
+                                        ws=Workspace(ws.buffers, "l1"))
+        assert same_bits(H, want_H)
+        assert same_bits(final.c, want_final.c) and same_bits(final.h, want_final.h)
+        if not keep_trace:
+            continue
+        want_grads, want_dX, want_dinit = engine_reference.layer_backward(
+            layer, want_trace, dH, act, dc_final, need_dx=case["need_dx"])
+        grads, dX, dinit = layer_backward(layer, trace, dH, act, dc_final,
+                                          need_dx=case["need_dx"], ws=ws)
+        for a, b in zip(grads.arrays(), want_grads.arrays()):
+            assert same_bits(a, b)
+        assert (dX is None) == (want_dX is None) == (not case["need_dx"])
+        assert dX is None or same_bits(dX, want_dX)
+        assert same_bits(dinit.c, want_dinit.c) and same_bits(dinit.h, want_dinit.h)
 
 
 # (vars per location, n1, n2, T, windows): a small model at every block edge;

@@ -53,7 +53,7 @@ def check_activation(act: str) -> str:
     return act
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The logistic function as (1 + tanh(x/2)) / 2; ``out`` may be ``x``.
 
     This tanh form was measured several times faster than a dedicated
@@ -160,10 +160,6 @@ class CellParams:
                 raise ShapeError(f"cell tensor {name} has shape {arr.shape}, expected {want}")
             if arr.dtype != np.float64:
                 raise ShapeError(f"cell tensor {name} must be float64, got {arr.dtype}")
-
-    @classmethod
-    def zeros(cls, n: int, d: int) -> "CellParams":
-        return cls(**{name: np.zeros(_tensor_shape(name, n, d)) for name in CELL_TENSOR_NAMES})
 
 
 CELL_TENSOR_NAMES = tuple(f.name for f in fields(CellParams))
@@ -306,7 +302,7 @@ def as_layer_input(x_seq, d: int) -> np.ndarray:
     return X[None]
 
 
-def input_rows(X: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, int]:
+def input_rows(X: np.ndarray, ws: Workspace) -> tuple[np.ndarray, int]:
     """The distinct input rows of a (K, T, B, d) layer input, and the row step between steps.
 
     Step t of window b reads row ``t*step + b`` of the returned (K, R, d)
@@ -320,8 +316,8 @@ def input_rows(X: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, 
     bits = X.view(np.uint64)  # a shuffled batch fails at its first row pair
     if min(T, B) > 1 and (X.strides[1] == X.strides[2] or (np.array_equal(bits[:, 1, 0], bits[:, 0, 1])
                           and np.array_equal(bits[:, 1:, :-1], bits[:, :-1, 1:]))):
-        out = None if ws is None else ws.take("rows", (K, T + B - 1, d))
-        return np.concatenate([X[:, 0], X[:, 1:, B - 1]], axis=1, out=out), 1
+        return np.concatenate([X[:, 0], X[:, 1:, B - 1]], axis=1,
+                              out=ws.take("rows", (K, T + B - 1, d))), 1
     return X.reshape(K, T * B, d), B
 
 

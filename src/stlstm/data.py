@@ -559,13 +559,12 @@ def synthetic_series(locations: int, vars_per_location: int, days: int,
 
 def gen_synthetic(out_dir, locations: int, vars_per_location: int, days: int,
                   coupling: float, seed: int, ar_coef: float = 0.7,
-                  noise_std: float = 0.3, test_days: int | None = None,
-                  start_date: dt.date = dt.date(2007, 1, 1)) -> Path:
+                  noise_std: float = 0.3, test_days: int | None = None) -> Path:
     """Write per-location CSVs plus a manifest; byte-identical per seed.
 
-    The last ``test_days`` days (default days // 10) become the declared
-    test range. Every argument is checked before anything is drawn or
-    written. Returns the manifest path.
+    The days run from 2007-01-01, and the last ``test_days`` of them
+    (default days // 10) become the declared test range. Every argument
+    is checked before anything is drawn or written. Returns the manifest path.
     """
     if days < 50:
         raise DataError(f"synthetic generator needs days >= 50, got {days}")
@@ -573,6 +572,7 @@ def gen_synthetic(out_dir, locations: int, vars_per_location: int, days: int,
         test_days = days // 10
     if not 0 < test_days < days:
         raise DataError(f"test_days must be in (0, days), got {test_days}")
+    start_date = dt.date(2007, 1, 1)
     if days - 1 > (dt.date.max - start_date).days:
         raise DataError(f"{days} days from {start_date} run past {dt.date.max}")
     _, values, variables = synthetic_series(locations, vars_per_location, days,

@@ -262,12 +262,11 @@ def zero_model_params(spec: ModelSpec) -> ModelParams:
         (spec.loc_cells, spec.loc_neurons, spec.loc_inputs, spec.n2, spec.n1))
 
 
-def random_model_params(spec: ModelSpec, rng: np.random.Generator,
-                        scale: float = 0.5) -> ModelParams:
-    """Every tensor uniform on [-scale, scale]; used by oracles and tests."""
+def random_model_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
+    """Every tensor uniform on [-0.5, 0.5]; used by oracles and tests."""
     params = zero_model_params(spec)
     for _, arr in params.tensors():
-        arr[...] = rng.uniform(-scale, scale, size=arr.shape)
+        arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
     return params
 
 
@@ -371,9 +370,10 @@ def block_diagonal_embed(spec: ModelSpec, params: ModelParams
     if spec.kind != "st_stacked":
         raise ConfigError("block_diagonal_embed expects an st_stacked model")
     c, m, nc = spec.locations, spec.vars_per_location, spec.loc_neurons
+    out_spec = replace(spec, kind="stacked")
+    out = zero_model_params(out_spec)
 
-    src = params.l1
-    big = LayerParams.zeros(1, spec.n1, spec.input_dim)
+    src, big = params.l1, out.l1
     # gate rows g*n1 + k*nc .. : (4n1, .) seen as (4, c, nc, .)
     Wx = big.Wx[0].reshape(4, c, nc, c, m)
     Wh = big.Wh[0].reshape(4, c, nc, c, nc)
@@ -382,11 +382,10 @@ def block_diagonal_embed(spec: ModelSpec, params: ModelParams
         Wh[:, k, :, k, :] = src.Wh[k].reshape(4, nc, nc)
     big.b[0].reshape(4, c, nc)[...] = src.b.reshape(c, 4, nc).transpose(1, 0, 2)
     big.wc[0].reshape(3, c, nc)[...] = src.wc.transpose(1, 0, 2)
-
-    out_spec = replace(spec, kind="stacked")
-    out_params = ModelParams(layer1=[big.cell(0)], layer2=params.layer2,
-                             w_dense=params.w_dense, b_dense=params.b_dense)
-    return out_spec, out_params
+    for dst, arr in zip(out.l2.arrays() + (out.w_dense, out.b_dense),
+                        params.l2.arrays() + (params.w_dense, params.b_dense)):
+        dst[...] = arr
+    return out_spec, out
 
 
 def param_count(spec: ModelSpec) -> dict:

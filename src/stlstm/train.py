@@ -111,13 +111,11 @@ def loss(preds, targets, params: ModelParams | None = None,
 
 
 class Sgd:
-    def __init__(self, arrays: list[np.ndarray], learning_rate: float):
-        self.arrays = arrays
-        self.lr = learning_rate
+    def __init__(self, flat: np.ndarray, learning_rate: float):
+        self.flat, self.lr = flat, learning_rate
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        for arr, g in zip(self.arrays, grads):
-            arr -= self.lr * g
+    def step(self, grad: np.ndarray) -> None:
+        self.flat -= self.lr * grad
 
 
 class Adam:
@@ -270,7 +268,8 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
 
     rng = np.random.default_rng(seed)
     params = init_model_params(spec, rng, config.forget_bias_init)
-    opt = (Sgd([params.flat], config.learning_rate) if config.optimizer == "sgd" else
+    sgd = config.optimizer == "sgd"
+    opt = (Sgd(params.flat, config.learning_rate) if sgd else
            Adam([params.flat], config.learning_rate, config.adam_beta1, config.adam_beta2,
                 config.adam_eps))
 
@@ -296,7 +295,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
                 bad = grads.first_non_finite()
                 if bad:
                     raise DivergenceError(epoch, batch, f"gradient {bad[0]}")
-                opt.step([grads.flat])
+                opt.step(grads.flat if sgd else [grads.flat])
                 epoch_losses.append(batch_loss)
             epoch_loss = float(np.mean(epoch_losses))
             if not math.isfinite(epoch_loss):
@@ -406,13 +405,12 @@ class GradCheckReport:
         return self.max_rel_err < 1e-6
 
 
-def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
-              l2_lambda: float = 0.01, step: float = 1e-5) -> GradCheckReport:
+def gradcheck(spec: ModelSpec, seed: int = 0, l2_lambda: float = 0.01) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Builds random parameters (every tensor uniform, so peephole and
-    bias paths are exercised away from zero), random windows and
-    targets, then perturbs every parameter component by +-step and
+    bias paths are exercised away from zero), four random windows and
+    targets, then perturbs every parameter component by +-1e-5 and
     differences the loss: the oracle's data loss plus, for a penalized
     tensor, l2_lambda * (w+^2 - w-^2), so the L2 term's rounding cannot
     swamp the data gradient. Relative error is
@@ -422,6 +420,7 @@ def gradcheck(spec: ModelSpec, seed: int = 0, n_windows: int = 4,
     9e307) raises ConfigError naming the tensor.
     """
     TrainConfig(seed=seed, l2_lambda=l2_lambda)  # training's rules for both
+    n_windows, step = 4, 1e-5
     check_indexable(n_windows * spec.seq_len * spec.input_dim, ConfigError,
                     f"gradcheck: {n_windows} windows of seq_len={spec.seq_len} need an array "
                     "larger than numpy can index")

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from stlstm import (
-    CellParams,
     CellState,
     ModelSpec,
     TrainConfig,
@@ -117,7 +116,7 @@ def test_criterion_4_scalar_loop_cell_oracle():
     worst = 0.0
     for trial in range(1000):
         act = "tanh" if trial % 2 == 0 else "sigmoid"
-        p = CellParams.zeros(3, 2)
+        p = LayerParams.zeros(1, 3, 2).cell(0)
         for _, arr in p.tensors():
             arr[...] = rng.uniform(-0.8, 0.8, size=arr.shape)
         prev = CellState(c=rng.normal(size=(1, 1, 3)), h=rng.normal(size=(1, 1, 3)))

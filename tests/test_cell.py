@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from stlstm import CellParams, CellState, ShapeError
+from stlstm import CellState, ShapeError
 from stlstm.cell import LayerParams, as_layer_input, init_cell_into, layer_backward, layer_forward
 
 
 def random_cell(n, d, rng, scale=0.5):
-    p = CellParams.zeros(n, d)
+    p = LayerParams.zeros(1, n, d).cell(0)
     for _, arr in p.tensors():
         arr[...] = rng.uniform(-scale, scale, size=arr.shape)
     return p
@@ -95,7 +95,7 @@ def test_zero_params_give_half_gates_zero_state():
 
 def test_saturated_forget_gate_retains_memory():
     rng = np.random.default_rng(11)
-    p = CellParams.zeros(5, 2)
+    p = LayerParams.zeros(1, 5, 2).cell(0)
     p.b_f[...] = 20.0
     v = rng.uniform(-1.0, 1.0, size=5)
     prev = CellState(c=v.reshape(1, 1, 5).copy(), h=np.zeros((1, 1, 5)))
@@ -167,16 +167,17 @@ def test_dimension_mismatch_errors():
         with pytest.raises(ShapeError, match=expected):
             layer_backward(layer, trace, np.zeros(shape), "tanh")
     # a loose cell is checked where it is packed into a layer
-    wide = CellParams.zeros(3, 2)
+    wide = LayerParams.zeros(1, 3, 2).cell(0)
     wide.W_hi = np.zeros((3, 4))
     with pytest.raises(ShapeError, match=r"W_hi has shape \(3, 4\), expected \(3, 3\)"):
         LayerParams.pack([wide])
-    single = CellParams.zeros(3, 2)
+    single = LayerParams.zeros(1, 3, 2).cell(0)
     single.b_o = np.zeros(3, dtype=np.float32)
     with pytest.raises(ShapeError, match="cell tensor b_o must be float64, got float32"):
         LayerParams.pack([single])
     with pytest.raises(ShapeError, match="cells of one layer differ in shape"):
-        LayerParams.pack([CellParams.zeros(3, 2), CellParams.zeros(3, 4)])
+        LayerParams.pack([LayerParams.zeros(1, 3, 2).cell(0),
+                          LayerParams.zeros(1, 3, 4).cell(0)])
 
 
 @pytest.mark.parametrize("act,lo,hi", [("tanh", -1.0, 1.0), ("sigmoid", 0.0, 1.0)])
@@ -336,13 +337,13 @@ def test_causality_loss_on_early_step_ignores_later_inputs():
 
 def test_init_cell_into_ranges_and_forget_bias():
     rng = np.random.default_rng(31)
-    p = CellParams.zeros(6, 4)
+    p = LayerParams.zeros(1, 6, 4).cell(0)
     init_cell_into(p, rng)
     assert np.all(np.abs(p.W_xi) <= 1.0 / np.sqrt(4))
     assert np.all(np.abs(p.W_hi) <= 1.0 / np.sqrt(6))
     assert np.array_equal(p.b_i, np.zeros(6))
     assert np.array_equal(p.w_ci, np.zeros(6))
     assert np.array_equal(p.b_f, np.zeros(6))
-    p2 = CellParams.zeros(6, 4)
+    p2 = LayerParams.zeros(1, 6, 4).cell(0)
     init_cell_into(p2, rng, forget_bias=1.0)
     assert np.array_equal(p2.b_f, np.ones(6))

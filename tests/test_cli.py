@@ -83,6 +83,16 @@ def test_gen_synthetic_rejects_short_series(tmp_path, capsys):
     assert "days" in err
 
 
+def test_gen_synthetic_refuses_days_past_the_calendar(tmp_path, capsys, monkeypatch):
+    # 2007-01-01 plus 2,919,382 days is 9999-12-31, the last date a series can reach
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["gen-synthetic", "--days", "2919384", "--out", "d"], capsys)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "9999-12-31" in lines[0], err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("flags", [["--noise", "-1"], ["--noise", "nan"],
                                    ["--ar-coef", "nan"], ["--ar-coef", "1e308"]])
 def test_gen_synthetic_refuses_a_series_that_is_not_finite(tmp_path, capsys, flags):

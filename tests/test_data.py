@@ -293,19 +293,30 @@ def test_synthetic_series_refuses_fewer_than_one_day(days):
         synthetic_series(2, 1, days, coupling=0.5, seed=0)
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"test_days": 0}, "test_days must be in \\(0, days\\), got 0"),
-    ({"test_days": 60}, "test_days must be in \\(0, days\\), got 60"),
-    ({"start_date": dt.date(9999, 12, 1)}, "60 days from 9999-12-01 run past 9999-12-31"),
+# 2007-01-01 plus 2,919,382 days is 9999-12-31: a series of 2,919,383 days ends there
+@pytest.mark.parametrize("days, kwargs, message", [
+    (60, {"test_days": 0}, "test_days must be in \\(0, days\\), got 0"),
+    (60, {"test_days": 60}, "test_days must be in \\(0, days\\), got 60"),
+    (2_919_384, {}, "2919384 days from 2007-01-01 run past 9999-12-31"),
 ], ids=["test_days=0", "test_days=days", "past-9999-12-31"])
-def test_gen_synthetic_checks_its_arguments_before_drawing(tmp_path, monkeypatch, kwargs, message):
+def test_gen_synthetic_checks_its_arguments_before_drawing(tmp_path, monkeypatch, days, kwargs,
+                                                           message):
     def draw(*args):
         raise AssertionError("a series was drawn")
 
     monkeypatch.setattr("stlstm.data.synthetic_series", draw)
     with pytest.raises(DataError, match=message):
-        gen_synthetic(tmp_path / "out", 1, 1, 60, 0.5, 1, **kwargs)
+        gen_synthetic(tmp_path / "out", 1, 1, days, 0.5, 1, **kwargs)
     assert not (tmp_path / "out").exists()
+
+
+def test_gen_synthetic_lets_a_series_end_on_9999_12_31(tmp_path, monkeypatch):
+    def draw(*args):
+        raise AssertionError("a series was drawn")
+
+    monkeypatch.setattr("stlstm.data.synthetic_series", draw)
+    with pytest.raises(AssertionError, match="a series was drawn"):  # every check passed
+        gen_synthetic(tmp_path / "out", 1, 1, 2_919_383, 0.5, 1)
 
 
 def _series_outcome(series, args):

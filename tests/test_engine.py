@@ -126,7 +126,7 @@ def test_trace_free_forward_matches_the_traced_one():
 @pytest.mark.parametrize("K,T,B", [(1, 5, 7), (3, 4, 9), (2, 1, 6), (2, 6, 1), (1, 10, 128)])
 def test_overlapping_windows_project_each_row_once(K, T, B):
     X = sliding_layer_input(K, T, B, 2, np.random.default_rng(20))
-    rows, step = input_rows(X)
+    rows, step = input_rows(X, Workspace())
     want = T + B - 1 if min(T, B) > 1 else T * B
     assert rows.shape == (K, want, 2)
     for t in range(T):
@@ -134,15 +134,15 @@ def test_overlapping_windows_project_each_row_once(K, T, B):
     # a contiguous copy overlaps by value, so it projects the same T+B-1 rows
     # in one GEMM of the same row count: some BLAS kernels give a row other
     # bits in a GEMM of another row count
-    copy_rows, copy_step = input_rows(np.ascontiguousarray(X))
+    copy_rows, copy_step = input_rows(np.ascontiguousarray(X), Workspace())
     assert copy_step == step and np.array_equal(copy_rows, rows)
     # input whose windows do not overlap projects every window's T*B rows,
     # also when only the last row pair breaks the overlap
-    rows, step = input_rows(np.random.default_rng(24).normal(size=X.shape))
+    rows, step = input_rows(np.random.default_rng(24).normal(size=X.shape), Workspace())
     assert rows.shape == (K, T * B, 2) and step == B
     broken = np.ascontiguousarray(X)
     broken[:, -1, 0] += 1.0
-    rows, step = input_rows(broken)
+    rows, step = input_rows(broken, Workspace())
     assert rows.shape == (K, T * B, 2) and step == B
 
 
@@ -151,9 +151,9 @@ def test_a_copy_shares_rows_only_where_every_bit_agrees():
     X = np.ascontiguousarray(sliding_layer_input(K, T, B, d, np.random.default_rng(25)))
     for t in range(T):  # every copy of row T-1 becomes 0.0
         X[:, t, T - 1 - t] = 0.0
-    assert input_rows(X)[0].shape == (K, T + B - 1, d)
+    assert input_rows(X, Workspace())[0].shape == (K, T + B - 1, d)
     X[:, T - 1, 0] = -0.0  # equal to 0.0 by value, not by bits
-    assert input_rows(X)[0].shape == (K, T * B, d)
+    assert input_rows(X, Workspace())[0].shape == (K, T * B, d)
 
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid"])

@@ -252,7 +252,7 @@ def test_head_bias_gradient_equals_loss_gradient():
 def test_model_gradients_match_finite_differences(kind, act):
     spec = ModelSpec(kind=kind, locations=2, vars_per_location=2, n1=4, n2=3,
                      activation=act, seq_len=3)
-    report = gradcheck(spec, seed=42, n_windows=3, l2_lambda=0.01)
+    report = gradcheck(spec, seed=42, l2_lambda=0.01)
     assert report.max_rel_err < 1e-6, report.worst_param
 
 

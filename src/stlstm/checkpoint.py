@@ -27,7 +27,6 @@ flat index (``ModelParams.first_non_finite``).
 
 from __future__ import annotations
 
-import os
 import re
 import zlib
 
@@ -39,6 +38,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     NonFiniteModelError,
+    write_file,
 )
 from .cell import CELL_TENSOR_NAMES
 from .model import SPEC_FIELDS, ModelParams, ModelSpec, param_count, parse_field, zero_model_params
@@ -89,24 +89,11 @@ def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
             f"at flat index {index} of tensor {name}"
         )
     tensors = list(params.tensors())
-    values = np.concatenate([arr.ravel() for _, arr in tensors])
-    blob = values.astype(VALUE_DTYPE, copy=False).tobytes()
+    values = np.concatenate([arr.ravel() for _, arr in tensors]).astype(VALUE_DTYPE, copy=False)
     lines = [HEADER, _spec_line(spec)]
     lines.extend("{} {} {}".format(name, *_record_shape(arr)) for name, arr in tensors)
-    lines.append(f"values {len(blob)} {zlib.crc32(blob):08x}")
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    lines.append(f"values {values.nbytes} {zlib.crc32(values):08x}")
+    write_file(path, ("\n".join(lines) + "\n").encode("ascii"), values)
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:

@@ -28,7 +28,7 @@ from .data import (
     test_windows,
     train_windows,
 )
-from .errors import ConfigError, DivergenceError, NonFiniteResultError, StlstmError
+from .errors import ConfigError, DivergenceError, NonFiniteResultError, StlstmError, write_file
 from .metrics import EvalReport, comparison_csv, comparison_report, comparison_text
 from .model import SPEC_FIELDS, ModelSpec, param_count, parse_field
 from .train import CONFIG_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
@@ -192,20 +192,18 @@ def cmd_train(args) -> int:
     for r, run in enumerate(result.runs):
         name = f"repeat{r}.ckpt"
         save_checkpoint(spec, run.params, out_dir / name)
-        log_lines.append(
-            f"repeat={r} seed={run.seed} final_loss={run.loss_curve[-1]!r} "
-            f"test_mae={run.test_mae!r} test_mse={run.test_mse!r}"
-        )
+        log_lines.append(f"repeat={r} seed={run.seed} final_loss={run.loss_curve[-1]!r} "
+                         f"test_mae={run.test_mae!r} test_mse={run.test_mse!r}")
         log_lines.append(f"repeat={r} loss_curve=" +
                          " ".join(repr(v) for v in run.loss_curve))
         if run.val_curve is not None:
             log_lines.append(f"repeat={r} val_curve=" +
                              " ".join(repr(v) for v in run.val_curve))
     best_name = f"repeat{result.best_index}.ckpt"
-    (out_dir / "best.txt").write_text(best_name + "\n")
+    write_file(out_dir / "best.txt", best_name, "\n")
     log_lines.append(f"median_mae={result.median_mae!r} "
                      f"median_mse={result.median_mse!r} best={best_name}")
-    (out_dir / "run.log").write_text("\n".join(log_lines) + "\n")
+    write_file(out_dir / "run.log", "\n".join(log_lines), "\n")
 
     print(f"wrote {config.repeats} checkpoint(s) to {out_dir}")
     if result.median_mae is not None:
@@ -242,11 +240,9 @@ def cmd_predict(args) -> int:
     _banner(args)
     spec, params, _, _, windows = _load_model_and_windows(args)
     values = _predict_windows(spec, params, windows)
-    lines = ["window_id,date,prediction"]
-    for window_id, date, v in zip(windows.window_ids.tolist(), windows.target_dates,
-                                  values.tolist()):
-        lines.append(f"{window_id},{date.isoformat()},{v!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    rows = zip(windows.window_ids.tolist(), windows.target_dates, values.tolist())
+    write_file(args.out, "window_id,date,prediction\n",
+               "".join(f"{window_id},{date.isoformat()},{v!r}\n" for window_id, date, v in rows))
     print(f"wrote {len(windows)} prediction(s) to {args.out}")
     return 0
 
@@ -275,7 +271,7 @@ def cmd_compare(args) -> int:
     rows = comparison_report(reports)
     print(comparison_text(rows), end="")
     if args.out:
-        Path(args.out).write_text(comparison_csv(rows))
+        write_file(args.out, comparison_csv(rows))
         print(f"wrote {args.out}")
     return 0
 

@@ -39,6 +39,7 @@ from .errors import (
     MissingValueError,
     ShapeError,
     check_indexable,
+    write_file,
 )
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
@@ -587,17 +588,13 @@ def gen_synthetic(out_dir, locations: int, vars_per_location: int, days: int,
     for k, name in enumerate(loc_names):
         # one row's Python floats at a time: a whole location's at once
         # (14,400 at paper scale) left the process's peak RSS 0.2 MB higher
-        lines = [header]
-        lines += [date + ",".join(map(repr, row.tolist()))
-                  for date, row in zip(date_cells, values[:, k])]
-        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        rows = (date + ",".join(map(repr, row.tolist()))
+                for date, row in zip(date_cells, values[:, k]))
+        write_file(out_dir / f"{name}.csv", header, "\n", "\n".join(rows), "\n")
 
-    manifest_lines = [f"{name},{name}.csv" for name in loc_names]
-    manifest_lines.append(f"target={loc_names[0]}:temperature")
-    manifest_lines.append(
-        f"test_start={dates[days - test_days].isoformat()},"
-        f"test_end={dates[-1].isoformat()}"
-    )
     manifest_path = out_dir / "manifest.txt"
-    manifest_path.write_text("\n".join(manifest_lines) + "\n")
+    write_file(manifest_path, *(f"{name},{name}.csv\n" for name in loc_names),
+               f"target={loc_names[0]}:temperature\n",
+               f"test_start={dates[days - test_days].isoformat()},"
+               f"test_end={dates[-1].isoformat()}\n")
     return manifest_path

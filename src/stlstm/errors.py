@@ -1,5 +1,7 @@
-"""Exception hierarchy for the stlstm package, and the one size check numpy forces."""
+"""The stlstm package's exceptions, the one size check numpy forces, and its one file writer."""
 
+import contextlib
+import os
 import sys
 
 
@@ -81,3 +83,26 @@ def check_indexable(values: int, error: type[StlstmError], message: str) -> None
     # past its Py_ssize_t index type, even beside a zero-length axis
     if 8 * values > sys.maxsize:
         raise error(message)
+
+
+def write_file(path, *chunks) -> None:
+    """Write bytes-like ``chunks`` (a str as UTF-8) to ``<path>.tmp``, then rename it to ``path``.
+
+    A failure removes the temporary file, and an ``OSError`` names ``path``. A symlink's target
+    is replaced; a path that exists and is no regular file (``/dev/stdout``) is written in place.
+    """
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    tmp = target if in_place else f"{target}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+        if not in_place:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            exc.filename = os.fspath(path)
+        raise

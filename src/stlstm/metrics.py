@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonFiniteResultError, ReportError, ShapeError, StlstmError
+from .errors import NonFiniteResultError, ReportError, ShapeError, StlstmError, write_file
 
 REPORT_CSV_HEADER = "testset,steps_ahead,target,activation,metric,stacked,st_stacked,winner"
 
@@ -121,7 +121,7 @@ class EvalReport:
         }, indent=2)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
+        write_file(path, self.to_json(), "\n")
 
     @classmethod
     def load(cls, path) -> "EvalReport":

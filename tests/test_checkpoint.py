@@ -1,3 +1,5 @@
+import errno
+import os
 import zlib
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from stlstm.errors import (
     CheckpointVersionError,
     NonFiniteModelError,
     StlstmError,
+    write_file,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -88,6 +91,41 @@ def test_a_failed_save_leaves_no_temp_file(tmp_path, st_model):
         save_checkpoint(*st_model, target)
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
     assert target.is_dir() and list(target.iterdir()) == []
+
+
+def no_rename(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+def test_a_save_that_fails_after_its_write_leaves_the_earlier_file(tmp_path, st_model,
+                                                                   monkeypatch):
+    target = tmp_path / "m.ckpt"
+    target.write_bytes(b"earlier")
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="cross-device") as info:
+        save_checkpoint(*st_model, target)
+    assert info.value.filename == str(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert target.read_bytes() == b"earlier"
+
+
+def test_a_temp_file_that_cannot_be_removed_keeps_the_first_error(tmp_path, monkeypatch):
+    def no_remove(path):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    monkeypatch.setattr(os, "remove", no_remove)
+    with pytest.raises(OSError, match="cross-device") as info:
+        write_file(tmp_path / "out.csv", "a,b\n")
+    assert info.value.filename == str(tmp_path / "out.csv")
+    assert (tmp_path / "out.csv.tmp").read_text() == "a,b\n"
+
+
+def test_a_write_interrupted_between_chunks_leaves_no_file(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(TypeError):
+        write_file(target, "header\n", 7)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_not_a_checkpoint_at_all(tmp_path):

@@ -1,5 +1,9 @@
 import errno
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -864,3 +868,92 @@ def test_flag_value_that_does_not_parse_exits_2(tmp_path, capsys, flag, value):
                             flag, value], capsys)
     assert code == 2
     assert flag.lstrip("-").replace("-", "_") in err and value in err
+
+
+def run_child(argv, file_limit=None, **kwargs):
+    """Run ``stlstm`` in a child process; ``file_limit`` caps the size of any file it writes.
+
+    Python ignores SIGXFSZ, so a write past the cap fails with EFBIG.
+    """
+    def cap():
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (file_limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "stlstm.cli", *argv], env=env, text=True,
+                          preexec_fn=None if file_limit is None else cap, **kwargs)
+
+
+def _write_failure_case(case, tmp_path, capsys):
+    """The argv of one writing subcommand, the file its failed write targets, and a cap."""
+    manifest = gen_tiny(tmp_path, capsys)
+    if case == "gen-synthetic":
+        out = tmp_path / "again"
+        out.mkdir()
+        return (["gen-synthetic", "--locations", "2", "--vars", "2", "--days", "90",
+                 "--out", str(out)], out / "loc1.csv", 1024)
+    if case.startswith("train"):
+        out = tmp_path / "run"
+        out.mkdir()
+        # a 2759-byte checkpoint; 200 epochs give a run.log of over 3 KiB
+        epochs, target, cap = (("2", "repeat0.ckpt", 1024) if case == "train-checkpoint"
+                               else ("200", "run.log", 3072))
+        return (["train", "--manifest", str(manifest), "--out", str(out), *TRAIN_FAST[2:],
+                 "--epochs", epochs, "--repeats", "1"], out / target, cap)
+    if case == "compare":
+        reports = []
+        for q in (1, 2, 3):
+            for kind in ("stacked", "st_stacked"):
+                path = tmp_path / f"{kind}-{q}.json"
+                EvalReport(model_kind=kind, horizon=q, target="loc1:temperature",
+                           activation="tanh", testset="test", window_ids=[0],
+                           dates=["2020-01-01"], predictions=[2.0], truths=[1.0]).save(path)
+                reports.append(str(path))
+        target = tmp_path / "table.csv"
+        return ["compare", "--reports", *reports, "--out", str(target)], target, 100
+    _, ckpt = trained_checkpoint(tmp_path, capsys)
+    argv = [case, "--model", str(ckpt), "--manifest", str(manifest),
+            "--range", "2007-01-01:2007-03-31"]
+    target = tmp_path / ("preds.csv" if case == "predict" else "report.json")
+    return [*argv, "--out" if case == "predict" else "--report", str(target)], target, 1024
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("case", ["predict", "evaluate", "compare", "gen-synthetic",
+                                  "train-checkpoint", "train-run.log"])
+def test_a_failed_write_leaves_the_target_whole_or_absent(tmp_path, capsys, case, existing):
+    argv, target, cap = _write_failure_case(case, tmp_path, capsys)
+    if existing:
+        target.write_bytes(b"earlier bytes\n")
+    run = run_child(argv, cap, capture_output=True)
+    assert run.returncode == 2, run.stderr
+    assert not target.with_name(target.name + ".tmp").exists()
+    if existing:
+        assert target.read_bytes() == b"earlier bytes\n"
+    else:
+        assert not target.exists()
+    assert run.stderr.splitlines() == [f"error: File too large: {target}"]
+
+
+def test_predict_writes_through_dev_stdout(tmp_path, capsys):
+    manifest, ckpt = trained_checkpoint(tmp_path, capsys)
+    argv = ["predict", "--model", str(ckpt), "--manifest", str(manifest)]
+    assert run_cli([*argv, "--out", str(tmp_path / "preds.csv")], capsys)[0] == 0
+    run = run_child([*argv, "--out", "/dev/stdout"], stdout=subprocess.PIPE)
+    assert run.returncode == 0
+    assert (tmp_path / "preds.csv").read_text() in run.stdout
+
+
+def test_predict_writes_through_a_symlinked_out(tmp_path, capsys):
+    manifest, ckpt = trained_checkpoint(tmp_path, capsys)
+    argv = ["predict", "--model", str(ckpt), "--manifest", str(manifest)]
+    assert run_cli([*argv, "--out", str(tmp_path / "direct.csv")], capsys)[0] == 0
+    preds, link = tmp_path / "preds.csv", tmp_path / "link.csv"
+    preds.write_text("earlier\n")
+    link.symlink_to(preds.name)
+    assert run_cli([*argv, "--out", str(link)], capsys)[0] == 0
+    assert link.is_symlink() and os.readlink(link) == preds.name
+    assert preds.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -32,10 +32,6 @@ DEFAULT_ARGS = ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"),
 
 # (file in src/stlstm, the line's exact text without its indentation, why no test runs it)
 ALLOWED = [
-    ("checkpoint.py", "except OSError:",
-     "needs os.remove to fail on the temporary file after a failed checkpoint write"),
-    ("checkpoint.py", "pass",
-     "needs os.remove to fail on the temporary file after a failed checkpoint write"),
     ("cli.py", "sys.exit(main())",
      "the console-script entry point; CI's installed-package smoke test runs it"),
     ("cli.py", "entry()", "runs only as python -m stlstm.cli, in a process of its own"),

@@ -162,9 +162,6 @@ class CellParams:
                 raise ShapeError(f"cell tensor {name} must be float64, got {arr.dtype}")
 
 
-CELL_TENSOR_NAMES = tuple(f.name for f in fields(CellParams))
-
-
 def _tensor_shape(name: str, n: int, d: int) -> tuple:
     if name.startswith("W_x"):
         return (n, d)

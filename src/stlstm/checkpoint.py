@@ -1,28 +1,22 @@
-"""Checkpoint files: a readable header, binary values, bit-exact round trips.
+"""Checkpoint files: a readable header, binary values, one CRC, bit-exact round trips.
 
-Format v2, the one ``save_checkpoint`` writes and ``load_checkpoint`` reads:
+Format v3, the one ``save_checkpoint`` writes and ``load_checkpoint`` reads:
 
-    stlstm-checkpoint v2
+    stlstm-checkpoint v3
     kind=stacked locations=5 vars_per_location=3 n1=20 n2=32 activation=tanh seq_len=10 horizon=1
-    layer1.W_xi 20 15
-    <one 'name rows cols' line per tensor, in canonical order>
     values 78824 <crc32 as 8 hex digits>
-    <the values: little-endian float64, to the end of the file>
+    <ModelParams.flat as little-endian float64, to the end of the file>
 
-The ``values`` line gives the byte count of the values, which must be
-8 times the spec's parameter count, and their CRC-32 as 8 hex digits.
-The values follow it directly, tensor after tensor in header order, each
-tensor row-major, with nothing after them. Vectors are written as
-(len x 1) tensors, the head bias as (1 x 1). A v2 file is text up to the
-end of the ``values`` line and binary after it.
+The byte count must be 8 times the spec's parameter count. The CRC-32
+covers every byte before the ``values`` line, then the values, so a
+change to any one bit of the file is refused. A first line naming
+another version (v2 checked only the values; v1 was text) is a
+``CheckpointVersionError``; any other first line is not a checkpoint.
 
-A file whose first line is any other ``stlstm-checkpoint vN``, such as
-v1 (the text format written before v2), is a ``CheckpointVersionError``;
-any other first line is not a checkpoint.
-
-save -> load -> save is byte-identical, and a non-finite value is refused
-on save (before any file is opened) and on load, named by its tensor and
-flat index (``ModelParams.first_non_finite``).
+save -> load -> save is byte-identical. A model that does not match its
+spec, or that holds a non-finite value, is refused on save before any
+file is opened; a non-finite value is also refused on load, named by its
+tensor and flat index (``ModelParams.first_non_finite``).
 """
 
 from __future__ import annotations
@@ -34,21 +28,23 @@ import numpy as np
 
 from .errors import (
     CheckpointFormatError,
-    CheckpointShapeError,
     CheckpointVersionError,
     ConfigError,
     NonFiniteModelError,
     write_file,
 )
-from .cell import CELL_TENSOR_NAMES
-from .model import SPEC_FIELDS, ModelParams, ModelSpec, param_count, parse_field, zero_model_params
+from .model import (
+    SPEC_FIELDS,
+    ModelParams,
+    ModelSpec,
+    check_params,
+    param_count,
+    parse_field,
+    zero_model_params,
+)
 
-HEADER = "stlstm-checkpoint v2"
+HEADER = "stlstm-checkpoint v3"
 VALUE_DTYPE = np.dtype("<f8")
-
-
-def _spec_line(spec: ModelSpec) -> str:
-    return " ".join(f"{name}={getattr(spec, name)}" for name in SPEC_FIELDS)
 
 
 def _parse_spec_line(line: str) -> ModelSpec:
@@ -57,6 +53,8 @@ def _parse_spec_line(line: str) -> ModelSpec:
         if "=" not in token:
             raise CheckpointFormatError(f"bad spec token {token!r} in checkpoint")
         key, value = token.split("=", 1)
+        if key in kv:
+            raise CheckpointFormatError(f"checkpoint spec line repeats key {key!r}")
         kv[key] = value
     missing = [name for name in SPEC_FIELDS if name not in kv]
     if missing:
@@ -70,17 +68,10 @@ def _parse_spec_line(line: str) -> ModelSpec:
         raise CheckpointFormatError(f"checkpoint spec is invalid: {exc}") from exc
 
 
-def _n_tensors(spec: ModelSpec) -> int:
-    """A tensor per cell tensor (layer-1 cells, layer 2) and the two head tensors."""
-    return len(CELL_TENSOR_NAMES) * (spec.loc_cells + 1) + 2
-
-
-def _record_shape(arr: np.ndarray) -> tuple[int, int]:
-    return (arr.shape[0], 1) if arr.ndim == 1 else arr.shape
-
-
 def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
-    """Write ``path`` atomically; a non-finite value is refused before any file is opened."""
+    """Write ``path`` atomically; a model that does not match ``spec`` or is not finite is
+    refused before any file is opened."""
+    check_params(spec, params)
     bad = params.first_non_finite()
     if bad:
         name, index, value = bad
@@ -88,12 +79,11 @@ def save_checkpoint(spec: ModelSpec, params: ModelParams, path) -> None:
             f"{path}: refusing to save non-finite value {value!r} "
             f"at flat index {index} of tensor {name}"
         )
-    tensors = list(params.tensors())
-    values = np.concatenate([arr.ravel() for _, arr in tensors]).astype(VALUE_DTYPE, copy=False)
-    lines = [HEADER, _spec_line(spec)]
-    lines.extend("{} {} {}".format(name, *_record_shape(arr)) for name, arr in tensors)
-    lines.append(f"values {values.nbytes} {zlib.crc32(values):08x}")
-    write_file(path, ("\n".join(lines) + "\n").encode("ascii"), values)
+    values = np.ascontiguousarray(params.flat, dtype=VALUE_DTYPE)
+    spec_line = " ".join(f"{name}={getattr(spec, name)}" for name in SPEC_FIELDS)
+    head = f"{HEADER}\n{spec_line}\n".encode("ascii")
+    crc = zlib.crc32(values, zlib.crc32(head))
+    write_file(path, head + f"values {values.nbytes} {crc:08x}\n".encode("ascii"), values)
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
@@ -109,48 +99,18 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
                 f"{path}: unsupported checkpoint version {shown!r}, only {HEADER!r} is read"
             )
         raise CheckpointFormatError(f"{path}: not a checkpoint (first line {shown!r})")
-    pos = len(first) + 1
-
-    def lines(count: int, lineno: int) -> list[str]:
-        # ``count`` header lines from ``pos``; stops at the end of the file,
-        # so a corrupt spec cannot make this loop run long
-        nonlocal pos
-        out = []
-        for _ in range(count):
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise CheckpointFormatError(
-                    f"{path}: truncated in the header at line {lineno + len(out)}"
-                )
-            try:
-                out.append(data[pos:end].decode("ascii"))
-            except UnicodeDecodeError as exc:
-                raise CheckpointFormatError(
-                    f"{path}:{lineno + len(out)}: header line is not ASCII ({exc.reason})"
-                ) from exc
-            pos = end + 1
-        return out
-
-    spec = _parse_spec_line(lines(1, 2)[0])
-    n_tensors = _n_tensors(spec)
-    records = lines(n_tensors + 1, 3)
-    values_lineno = 3 + n_tensors
-    line = records.pop()
-    match = re.fullmatch(r"values ([0-9]{1,18}) ([0-9a-f]{8})", line.strip())
+    spec_end = data.find(b"\n", end + 1)
+    values_end = data.find(b"\n", spec_end + 1) if spec_end >= 0 else -1
+    if values_end < 0:
+        raise CheckpointFormatError(f"{path}: truncated in the header")
+    line = data[spec_end + 1:values_end]
+    match = re.fullmatch(rb"values ([0-9]{1,18}) ([0-9a-f]{8})", line)
     if match is None:
         raise CheckpointFormatError(
-            f"{path}:{values_lineno}: expected 'values <byte count> <crc32 as 8 hex digits>' "
-            f"after {n_tensors} tensor headers, got {line!r}"
+            f"{path}:3: expected 'values <byte count> <crc32 as 8 hex digits>', got {line!r}"
         )
     n_bytes, crc = int(match[1]), int(match[2], 16)
-    # checked before allocating, so a corrupt spec line cannot request a huge model
-    want = VALUE_DTYPE.itemsize * param_count(spec)["total"]
-    if n_bytes != want:
-        raise CheckpointFormatError(
-            f"{path}:{values_lineno}: the spec implies {want} value bytes, "
-            f"the header declares {n_bytes}"
-        )
-    blob = memoryview(data)[pos:]
+    blob = memoryview(data)[values_end + 1:]
     if len(blob) < n_bytes:
         raise CheckpointFormatError(
             f"{path}: truncated: {n_bytes} value bytes declared, the file holds {len(blob)}"
@@ -159,20 +119,23 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
         raise CheckpointFormatError(
             f"{path}: trailing data: {len(blob) - n_bytes} bytes after the last value"
         )
-    got_crc = zlib.crc32(blob)
+    got_crc = zlib.crc32(blob, zlib.crc32(memoryview(data)[:spec_end + 1]))
     if got_crc != crc:
         raise CheckpointFormatError(
-            f"{path}: the values fail their CRC-32 check (header {crc:08x}, "
-            f"values {got_crc:08x})"
+            f"{path}: the header and values fail their CRC-32 check "
+            f"(values line {crc:08x}, file {got_crc:08x})"
         )
 
+    # any non-ASCII byte becomes U+FFFD, which no spec field accepts
+    spec = _parse_spec_line(data[end + 1:spec_end].decode("ascii", "replace"))
+    # checked before allocating: a spec line sealed under a fresh CRC may name any size
+    want = VALUE_DTYPE.itemsize * param_count(spec)["total"]
+    if n_bytes != want:
+        raise CheckpointFormatError(
+            f"{path}:3: the spec implies {want} value bytes, the header declares {n_bytes}"
+        )
     params = zero_model_params(spec)
-    values = np.frombuffer(blob, dtype=VALUE_DTYPE)
-    start = 0
-    for lineno, line, (name, arr) in zip(range(3, values_lineno), records, params.tensors()):
-        _check_record(path, lineno, line, name, arr)
-        arr[...] = values[start:start + arr.size].reshape(arr.shape)
-        start += arr.size
+    params.flat[...] = np.frombuffer(blob, dtype=VALUE_DTYPE)
     bad = params.first_non_finite()
     if bad:
         name, index, value = bad
@@ -180,25 +143,3 @@ def load_checkpoint(path) -> tuple[ModelSpec, ModelParams]:
             f"{path}: non-finite value {value!r} at flat index {index} of tensor {name}"
         )
     return spec, params
-
-
-def _check_record(path, lineno: int, line: str, name: str, arr: np.ndarray) -> None:
-    """A ``name rows cols`` tensor header must match the spec's next tensor."""
-    fields = line.split()
-    if len(fields) != 3:
-        raise CheckpointFormatError(f"{path}:{lineno}: expected 'name rows cols', got {line!r}")
-    got_name, rows_s, cols_s = fields
-    if got_name != name:
-        raise CheckpointShapeError(
-            f"{path}:{lineno}: tensor {got_name!r} out of order, expected {name!r}"
-        )
-    try:
-        rows, cols = int(rows_s), int(cols_s)
-    except ValueError as exc:
-        raise CheckpointFormatError(f"{path}:{lineno}: bad tensor header: {exc}") from exc
-    want = _record_shape(arr)
-    if (rows, cols) != want:
-        raise CheckpointShapeError(
-            f"{path}:{lineno}: tensor {name} is {rows}x{cols}, spec implies "
-            f"{want[0]}x{want[1]}"
-        )

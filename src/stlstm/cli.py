@@ -21,6 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
     WindowArrays,
+    date_row,
     gen_synthetic,
     load_dataset,
     load_manifest,
@@ -66,7 +67,8 @@ def _flags(parser, keys, required: bool = False) -> None:
 
 
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` text; keys are TrainConfig / ModelSpec field names."""
+    """Flat ``key = value`` text; keys are TrainConfig / ModelSpec field names, each value
+    parsed by its field's type."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -81,7 +83,10 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value
+        try:
+            out[key] = parse_field(_FIELDS, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -89,8 +94,7 @@ def _resolve_settings(args, defaults: dict) -> dict:
     """``defaults`` < config file < explicit CLI flags, all keys coerced."""
     settings = dict(defaults)
     if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            settings[key] = parse_field(_FIELDS, key, value)
+        settings.update(read_config_file(args.config))
     for key in _TYPES:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
@@ -141,16 +145,16 @@ def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str) -> WindowA
         raise ConfigError(f"bad --range dates: {exc}") from exc
     if start > end:
         raise ConfigError(f"--range {range_text}: START {start} is after END {end}")
-    index = {d: i for i, d in enumerate(ds.dates)}
-    if start not in index or end not in index:
+    first, last = date_row(ds.dates, start), date_row(ds.dates, end)
+    if first is None or last is None:
         raise ConfigError(
             f"--range {start}:{end} not covered by the data "
             f"({ds.dates[0]}..{ds.dates[-1]})"
         )
-    windows = make_windows(ds, spec.seq_len, spec.horizon, index[start], index[end] + 1)
+    windows = make_windows(ds, spec.seq_len, spec.horizon, first, last + 1)
     if not windows:
         raise ConfigError(
-            f"range too short: {range_text} spans {index[end] - index[start] + 1} rows, "
+            f"range too short: {range_text} spans {last - first + 1} rows, "
             f"a window needs seq_len + horizon = {spec.seq_len + spec.horizon}"
         )
     return windows

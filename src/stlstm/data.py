@@ -274,6 +274,12 @@ def _check_date_axis(dates: list[dt.date], path: Path) -> None:
             )
 
 
+def date_row(dates: list[dt.date], day: dt.date) -> int | None:
+    """The row of ``day`` on a date axis that advances one day a row, or None if it lies outside."""
+    row = (day - dates[0]).days
+    return row if 0 <= row < len(dates) else None
+
+
 def load_dataset(manifest: Manifest, missing_policy: str = "error") -> Dataset:
     """Load and align every location file named by the manifest.
 
@@ -318,14 +324,13 @@ def load_dataset(manifest: Manifest, missing_policy: str = "error") -> Dataset:
     test_start_idx = test_end_idx = None
     if manifest.test_range is not None:
         start, end = manifest.test_range
-        date_index = {d: i for i, d in enumerate(dates0)}
-        if start not in date_index or end not in date_index:
+        test_start_idx, last = date_row(dates0, start), date_row(dates0, end)
+        if test_start_idx is None or last is None:
             raise DateAlignmentError(
                 f"test range {start}..{end} not covered by the data "
                 f"({dates0[0]}..{dates0[-1]})"
             )
-        test_start_idx = date_index[start]
-        test_end_idx = date_index[end] + 1
+        test_end_idx = last + 1
 
     flat = values.reshape(len(dates0), -1)
     train_rows = flat[:test_start_idx] if test_start_idx is not None else flat

@@ -49,10 +49,6 @@ class CheckpointFormatError(CheckpointError):
     """Checkpoint is truncated or contains unparseable records."""
 
 
-class CheckpointShapeError(CheckpointError):
-    """Checkpoint tensors disagree with the declared model spec."""
-
-
 class NonFiniteModelError(CheckpointError):
     """A model holding a NaN or infinity was refused before it reached a file."""
 
@@ -85,17 +81,32 @@ def check_indexable(values: int, error: type[StlstmError], message: str) -> None
         raise error(message)
 
 
+def _std_fd(path) -> int | None:
+    """1 or 2 if ``path`` names the file that stdout or stderr writes to, else None."""
+    with contextlib.suppress(OSError):  # no such path, or a closed descriptor
+        st = os.stat(path)
+        for fd in (1, 2):
+            if os.path.samestat(st, os.fstat(fd)):
+                return fd
+    return None
+
+
 def write_file(path, *chunks) -> None:
     """Write bytes-like ``chunks`` (a str as UTF-8) to ``<path>.tmp``, then rename it to ``path``.
 
     A failure removes the temporary file, and an ``OSError`` names ``path``. A symlink's target
-    is replaced; a path that exists and is no regular file (``/dev/stdout``) is written in place.
+    is replaced. A path naming the file behind stdout or stderr (``/dev/stdout``, or the file
+    stdout is redirected to) is written through that stream, after what was printed there; any
+    other path that exists and is no regular file (a FIFO) is written in place.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    fd = _std_fd(path)
+    in_place = fd is not None or (os.path.exists(path) and not os.path.isfile(path))
     target = path if in_place else os.path.realpath(path)
     tmp = target if in_place else f"{target}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        if fd is not None:
+            (sys.stdout, sys.stderr)[fd - 1].flush()
+        with open(tmp if fd is None else fd, "wb", closefd=fd is None) as fh:
             fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
         if not in_place:
             os.replace(tmp, target)

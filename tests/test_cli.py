@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from ckpt_files import join_v2, split_v2
+from ckpt_files import join_v3, split_v3
 
 from stlstm import ModelSpec, gen_synthetic, init_model_params, load_checkpoint, save_checkpoint
 from stlstm.cli import main
@@ -271,9 +271,9 @@ def test_predict_then_evaluate_agree_exactly(tmp_path, capsys):
 
 def test_evaluate_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     manifest, ckpt = trained_checkpoint(tmp_path, capsys)
-    head, values = split_v2(ckpt.read_bytes())
+    head, values = split_v3(ckpt.read_bytes())
     # a NaN as the first value, under a CRC that matches it
-    ckpt.write_bytes(join_v2(head, np.array(np.nan, dtype="<f8").tobytes() + values[8:]))
+    ckpt.write_bytes(join_v3(head, np.array(np.nan, dtype="<f8").tobytes() + values[8:]))
     code, stdout, err = run_cli(["evaluate", "--model", str(ckpt),
                                  "--manifest", str(manifest)], capsys)
     assert code == 2
@@ -293,7 +293,7 @@ def test_evaluate_explicit_range_too_short(tmp_path, capsys):
 def test_a_reversed_range_names_start_and_end(tmp_path, capsys, range_text):
     manifest = gen_tiny(tmp_path, capsys)  # 2007-01-01 .. 2007-03-31
     start, end = range_text.split(":")
-    code, _, err = run_cli(["evaluate", "--model", str(DATA / "v2_stacked.ckpt"),
+    code, _, err = run_cli(["evaluate", "--model", str(DATA / "v3_stacked.ckpt"),
                             "--manifest", str(manifest), "--range", range_text], capsys)
     assert code == 2
     assert f"START {start} is after END {end}" in err
@@ -302,7 +302,7 @@ def test_a_reversed_range_names_start_and_end(tmp_path, capsys, range_text):
 def test_an_uncovered_range_is_named_as_given(tmp_path, capsys):
     manifest = gen_tiny(tmp_path, capsys)  # 2007-01-01 .. 2007-03-31
     out = tmp_path / "preds.csv"
-    code, _, err = run_cli(["predict", "--model", str(DATA / "v2_stacked.ckpt"),
+    code, _, err = run_cli(["predict", "--model", str(DATA / "v3_stacked.ckpt"),
                             "--manifest", str(manifest), "--range", "2006-01-01:2007-02-01",
                             "--out", str(out)], capsys)
     assert code == 2
@@ -325,6 +325,27 @@ def _edited(path, old, new):
 def _written(tmp_path, data: bytes):
     path = tmp_path / "model.ckpt"
     path.write_bytes(data)
+    return path
+
+
+def _resealed(tmp_path, old: bytes, new: bytes):
+    """The committed stacked checkpoint with ``old`` in its header replaced by ``new``, under a
+    CRC that covers the edit."""
+    head, values = split_v3((DATA / "v3_stacked.ckpt").read_bytes())
+    assert head.count(old) == 1
+    return _written(tmp_path, join_v3(head.replace(old, new), values))
+
+
+def _edited_checkpoint(tmp_path, old: bytes, new: bytes):
+    """The committed stacked checkpoint with ``old`` replaced by ``new`` and its CRC kept."""
+    raw = (DATA / "v3_stacked.ckpt").read_bytes()
+    assert raw.count(old) == 1
+    return _written(tmp_path, raw.replace(old, new))
+
+
+def _config(tmp_path, text: str):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
     return path
 
 
@@ -362,6 +383,14 @@ REFUSALS = {
         "not covered by the data",
         lambda t, m: ["train", "--manifest",
                       _edited(m, TEST_LINE, "test_start=2007-03-23,test_end=2007-04-30\n")]),
+    "manifest-test-range-one-day-past-the-data": (
+        "test range 2007-03-23..2007-04-01 not covered by the data (2007-01-01..2007-03-31)",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-03-23,test_end=2007-04-01\n")]),
+    "predict-range-one-day-past-the-data": (
+        "--range 2007-03-01:2007-04-01 not covered by the data (2007-01-01..2007-03-31)",
+        lambda t, m: ["predict", "--model", DATA / "v3_stacked.ckpt",
+                      "--manifest", m, "--range", "2007-03-01:2007-04-01"]),
     # a test window needs seq_len - 1 + horizon = 85 rows before the test range's 81
     "train-no-history": ("not enough history",
                          lambda t, m: ["train", "--manifest", m, "--seq-len", "85"]),
@@ -379,13 +408,13 @@ REFUSALS = {
                       "--validation-holdout", "true"]),
     "predict-no-test-range": (
         "declares no test range",
-        lambda t, m: ["predict", "--model", DATA / "v2_stacked.ckpt",
+        lambda t, m: ["predict", "--model", DATA / "v3_stacked.ckpt",
                       "--manifest", _edited(m, TEST_LINE, ""), "--range", "test"]),
     "predict-range-form": ("must be 'test' or 'START:END'",
-                           lambda t, m: ["predict", "--model", DATA / "v2_stacked.ckpt",
+                           lambda t, m: ["predict", "--model", DATA / "v3_stacked.ckpt",
                                          "--manifest", m, "--range", "foo"]),
     "predict-range-dates": ("bad --range dates",
-                            lambda t, m: ["predict", "--model", DATA / "v2_stacked.ckpt",
+                            lambda t, m: ["predict", "--model", DATA / "v3_stacked.ckpt",
                                           "--manifest", m, "--range", "2007-13-01:2007-02-01"]),
     "predict-checkpoint-data-mismatch": (
         "checkpoint expects 2 locations x 3 variables",
@@ -393,27 +422,46 @@ REFUSALS = {
     "checkpoint-unknown-spec-key": (
         "unknown keys",
         lambda t, m: ["predict", "--manifest", m, "--model",
-                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
-                          b"horizon=1\n", b"horizon=1 extra=1\n", 1))]),
+                      _resealed(t, b"horizon=1\n", b"horizon=1 extra=1\n")]),
+    "checkpoint-repeated-spec-key": (
+        "spec line repeats key 'horizon'",
+        lambda t, m: ["predict", "--manifest", m, "--model",
+                      _resealed(t, b"horizon=1\n", b"horizon=1 horizon=2\n")]),
     "checkpoint-v1": (
         "unsupported checkpoint version 'stlstm-checkpoint v1'",
         lambda t, m: ["predict", "--manifest", m, "--model",
-                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
-                          b"stlstm-checkpoint v2\n", b"stlstm-checkpoint v1\n", 1))]),
-    # the CRC covers the values alone, so an edited seq_len still loads
+                      _edited_checkpoint(t, b"stlstm-checkpoint v3\n",
+                                         b"stlstm-checkpoint v1\n")]),
+    "checkpoint-v2": (
+        "unsupported checkpoint version 'stlstm-checkpoint v2', only 'stlstm-checkpoint v3'",
+        lambda t, m: ["predict", "--manifest", m, "--model",
+                      _edited_checkpoint(t, b"stlstm-checkpoint v3\n",
+                                         b"stlstm-checkpoint v2\n")]),
+    # spec edits that the v2 format, whose CRC covered the values alone, loaded as another model
+    **{f"checkpoint-edited-{name}": (
+        "the header and values fail their CRC-32 check",
+        lambda t, m, old=old, new=new: ["predict", "--manifest", m, "--model",
+                                        _edited_checkpoint(t, old, new)])
+       for name, old, new in [("activation", b"activation=tanh", b"activation=sigmoid"),
+                              ("horizon", b"horizon=1", b"horizon=7"),
+                              ("seq-len", b"seq_len=4", b"seq_len=5"),
+                              ("repeated-key", b"horizon=1", b"horizon=1 horizon=2")]},
+    # a spec line edited under a recomputed CRC is trusted as far as its sizes go
     "checkpoint-seq-len-past-numpy": (
         "seq_len=10000000000000000000 and 4 values a day give windows larger than numpy can "
         "index",
         lambda t, m: ["predict", "--manifest", m, "--range", "2007-01-01:2007-03-01", "--model",
-                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes().replace(
-                          b" seq_len=4 ", b" seq_len=10000000000000000000 ", 1))]),
+                      _resealed(t, b" seq_len=4 ", b" seq_len=10000000000000000000 ")]),
+    "config-value-names-its-line": (
+        "run.cfg:2: n1: expected an integer, got 'x'",
+        lambda t, m: ["train", "--manifest", m, "--config", _config(t, "epochs = 2\nn1 = x\n")]),
     "compare-deeply-nested-report": (
         "not a valid evaluation report: RecursionError(",
         lambda t, m: ["compare", "--reports", _written(t, b"[" * 100_000 + b"]" * 100_000)]),
     "checkpoint-trailing-byte": (
         "trailing data: 1 bytes after the last value",
         lambda t, m: ["predict", "--manifest", m, "--model",
-                      _written(t, (DATA / "v2_stacked.ckpt").read_bytes() + b"\0")]),
+                      _written(t, (DATA / "v3_stacked.ckpt").read_bytes() + b"\0")]),
 }
 
 
@@ -445,7 +493,7 @@ def test_train_without_a_test_range_names_the_lower_middle_final_loss(tmp_path, 
     assert "median test MAE" not in stdout
 
 
-# Outputs of the committed v2 checkpoints on gen_synthetic(2 locations, 2
+# Outputs of the committed v3 checkpoints on gen_synthetic(2 locations, 2
 # variables, 300 days, coupling 0.6, seed 3), written before windows shared
 # rows: the predict path must keep reproducing them byte for byte.
 GOLDEN = DATA / "golden"
@@ -462,7 +510,7 @@ def test_outputs_match_the_golden_files_byte_for_byte(tmp_path, capsys, kind, ru
     manifest = gen_synthetic(tmp_path / "data", 2, 2, 300, 0.6, seed=3)
     name = f"{run}_{kind}.{'json' if run.startswith('evaluate') else 'csv'}"
     code, _, err = run_cli([*GOLDEN_RUNS[run], str(tmp_path / name),
-                            "--model", str(DATA / f"v2_{kind}.ckpt"),
+                            "--model", str(DATA / f"v3_{kind}.ckpt"),
                             "--manifest", str(manifest)], capsys)
     assert code == 0, err
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
@@ -897,7 +945,7 @@ def _write_failure_case(case, tmp_path, capsys):
     if case.startswith("train"):
         out = tmp_path / "run"
         out.mkdir()
-        # a 2759-byte checkpoint; 200 epochs give a run.log of over 3 KiB
+        # a 2253-byte checkpoint; 200 epochs give a run.log of over 3 KiB
         epochs, target, cap = (("2", "repeat0.ckpt", 1024) if case == "train-checkpoint"
                                else ("200", "run.log", 3072))
         return (["train", "--manifest", str(manifest), "--out", str(out), *TRAIN_FAST[2:],
@@ -944,6 +992,23 @@ def test_predict_writes_through_dev_stdout(tmp_path, capsys):
     run = run_child([*argv, "--out", "/dev/stdout"], stdout=subprocess.PIPE)
     assert run.returncode == 0
     assert (tmp_path / "preds.csv").read_text() in run.stdout
+
+
+def test_predict_writes_through_dev_stdout_redirected_to_a_file(tmp_path, capsys, monkeypatch):
+    manifest, ckpt = trained_checkpoint(tmp_path, capsys)
+    argv = ["predict", "--model", str(ckpt), "--manifest", str(manifest)]
+    assert run_cli([*argv, "--out", str(tmp_path / "preds.csv")], capsys)[0] == 0
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)  # block-buffered, as in a shell
+    with open(tmp_path / "f.txt", "w") as fh:
+        run = run_child([*argv, "--out", "/dev/stdout"], stdout=fh)
+    assert run.returncode == 0
+    # the banner, the predictions and the closing line, in the order they were written
+    lines = (tmp_path / "f.txt").read_text().splitlines(keepends=True)
+    csv = (tmp_path / "preds.csv").read_text()
+    assert lines[0].startswith("effective-config: command=predict ")
+    assert "".join(lines[1:-1]) == csv
+    assert lines[-1] == f"wrote {csv.count(chr(10)) - 1} prediction(s) to /dev/stdout\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "f.txt", "preds.csv", "run"]
 
 
 def test_predict_writes_through_a_symlinked_out(tmp_path, capsys):

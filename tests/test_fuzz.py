@@ -24,7 +24,6 @@ from dataclasses import fields
 import csv_reference
 import numpy as np
 import pytest
-from ckpt_files import split_v2
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,10 +38,9 @@ from stlstm import (
     random_model_params,
     save_checkpoint,
 )
-from stlstm.cli import _FIELDS, main, read_config_file
+from stlstm.cli import main, read_config_file
 from stlstm.data import _read_location_csv
-from stlstm.errors import CheckpointFormatError
-from stlstm.model import param_count, parse_field
+from stlstm.errors import CheckpointError
 from stlstm.train import TrainConfig
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -73,8 +71,7 @@ def test_config_file_loads_or_raises_stlstm_error(scratch, raw):
     path = scratch / "fuzz.cfg"
     path.write_bytes(raw)
     try:
-        for key, value in read_config_file(path).items():
-            parse_field(_FIELDS, key, value)
+        read_config_file(path)
     except StlstmError:
         pass
 
@@ -94,8 +91,8 @@ spec_line = st.builds(
 # arbitrary bytes, some behind a first line that names the format or a version of it
 checkpoint_bytes = st.builds(
     bytes.__add__,
-    st.sampled_from([b"", b"stlstm-checkpoint v2\n", b"stlstm-checkpoint v1\n",
-                     b"stlstm-checkpoint v\xff\n"]),
+    st.sampled_from([b"", b"stlstm-checkpoint v3\n", b"stlstm-checkpoint v2\n",
+                     b"stlstm-checkpoint v1\n", b"stlstm-checkpoint v\xff\n"]),
     st.binary(max_size=200))
 
 
@@ -111,8 +108,8 @@ def test_checkpoint_loads_or_raises_stlstm_error(scratch, raw):
     assert all(np.all(np.isfinite(arr)) for _, arr in params.tensors())
 
 
-def _valid_v2_checkpoint(tmp_dir) -> bytes:
-    path = tmp_dir / "valid-v2.ckpt"
+def _valid_v3_checkpoint(tmp_dir) -> bytes:
+    path = tmp_dir / "valid-v3.ckpt"
     save_checkpoint(FUZZ_SPEC, random_model_params(FUZZ_SPEC, np.random.default_rng(0)), path)
     return path.read_bytes()
 
@@ -146,9 +143,9 @@ def _edit_bytes(raw: bytes, edits) -> bytes:
 
 @FUZZ
 @given(edits=st.lists(byte_edit, min_size=1, max_size=4))
-def test_v2_checkpoint_loads_or_raises_stlstm_error(scratch, edits):
-    path = scratch / "fuzz-v2.ckpt"
-    path.write_bytes(_edit_bytes(_valid_v2_checkpoint(scratch), edits))
+def test_v3_checkpoint_loads_or_raises_stlstm_error(scratch, edits):
+    path = scratch / "fuzz-v3.ckpt"
+    path.write_bytes(_edit_bytes(_valid_v3_checkpoint(scratch), edits))
     try:
         _, params = load_checkpoint(path)
     except StlstmError:
@@ -156,15 +153,15 @@ def test_v2_checkpoint_loads_or_raises_stlstm_error(scratch, edits):
     assert np.all(np.isfinite(params.flat))
 
 
-@FUZZ
-@given(bit=st.integers(0, 8 * 8 * param_count(FUZZ_SPEC)["total"] - 1))
-def test_v2_checkpoint_with_a_flipped_value_bit_never_loads(scratch, bit):
-    raw = _valid_v2_checkpoint(scratch)
-    _, values = split_v2(raw)
-    path = scratch / "fuzz-v2.ckpt"
-    path.write_bytes(_edit_bytes(raw, [("flip", len(raw) - len(values) + bit // 8, bit % 8)]))
-    with pytest.raises(CheckpointFormatError, match="CRC-32"):
-        load_checkpoint(path)
+def test_v3_checkpoint_with_any_flipped_bit_never_loads(scratch):
+    # every bit of the file, header lines included: the CRC covers all but the values
+    # line, and an edit to that line breaks its form, its byte count or its CRC
+    raw = _valid_v3_checkpoint(scratch)
+    path = scratch / "fuzz-v3.ckpt"
+    for bit in range(8 * len(raw)):
+        path.write_bytes(_edit_bytes(raw, [("flip", bit // 8, bit % 8)]))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def _write_valid_dataset(tmp_dir) -> list[str]:

@@ -10,7 +10,6 @@ Run: python3 demos/01_cell_mechanics.py
 
 import numpy as np
 
-from stlstm import CellState
 from stlstm.cell import LayerParams, init_cell_into, layer_forward
 
 rng = np.random.default_rng(0)
@@ -25,13 +24,16 @@ print("  cell state :", state.c[0, 0])
 print("  hidden     :", state.h[0, 0])
 
 # --- 2. A saturated forget gate (+20 bias) makes the cell a near-perfect
-#        memory: whatever was stored stays, step after step.
+#        memory: what step 0's input writes stays, step after step, while
+#        the zero inputs after it write nothing (tanh(0) = 0).
 layer = LayerParams.zeros(1, 4, 3)
-layer.cell(0).b_f[...] = 20.0  # the cell's per-gate tensors are views into the layer
-stored = np.array([0.3, -0.7, 1.2, 0.05])
-state = CellState(c=stored.reshape(1, 1, 4).copy(), h=np.zeros((1, 1, 4)))
-for step in range(5):
-    _, state, _ = layer_forward(layer, rng.normal(size=(1, 1, 1, 3)), "tanh", init=state)
+cell = layer.cell(0)  # the cell's per-gate tensors are views into the layer
+cell.b_f[...] = 20.0
+cell.W_xc[...] = rng.uniform(-1.0, 1.0, size=(4, 3))
+X = np.zeros((1, 6, 1, 3))
+X[0, 0, 0] = rng.normal(size=3)
+_, state, trace = layer_forward(layer, X, "tanh")
+stored = trace.c[1, 0, 0]  # the cell state after step 0
 print("\nmemory retention over 5 steps with a saturated forget gate:")
 print("  stored :", stored)
 print("  kept   :", state.c[0, 0])
@@ -49,9 +51,9 @@ for act in ("tanh", "sigmoid"):
     print(f"  hidden range: [{H.min():+.3f}, {H.max():+.3f}]")
     print(f"  final h     : {final.h[0, 0]}")
 
-# --- 4. State carry-over composes exactly: running 4 then 6 steps with the
-#        carried state reproduces the single 10-step pass bit for bit.
-_, full, _ = layer_forward(layer, X, "tanh")
-_, first, _ = layer_forward(layer, X[:, :4], "tanh")
-_, resumed, _ = layer_forward(layer, X[:, 4:], "tanh", init=first)
-print("\nsplit-and-carry equals one pass:", np.array_equal(full.h, resumed.h))
+# --- 4. Every run starts from the zero state, and step t reads only the
+#        steps before it: the first 4 steps alone reproduce the first 4
+#        hidden states of the 10-step pass bit for bit.
+H_full, _, _ = layer_forward(layer, X, "tanh")
+H_first, _, _ = layer_forward(layer, X[:, :4], "tanh")
+print("\na short run is a prefix of the long one:", np.array_equal(H_first, H_full[:4]))

@@ -25,13 +25,14 @@ time loop. Given a ``Workspace``, both keep their large arrays in its
 reused buffers, so a batch of a shape seen before allocates nothing large.
 Each call broadcasts the peepholes once, and the step loops write every
 intermediate into workspace scratch: a step makes no temporaries.
-One cell at one step is ``layer_forward`` with K = T = B = 1.
+Every run starts from the zero state, as each window of the models
+does, and the only loss gradients it takes arrive at the hidden states.
 
 The engine trusts the shape of its (K, T, B, d) input: ``as_layer_input``
 converts and checks a batch of sequences once, where it enters.
 ``sequence_forward`` and ``cell_backward`` are K=1 adapters over the
 engine that only ``benchmarks/workloads.py`` calls: lists of (B, d)
-steps, from the zero state. All arrays are float64.
+steps. All arrays are float64.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ class LayerTrace:
     ``x`` is the (K, T, B, d) input. The rest is time-major, so that each
     step reads and writes contiguous blocks: ``gates`` (T, 4, K, B, n)
     holds i, f, z = g(candidate) and o after their nonlinearities; ``c``
-    and ``h`` (T+1, K, B, n) start with the initial state; ``g_c``
+    and ``h`` (T+1, K, B, n) start with the zero state; ``g_c``
     (T, K, B, n) is g(c_t).
     """
 
@@ -318,25 +319,19 @@ def input_rows(X: np.ndarray, ws: Workspace) -> tuple[np.ndarray, int]:
     return X.reshape(K, T * B, d), B
 
 
-def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | None = None,
-                  keep_trace: bool = True, ws: Workspace | None = None
-                  ) -> tuple[np.ndarray, CellState, LayerTrace | None]:
-    """Run K cells over inputs X of shape (K, T, B, d) at once.
+def layer_forward(p: LayerParams, X: np.ndarray, act: str, keep_trace: bool = True,
+                  ws: Workspace | None = None) -> tuple[np.ndarray, CellState, LayerTrace | None]:
+    """Run K cells from the zero state over inputs X of shape (K, T, B, d) at once.
 
     X may be a view; one whose step and batch axes share a stride
     (``input_rows``) has each of its distinct rows projected once.
     Returns the hidden states (T, K, B, n), the final state ((K, B, n)
     arrays) and, with ``keep_trace``, the trace ``layer_backward``
     needs. Without it, gates, cell states and g(c) live in per-step
-    scratch. ``init`` (arrays of shape (K, B, n), else ShapeError)
-    defaults to the zero state. All of these live in ``ws`` (a fresh
-    Workspace by default).
+    scratch. All of these live in ``ws`` (a fresh Workspace by default).
     """
     K, T, B, d = X.shape
     n = p.n
-    if init is not None and not init.c.shape == init.h.shape == (K, B, n):
-        raise ShapeError(f"initial state has c={init.c.shape}, h={init.h.shape}, "
-                         f"expected {(K, B, n)}")
     ws = Workspace() if ws is None else ws
     g = _INNER[act][0]
     rows, step = input_rows(X, ws)
@@ -356,8 +351,7 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
     H = ws.take(ws.tag + "H", (T + 1, K, B, n))
     s = ws.take("step", (2, K, B, n))  # scratch for each step's products
     s0 = s[0]
-    C[0] = 0.0 if init is None else init.c
-    H[0] = 0.0 if init is None else init.h
+    C[0] = H[0] = 0.0
 
     for t in range(T):
         a = G[t % gs]
@@ -381,16 +375,15 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, init: CellState | Non
 
 
 def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
-                   dc_final: np.ndarray | None = None, grads: LayerParams | None = None,
-                   need_dx: bool = True, ws: Workspace | None = None
-                   ) -> tuple[LayerParams, np.ndarray | None, CellState]:
+                   grads: LayerParams | None = None, need_dx: bool = True,
+                   ws: Workspace | None = None) -> tuple[LayerParams, np.ndarray | None, CellState]:
     """Reverse-mode gradients through K unrolled cells.
 
     ``dH`` (T, K, B, n) is the loss gradient arriving directly at each
-    h_t and ``dc_final`` (K, B, n) an optional one on the last cell
-    state; any other shape is a ShapeError. Parameter gradients are
-    written into ``grads`` (a fresh LayerParams by default). Returns
-    (parameter gradients, input gradients (K, T, B, d) or None without
+    h_t, and the only one: no loss reads the cell states. Any other
+    shape is a ShapeError. Parameter gradients are written into
+    ``grads`` (a fresh LayerParams by default). Returns (parameter
+    gradients, input gradients (K, T, B, d) or None without
     ``need_dx``, initial-state gradients); the input and initial-state
     gradients live in ``ws`` (a fresh Workspace by default).
 
@@ -404,9 +397,8 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
     X, G, C, H = trace.x, trace.gates, trace.c, trace.h
     K, T, B, d = X.shape
     n = p.n
-    if np.shape(dH) != (T, K, B, n) or (dc_final is not None and np.shape(dc_final) != (K, B, n)):
-        raise ShapeError(f"gradients have dH={np.shape(dH)}, dc_final={np.shape(dc_final)}, "
-                         f"expected {(T, K, B, n)} and {(K, B, n)}")
+    if np.shape(dH) != (T, K, B, n):
+        raise ShapeError(f"gradients have dH={np.shape(dH)}, expected {(T, K, B, n)}")
     ws = Workspace() if ws is None else ws
     if grads is None:
         grads = LayerParams.zeros(K, n, d)
@@ -418,8 +410,7 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
     dA = ws.take("A", (T, 4, K, B, n))  # the forward's input projection is dead by now
     # dh and dc carry the state gradients from step to step; s is each step's scratch
     dh, dc, s = ws.take("step", (3, K, B, n))
-    dh[...] = 0.0
-    dc[...] = 0.0 if dc_final is None else dc_final
+    dh[...] = dc[...] = 0.0
     dh_gates = ws.take("packed", (4, K, B, n))  # dA's packed copy is made after the loop
 
     for t in range(T - 1, -1, -1):
@@ -482,7 +473,7 @@ class StepTrace:
 
 
 def sequence_forward(p: CellParams, x_seq, act: str) -> tuple[list[StepTrace], CellState]:
-    """Run one cell from the zero state over a list of T (B, d) input steps (``as_layer_input``)."""
+    """Run one cell over a list of T (B, d) input steps (``as_layer_input``)."""
     _, final, run = layer_forward(LayerParams.pack([p]), as_layer_input(x_seq, p.d), act)
     traces = [StepTrace(h=h, run=run) for h in run.h[1:, 0]]
     return traces, CellState(c=final.c[0], h=final.h[0])

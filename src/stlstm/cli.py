@@ -68,12 +68,13 @@ def _flags(parser, keys, required: bool = False) -> None:
 
 def read_config_file(path) -> dict:
     """Flat ``key = value`` text; keys are TrainConfig / ModelSpec field names, each value
-    parsed by its field's type."""
+    parsed by its field's type, and each key set at most once."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text config file ({exc.reason})") from exc
     out = {}
+    lines = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,6 +84,9 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         try:
             out[key] = parse_field(_FIELDS, key, value)
         except ConfigError as exc:

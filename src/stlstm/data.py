@@ -79,6 +79,7 @@ def load_manifest(path) -> Manifest:
     locations: list[tuple[str, Path]] = []
     target = None
     test_start = test_end = None
+    seen = {}  # the line that declared the target, and the one that declared the test range
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
@@ -87,15 +88,21 @@ def load_manifest(path) -> Manifest:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("target="):
+        what = ("target" if line.startswith("target=") else
+                "test range" if line.startswith(("test_start=", "test_end=")) else None)
+        if what in seen:
+            raise ManifestError(f"{path}:{lineno}: {what} repeats line {seen[what]}")
+        if what:
+            seen[what] = lineno
+        if what == "target":
             value = line[len("target="):]
             if ":" not in value:
                 raise ManifestError(f"{path}:{lineno}: target must be <location>:<variable>")
             loc, var = value.split(":", 1)
             target = (loc.strip(), var.strip())
-        elif line.startswith("test_start="):
+        elif what == "test range":  # its two keys in either order
             parts = dict(p.split("=", 1) for p in line.split(",") if "=" in p)
-            if "test_start" not in parts or "test_end" not in parts:
+            if sorted(parts) != ["test_end", "test_start"] or line.count(",") != 1:
                 raise ManifestError(
                     f"{path}:{lineno}: expected test_start=<date>,test_end=<date>"
                 )

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .cell import ACTIVATIONS
 from .errors import NonFiniteResultError, ReportError, ShapeError, StlstmError, write_file
+from .model import KINDS
 
 REPORT_CSV_HEADER = "testset,steps_ahead,target,activation,metric,stacked,st_stacked,winner"
 
@@ -86,6 +88,13 @@ class EvalReport:
     mse: float = field(init=False)
 
     def __post_init__(self):
+        if self.model_kind not in KINDS:
+            raise ReportError(f"unknown model_kind {self.model_kind!r}; expected one of {KINDS}")
+        if self.activation not in ACTIVATIONS:
+            raise ReportError(f"unknown activation {self.activation!r}; "
+                              f"expected one of {ACTIVATIONS}")
+        if self.horizon < 1:
+            raise ReportError(f"horizon must be >= 1, got {self.horizon}")
         for name in ("predictions", "truths"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ReportError(f"report {self.model_kind}/{self.testset} has non-finite {name}")

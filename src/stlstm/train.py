@@ -31,16 +31,12 @@ from .model import (
     random_model_params,
 )
 
-OPTIMIZERS = ("sgd", "adam")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
     batch_size: int = 32
     l2_lambda: float = 1e-4
-    optimizer: str = "adam"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -67,8 +63,6 @@ class TrainConfig:
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
             raise ConfigError("Adam needs 0 <= adam_beta1, adam_beta2 < 1 and adam_eps > 0, got "
                               f"{self.adam_beta1}, {self.adam_beta2}, {self.adam_eps}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
 
     def fitted_windows(self, n_windows: int) -> int:
         """How many leading training windows are fitted: all, or about 90% with a holdout."""
@@ -108,14 +102,6 @@ def loss(preds, targets, params: ModelParams | None = None,
             raise ConfigError("loss: l2_lambda > 0 requires the model parameters")
         value += l2_lambda * l2_penalty(params)
     return value
-
-
-class Sgd:
-    def __init__(self, flat: np.ndarray, learning_rate: float):
-        self.flat, self.lr = flat, learning_rate
-
-    def step(self, grad: np.ndarray) -> None:
-        self.flat -= self.lr * grad
 
 
 class Adam:
@@ -268,10 +254,8 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
 
     rng = np.random.default_rng(seed)
     params = init_model_params(spec, rng, config.forget_bias_init)
-    sgd = config.optimizer == "sgd"
-    opt = (Sgd(params.flat, config.learning_rate) if sgd else
-           Adam([params.flat], config.learning_rate, config.adam_beta1, config.adam_beta2,
-                config.adam_eps))
+    opt = Adam([params.flat], config.learning_rate, config.adam_beta1, config.adam_beta2,
+               config.adam_eps)
 
     n = X.shape[0]
     ws = Workspace()  # every batch and prediction after the first runs in the first one's buffers
@@ -295,7 +279,7 @@ def train_once(spec: ModelSpec, config: TrainConfig, train_set: WindowArrays,
                 bad = grads.first_non_finite()
                 if bad:
                     raise DivergenceError(epoch, batch, f"gradient {bad[0]}")
-                opt.step(grads.flat if sgd else [grads.flat])
+                opt.step([grads.flat])
                 epoch_losses.append(batch_loss)
             epoch_loss = float(np.mean(epoch_losses))
             if not math.isfinite(epoch_loss):

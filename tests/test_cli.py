@@ -116,9 +116,12 @@ def test_a_negative_seed_exits_2_before_writing(tmp_path, capsys, monkeypatch, a
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
-    code, _, _ = run_cli(["gen-synthetic", "--bogus", "1", "--out", str(tmp_path)], capsys)
-    assert code == 2
+@pytest.mark.parametrize("argv", [["gen-synthetic", "--bogus", "1"],
+                                  ["train", "--manifest", "m.txt", "--optimizer", "adam"]])
+def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv):
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and "unrecognized arguments" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_writes_checkpoints_log_and_pointer(tmp_path, capsys):
@@ -455,6 +458,33 @@ REFUSALS = {
     "config-value-names-its-line": (
         "run.cfg:2: n1: expected an integer, got 'x'",
         lambda t, m: ["train", "--manifest", m, "--config", _config(t, "epochs = 2\nn1 = x\n")]),
+    "config-repeated-key": (
+        "run.cfg:2: key 'n1' repeats line 1",
+        lambda t, m: ["train", "--manifest", m, "--config", _config(t, "n1 = 4\nn1 = 6\n")]),
+    # Adam is the one optimizer
+    "config-optimizer-key": (
+        "run.cfg:1: unknown config key 'optimizer'",
+        lambda t, m: ["train", "--manifest", m, "--config", _config(t, "optimizer = adam\n")]),
+    "manifest-no-locations": (
+        "manifest lists no locations",
+        lambda t, m: ["train", "--manifest", _edited(m, "loc1,loc1.csv\nloc2,loc2.csv\n", "")]),
+    "manifest-test-range-from-the-first-day": (
+        "no rows before the test range to compute normalization stats",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-01-01,test_end=2007-03-31\n")]),
+    "manifest-repeated-target": (
+        "manifest.txt:4: target repeats line 3",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, "target=loc1:temperature\n",
+                              "target=loc1:temperature\ntarget=loc2:temperature\n")]),
+    "manifest-repeated-test-range": (
+        "manifest.txt:5: test range repeats line 4",
+        lambda t, m: ["predict", "--model", DATA / "v3_stacked.ckpt", "--manifest",
+                      _edited(m, TEST_LINE,
+                              TEST_LINE + "test_end=2007-03-31,test_start=2007-03-30\n")]),
+    "compare-misspelled-kind": (
+        "unknown model_kind 'stacekd'",
+        lambda t, m: ["compare", "--reports", _edited_report(t / "a.json", model_kind="stacekd")]),
     "compare-deeply-nested-report": (
         "not a valid evaluation report: RecursionError(",
         lambda t, m: ["compare", "--reports", _written(t, b"[" * 100_000 + b"]" * 100_000)]),
@@ -621,7 +651,7 @@ def test_compare_refuses_a_string_horizon_beside_an_int_one_with_exit_2(tmp_path
 def test_train_divergence_exits_3(tmp_path, capsys):
     manifest = gen_tiny(tmp_path, capsys)
     code, _, err = run_cli(["train", "--manifest", str(manifest),
-                            "--out", str(tmp_path / "o"), "--optimizer", "sgd",
+                            "--out", str(tmp_path / "o"),
                             "--learning-rate", "1e200", "--epochs", "3",
                             "--repeats", "1", "--n1", "4",
                             "--n2", "3", "--seq-len", "6"], capsys)

@@ -146,6 +146,28 @@ def test_target_location_must_be_listed(tmp_path):
         load_manifest(tmp_path / "m.txt")
 
 
+def test_the_test_range_takes_its_two_keys_in_either_order(tmp_path):
+    manifest = two_location_manifest(tmp_path, [(1.0, 2.0)] * 5, [(1.0, 2.0)] * 5,
+                                      test_range=("2020-01-04", "2020-01-05"))
+    want = load_manifest(manifest)
+    assert want.test_range == (dt.date(2020, 1, 4), dt.date(2020, 1, 5))
+    text = manifest.read_text()
+    manifest.write_text(text.replace("test_start=2020-01-04,test_end=2020-01-05",
+                                     "test_end=2020-01-05,test_start=2020-01-04"))
+    assert load_manifest(manifest) == want
+
+
+@pytest.mark.parametrize("line", ["test_start=2020-01-04", "test_start=2020-01-04,test_end",
+                                  "test_start=2020-01-04,test_end=2020-01-05,test_start=2020-01-01",
+                                  "test_start=2020-01-04,test_end=2020-01-05,extra=1",
+                                  "test_end=2020-01-05,test_end=2020-01-04"])
+def test_a_test_range_line_holds_its_two_keys_once_each(tmp_path, line):
+    manifest = two_location_manifest(tmp_path, [(1.0, 2.0)] * 5, [(1.0, 2.0)] * 5)
+    manifest.write_text(manifest.read_text() + line + "\n")
+    with pytest.raises(ManifestError, match=r"manifest.txt:4: expected test_start=<date>"):
+        load_manifest(manifest)
+
+
 def test_mismatched_variable_columns(tmp_path):
     write_csv(tmp_path / "a.csv", "2020-01-01", [(1.0, 2.0)] * 3)
     write_csv(tmp_path / "b.csv", "2020-01-01", [(1.0,)] * 3, variables=("temperature",))

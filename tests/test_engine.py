@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stlstm import (
-    CellState,
     ModelParams,
     ModelSpec,
     ShapeError,
@@ -51,28 +50,22 @@ def sliding_layer_input(K, T, B, d, rng):
 # engine: K cells at once == K single-cell runs
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
-@pytest.mark.parametrize("with_init", [False, True])
-@pytest.mark.parametrize("with_dc_final", [False, True])
-def test_k_cell_layer_equals_k_single_cell_runs(act, with_init, with_dc_final):
+def test_k_cell_layer_equals_k_single_cell_runs(act):
     K, n, d, T, B = 3, 4, 2, 5, 6
     rng = np.random.default_rng(10)
     layer = random_layer(K, n, d, rng)
     X = rng.normal(size=(K, T, B, d))
     dH = rng.normal(size=(T, K, B, n))
-    init = CellState(c=rng.normal(size=(K, B, n)), h=rng.normal(size=(K, B, n))) if with_init else None
-    dc_final = rng.normal(size=(K, B, n)) if with_dc_final else None
 
-    H, final, trace = layer_forward(layer, X, act, init)
-    grads, dX, dinit = layer_backward(layer, trace, dH, act, dc_final)
+    H, final, trace = layer_forward(layer, X, act)
+    grads, dX, dinit = layer_backward(layer, trace, dH, act)
 
     for k in range(K):
         one = LayerParams.pack([layer.cell(k)])
-        init_k = None if init is None else CellState(c=init.c[k:k + 1], h=init.h[k:k + 1])
-        H_k, final_k, trace_k = layer_forward(one, X[k:k + 1], act, init_k)
+        H_k, final_k, trace_k = layer_forward(one, X[k:k + 1], act)
         assert np.max(np.abs(H[:, k] - H_k[:, 0])) <= 1e-14
         assert np.max(np.abs(final.c[k] - final_k.c[0])) <= 1e-14
-        g_k, dX_k, dinit_k = layer_backward(one, trace_k, dH[:, k:k + 1], act,
-                                            None if dc_final is None else dc_final[k:k + 1])
+        g_k, dX_k, dinit_k = layer_backward(one, trace_k, dH[:, k:k + 1], act)
         for (name, a), (_, b) in zip(grads.cell(k).tensors(), g_k.cell(0).tensors()):
             assert np.max(np.abs(a - b)) <= 1e-14, name
         assert np.max(np.abs(dX[k] - dX_k[0])) <= 1e-14
@@ -158,18 +151,15 @@ def test_a_copy_shares_rows_only_where_every_bit_agrees():
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
 @pytest.mark.parametrize("keep_trace", [False, True])
-@pytest.mark.parametrize("with_init", [False, True])
 @pytest.mark.parametrize("K,T,B", [(1, 5, 7), (3, 4, 9), (2, 1, 6), (1, 10, 130)])
-def test_layer_forward_on_a_sliding_view_equals_its_contiguous_copy(act, keep_trace, with_init,
-                                                                     K, T, B):
+def test_layer_forward_on_a_sliding_view_equals_its_contiguous_copy(act, keep_trace, K, T, B):
     n, d = 4, 3
     rng = np.random.default_rng(21)
     layer = random_layer(K, n, d, rng)
     X = sliding_layer_input(K, T, B, d, rng)
     assert X.strides[1] == X.strides[2]
-    init = CellState(c=rng.normal(size=(K, B, n)), h=rng.normal(size=(K, B, n))) if with_init else None
-    H, final, _ = layer_forward(layer, X, act, init, keep_trace=keep_trace)
-    H_copy, final_copy, _ = layer_forward(layer, np.ascontiguousarray(X), act, init,
+    H, final, _ = layer_forward(layer, X, act, keep_trace=keep_trace)
+    H_copy, final_copy, _ = layer_forward(layer, np.ascontiguousarray(X), act,
                                           keep_trace=keep_trace)
     assert np.array_equal(H, H_copy)
     assert np.array_equal(final.c, final_copy.c) and np.array_equal(final.h, final_copy.h)
@@ -183,8 +173,8 @@ def same_bits(a, b):
 engine_case = st.fixed_dictionaries({
     "K": st.integers(1, 4), "n": st.integers(1, 4), "d": st.integers(1, 3),
     "T": st.integers(1, 5), "B": st.integers(1, 5), "act": st.sampled_from(["tanh", "sigmoid"]),
-    "keep_trace": st.booleans(), "need_dx": st.booleans(), "with_init": st.booleans(),
-    "with_dc_final": st.booleans(), "x": st.sampled_from(["view", "copy", "shuffled"]),
+    "keep_trace": st.booleans(), "need_dx": st.booleans(),
+    "x": st.sampled_from(["view", "copy", "shuffled"]),
     "seed": st.integers(0, 2**32 - 1),
 })
 
@@ -204,24 +194,20 @@ def test_the_engine_equals_its_frozen_reference_bit_for_bit(cases):
             X = np.ascontiguousarray(X)
         if case["x"] == "shuffled":
             X = np.ascontiguousarray(X[:, :, rng.permutation(B)])
-        init = (CellState(c=rng.normal(size=(K, B, n)), h=rng.normal(size=(K, B, n)))
-                if case["with_init"] else None)
         dH = rng.normal(size=(T, K, B, n))
-        dc_final = rng.normal(size=(K, B, n)) if case["with_dc_final"] else None
 
         keep_trace = case["keep_trace"]
-        want_H, want_final, want_trace = engine_reference.layer_forward(layer, X, act, init,
+        want_H, want_final, want_trace = engine_reference.layer_forward(layer, X, act,
                                                                         keep_trace=keep_trace)
-        H, final, trace = layer_forward(layer, X, act, init, keep_trace=keep_trace,
+        H, final, trace = layer_forward(layer, X, act, keep_trace=keep_trace,
                                         ws=Workspace(ws.buffers, "l1"))
         assert same_bits(H, want_H)
         assert same_bits(final.c, want_final.c) and same_bits(final.h, want_final.h)
         if not keep_trace:
             continue
         want_grads, want_dX, want_dinit = engine_reference.layer_backward(
-            layer, want_trace, dH, act, dc_final, need_dx=case["need_dx"])
-        grads, dX, dinit = layer_backward(layer, trace, dH, act, dc_final,
-                                          need_dx=case["need_dx"], ws=ws)
+            layer, want_trace, dH, act, need_dx=case["need_dx"])
+        grads, dX, dinit = layer_backward(layer, trace, dH, act, need_dx=case["need_dx"], ws=ws)
         for a, b in zip(grads.arrays(), want_grads.arrays()):
             assert same_bits(a, b)
         assert (dX is None) == (want_dX is None) == (not case["need_dx"])

@@ -398,7 +398,7 @@ e2e_line = st.one_of(
                      "test_start=2007-01-02,test_end=2007-02-19",
                      "test_start=2007-02-19,test_end=2007-02-19", "date,temperature,var2",
                      "2007-02-20,1.0,2.0", "2007-01-01,1.0,2.0", "head.b_dense 1 1",
-                     "validation_holdout = true", "optimizer = sgd", "activation = sigmoid",
+                     "validation_holdout = true", "activation = sigmoid",
                      "forget_bias_init = yes", "horizon = 3", "l2_lambda = 1e308"]),
     st.builds(lambda key, value: f"{key} = {value}", st.sampled_from(CONFIG_KEYS), number_text),
     spec_line, st.text(max_size=20))
@@ -515,7 +515,7 @@ TRAIN_FLAGS = {
     "--n1": ["2", "4"], "--n2": ["1", "3"], "--activation": ["tanh", "sigmoid"],
     "--seq-len": ["1", "3"], "--horizon": ["1", "2"], "--learning-rate": ["0.01", "0.5"],
     "--epochs": ["1", "2"], "--batch-size": ["4", "16"], "--l2-lambda": ["0.001"],
-    "--optimizer": ["sgd", "adam"], "--adam-beta1": ["0.5"], "--adam-beta2": ["0.9"],
+    "--adam-beta1": ["0.5"], "--adam-beta2": ["0.9"],
     "--adam-eps": ["1e-6"], "--seed": ["1"], "--repeats": ["1", "2"],
     "--forget-bias-init": ["true", "off"], "--validation-holdout": ["yes", "0"],
     "--missing-policy": ["ffill"],

@@ -191,3 +191,19 @@ def test_a_report_takes_integer_numbers(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(raw))
     assert EvalReport.load(path).predictions[0] == 1
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    ("model_kind", "stacekd", "unknown model_kind 'stacekd'"),
+    ("model_kind", "", "unknown model_kind ''"),
+    ("activation", "relu", "unknown activation 'relu'"),
+    ("horizon", 0, "horizon must be >= 1, got 0"),
+    ("horizon", -3, "horizon must be >= 1, got -3"),
+])
+def test_a_report_outside_the_models_domain_is_a_report_error(tmp_path, field, value, fragment):
+    raw = json.loads(make_report("stacked").to_json())
+    raw[field] = value
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ReportError, match=fragment):
+        EvalReport.load(path)

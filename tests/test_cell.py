@@ -124,6 +124,19 @@ def test_sequence_length_one_equals_single_step():
     assert np.array_equal(H_one[0], H[0]) and np.array_equal(state.h, H[0])
 
 
+@pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+def test_a_short_run_is_the_bit_identical_prefix_of_a_longer_one(act):
+    # every window starts from the zero state, so its first steps do not depend on its length
+    rng = np.random.default_rng(5)
+    layer = LayerParams.pack([random_cell(4, 3, rng) for _ in range(2)])
+    X = rng.normal(size=(2, 10, 5, 3))
+    H, _, trace = layer_forward(layer, X, act)
+    for T in range(1, 10):
+        H_short, short, _ = layer_forward(layer, X[:, :T], act)
+        assert np.array_equal(H_short, H[:T])
+        assert np.array_equal(short.c, trace.c[T]) and np.array_equal(short.h, trace.h[T])
+
+
 def test_zero_params_sequence_stays_zero():
     # holds for tanh, whose g(0) = 0; sigmoid's g(0) = 0.5 feeds the cell
     X = np.arange(6.0).repeat(2).reshape(1, 6, 1, 2)  # step t is (t, t)

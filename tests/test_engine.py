@@ -50,7 +50,8 @@ def sliding_layer_input(K, T, B, d, rng):
 # engine: K cells at once == K single-cell runs
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
-def test_k_cell_layer_equals_k_single_cell_runs(act):
+@pytest.mark.parametrize("need_dx", [False, True])
+def test_k_cell_layer_equals_k_single_cell_runs(act, need_dx):
     K, n, d, T, B = 3, 4, 2, 5, 6
     rng = np.random.default_rng(10)
     layer = random_layer(K, n, d, rng)
@@ -58,17 +59,19 @@ def test_k_cell_layer_equals_k_single_cell_runs(act):
     dH = rng.normal(size=(T, K, B, n))
 
     H, final, trace = layer_forward(layer, X, act)
-    grads, dX, dinit = layer_backward(layer, trace, dH, act)
+    grads, dX, dinit = layer_backward(layer, trace, dH, act, need_dx=need_dx)
+    assert (dX is None) == (not need_dx)
 
     for k in range(K):
         one = LayerParams.pack([layer.cell(k)])
         H_k, final_k, trace_k = layer_forward(one, X[k:k + 1], act)
         assert np.max(np.abs(H[:, k] - H_k[:, 0])) <= 1e-14
         assert np.max(np.abs(final.c[k] - final_k.c[0])) <= 1e-14
-        g_k, dX_k, dinit_k = layer_backward(one, trace_k, dH[:, k:k + 1], act)
+        g_k, dX_k, dinit_k = layer_backward(one, trace_k, dH[:, k:k + 1], act, need_dx=need_dx)
         for (name, a), (_, b) in zip(grads.cell(k).tensors(), g_k.cell(0).tensors()):
             assert np.max(np.abs(a - b)) <= 1e-14, name
-        assert np.max(np.abs(dX[k] - dX_k[0])) <= 1e-14
+        if need_dx:
+            assert np.max(np.abs(dX[k] - dX_k[0])) <= 1e-14
         assert np.max(np.abs(dinit.c[k] - dinit_k.c[0])) <= 1e-14
         assert np.max(np.abs(dinit.h[k] - dinit_k.h[0])) <= 1e-14
 
@@ -137,6 +140,21 @@ def test_overlapping_windows_project_each_row_once(K, T, B):
     broken[:, -1, 0] += 1.0
     rows, step = input_rows(broken, Workspace())
     assert rows.shape == (K, T * B, 2) and step == B
+
+
+@pytest.mark.parametrize("keep_trace", [False, True])
+def test_a_reused_workspace_starts_every_run_from_the_zero_state(keep_trace):
+    # a Workspace's buffers keep the last run's states; the next run must not start from them
+    K, n, d, T, B = 2, 4, 3, 6, 5
+    rng = np.random.default_rng(27)
+    layer = random_layer(K, n, d, rng)
+    first, second = rng.normal(size=(2, K, T, B, d))
+    ws = Workspace()
+    layer_forward(layer, first, "tanh", keep_trace=keep_trace, ws=ws)
+    H, final, _ = layer_forward(layer, second, "tanh", keep_trace=keep_trace, ws=ws)
+    H_fresh, final_fresh, _ = layer_forward(layer, second, "tanh", keep_trace=keep_trace)
+    assert np.array_equal(H, H_fresh)
+    assert np.array_equal(final.c, final_fresh.c) and np.array_equal(final.h, final_fresh.h)
 
 
 def test_a_copy_shares_rows_only_where_every_bit_agrees():

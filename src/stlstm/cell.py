@@ -254,7 +254,7 @@ def init_cell_into(p: CellParams, rng: np.random.Generator, forget_bias: float =
 
 @dataclass
 class CellState:
-    """The (c, h) pair carried across time steps."""
+    """A (c, h) pair: the final state of a ``sequence_forward`` run."""
 
     c: np.ndarray
     h: np.ndarray
@@ -320,14 +320,14 @@ def input_rows(X: np.ndarray, ws: Workspace) -> tuple[np.ndarray, int]:
 
 
 def layer_forward(p: LayerParams, X: np.ndarray, act: str, keep_trace: bool = True,
-                  ws: Workspace | None = None) -> tuple[np.ndarray, CellState, LayerTrace | None]:
+                  ws: Workspace | None = None) -> tuple[np.ndarray, LayerTrace | None]:
     """Run K cells from the zero state over inputs X of shape (K, T, B, d) at once.
 
     X may be a view; one whose step and batch axes share a stride
     (``input_rows``) has each of its distinct rows projected once.
-    Returns the hidden states (T, K, B, n), the final state ((K, B, n)
-    arrays) and, with ``keep_trace``, the trace ``layer_backward``
-    needs. Without it, gates, cell states and g(c) live in per-step
+    Returns the hidden states (T, K, B, n) and, with ``keep_trace``, the
+    trace ``layer_backward`` needs, whose ``c[-1]`` is the final cell
+    state. Without it, gates, cell states and g(c) live in per-step
     scratch. All of these live in ``ws`` (a fresh Workspace by default).
     """
     K, T, B, d = X.shape
@@ -369,14 +369,13 @@ def layer_forward(p: LayerParams, X: np.ndarray, act: str, keep_trace: bool = Tr
         g_c = g(c, GC[t % gs])
         np.multiply(o, g_c, H[t + 1])
 
-    final = CellState(c=C[T % cs], h=H[T])
     trace = LayerTrace(x=X, gates=G, c=C, h=H, g_c=GC) if keep_trace else None
-    return H[1:], final, trace
+    return H[1:], trace
 
 
 def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
                    grads: LayerParams | None = None, need_dx: bool = True,
-                   ws: Workspace | None = None) -> tuple[LayerParams, np.ndarray | None, CellState]:
+                   ws: Workspace | None = None) -> tuple[LayerParams, np.ndarray | None]:
     """Reverse-mode gradients through K unrolled cells.
 
     ``dH`` (T, K, B, n) is the loss gradient arriving directly at each
@@ -384,8 +383,7 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
     shape is a ShapeError. Parameter gradients are written into
     ``grads`` (a fresh LayerParams by default). Returns (parameter
     gradients, input gradients (K, T, B, d) or None without
-    ``need_dx``, initial-state gradients); the input and initial-state
-    gradients live in ``ws`` (a fresh Workspace by default).
+    ``need_dx``), the latter in ``ws`` (a fresh Workspace by default).
 
     The output gate's peephole reads the current-step c, so its
     pre-activation gradient is formed before c's gradient is complete;
@@ -439,6 +437,8 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
         np.multiply(dc, i, dz_pre)
         dz_pre *= g_deriv(z, s)
 
+        if t == 0:
+            break  # the zero initial state takes no gradient
         dc *= f
         dc += np.multiply(da_i, w_ci, s)
         dc += np.multiply(da_f, w_cf, s)
@@ -458,7 +458,7 @@ def layer_backward(p: LayerParams, trace: LayerTrace, dH: np.ndarray, act: str,
            axis=(0, 3), out=grads.wc[:, :2].transpose(1, 0, 2))
     np.sum(np.multiply(dA[:, 3], C[1:], out=ws.take("packed", (T, K, B, n))),
            axis=(0, 2), out=grads.wc[:, 2])
-    return grads, dX, CellState(c=dc, h=dh)
+    return grads, dX
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +474,22 @@ class StepTrace:
 
 def sequence_forward(p: CellParams, x_seq, act: str) -> tuple[list[StepTrace], CellState]:
     """Run one cell over a list of T (B, d) input steps (``as_layer_input``)."""
-    _, final, run = layer_forward(LayerParams.pack([p]), as_layer_input(x_seq, p.d), act)
+    _, run = layer_forward(LayerParams.pack([p]), as_layer_input(x_seq, p.d), act)
     traces = [StepTrace(h=h, run=run) for h in run.h[1:, 0]]
-    return traces, CellState(c=final.c[0], h=final.h[0])
+    return traces, CellState(c=run.c[-1, 0], h=run.h[-1, 0])
 
 
 def cell_backward(p: CellParams, traces: list[StepTrace], dh_seq, act: str
-                  ) -> tuple[CellParams, list[np.ndarray], CellState]:
+                  ) -> tuple[CellParams, list[np.ndarray], None]:
     """Reverse-mode gradients through the run that ``traces`` come from.
 
     ``dh_seq[t]`` is the loss gradient arriving directly at h_t (same
     shape as h_t; zero arrays for steps the loss ignores). Returns
-    (parameter gradients, per-step input gradients, initial-state
-    gradients).
+    (parameter gradients, per-step input gradients, None).
     """
     run = traces[0].run
     if [np.shape(dh) for dh in dh_seq] != [h.shape for h in run.h[1:, 0]]:
         raise ShapeError(f"cell_backward: expected {len(run.h) - 1} h-gradients of shape "
                          f"{run.h.shape[2:]}")
-    grads, dX, dinit = layer_backward(LayerParams.pack([p]), run, np.stack(dh_seq)[:, None], act)
-    return grads.cell(0), list(dX[0]), CellState(c=dinit.c[0], h=dinit.h[0])
+    grads, dX = layer_backward(LayerParams.pack([p]), run, np.stack(dh_seq)[:, None], act)
+    return grads.cell(0), list(dX[0]), None

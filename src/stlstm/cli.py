@@ -2,9 +2,9 @@
 
 Batch tool, no interactive mode. Exit codes are a stable contract:
 0 success, 2 usage or input error, 3 numerical divergence during
-training, 4 verification (gradient-check) failure. Every subcommand
-prints an ``effective-config:`` banner with all defaults resolved, from
-which the run can be reproduced.
+training, 4 verification (gradient-check) failure; exits 2 and 3 print
+one ``error:`` line, a usage error too. Every subcommand prints an
+``effective-config:`` banner with all defaults resolved, to reproduce the run.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ _TYPES = {**_FIELDS, "days": "int", "coupling": "float", "ar_coef": "float",
 _ALIASES = {"kind": ("--model-kind", "--model_kind"), "vars_per_location": ("--vars",),
             "noise_std": ("--noise",)}
 _KIND_ALIASES = {"st": "st_stacked", "st-stacked": "st_stacked"}
+# the characters str.splitlines breaks on, escaped so that an error message is one line
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 # each settings subcommand's flags and their defaults; None leaves a value
 # to the library (test_days) or the data (train's locations, vars_per_location)
@@ -310,8 +312,15 @@ def cmd_param_count(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError; ``add_subparsers`` gives its parsers this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stlstm",
         description="Stacked / spatio-temporal stacked LSTM forecasting pipeline.",
     )
@@ -364,26 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for key, value in vars(args).items():
-        if value == []:  # argparse reads "--seed=--" as an empty list, not as a value
-            parser.error(f"argument {key}: expected one argument")
     try:
+        args = build_parser().parse_args(argv)
+        for key, value in vars(args).items():
+            if value == []:  # argparse reads "--seed=--" as an empty list, not as a value
+                raise ConfigError(f"argument {key}: expected one argument")
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except StlstmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 3 if isinstance(exc, DivergenceError) else 2, str(exc)
     except MemoryError as exc:  # numpy refuses an array larger than the address space
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc) or "out of memory"
     except OSError as exc:
         where = "" if exc.filename is None else f": {exc.filename}"
-        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
-        return 2
+        code, message = 2, f"{exc.strerror or exc}{where}"
+    print(f"error: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -67,11 +67,11 @@ class Manifest:
             )
 
 
-def _parse_date(text: str, where: str) -> dt.date:
+def _parse_date(text: str, where: str, error: type[DataError]) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
     except ValueError as exc:
-        raise CsvFormatError(f"{where}: bad ISO date {text!r}") from exc
+        raise error(f"{where}: bad ISO date {text!r}") from exc
 
 
 def load_manifest(path) -> Manifest:
@@ -106,8 +106,8 @@ def load_manifest(path) -> Manifest:
                 raise ManifestError(
                     f"{path}:{lineno}: expected test_start=<date>,test_end=<date>"
                 )
-            test_start = _parse_date(parts["test_start"], f"{path}:{lineno}")
-            test_end = _parse_date(parts["test_end"], f"{path}:{lineno}")
+            test_start = _parse_date(parts["test_start"], f"{path}:{lineno}", ManifestError)
+            test_end = _parse_date(parts["test_end"], f"{path}:{lineno}", ManifestError)
         else:
             if "," not in line:
                 raise ManifestError(f"{path}:{lineno}: expected 'location_name,path'")
@@ -241,7 +241,7 @@ def _read_location_csv(path: Path, missing_policy: str) -> tuple[list[dt.date], 
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise CsvFormatError(f"{path}:{r}: expected {len(header)} cells, got {len(row)}")
-        dates.append(_parse_date(row[0], f"{path}:{r}"))
+        dates.append(_parse_date(row[0], f"{path}:{r}", CsvFormatError))
         for j, cell in enumerate(row[1:]):
             text = cell.strip()
             if text.lower() in _MISSING_TOKENS:

@@ -283,11 +283,6 @@ class ModelTrace:
     layer2: LayerTrace
     ws: Workspace       # the forward's workspace, which model_backward then uses
 
-    @property
-    def final_hidden(self) -> np.ndarray:
-        """The last layer-2 hidden state of each window, (B, n2)."""
-        return self.layer2.h[-1, 0]
-
 
 def _forward(spec: ModelSpec, params: ModelParams, X: np.ndarray, keep_trace: bool, ws: Workspace):
     """The model on a (T, B, input_dim) float64 batch, whose shape its caller has checked."""
@@ -297,14 +292,14 @@ def _forward(spec: ModelSpec, params: ModelParams, X: np.ndarray, keep_trace: bo
     X1 = X.reshape(T, B, spec.loc_cells, spec.loc_inputs).transpose(2, 0, 1, 3)
     if keep_trace:
         X1 = ws.contiguous("x1", X1)
-    h1, _, trace1 = layer_forward(params.l1, X1, spec.activation, keep_trace=keep_trace,
-                                  ws=Workspace(ws.buffers, "l1"))
+    h1, trace1 = layer_forward(params.l1, X1, spec.activation, keep_trace=keep_trace,
+                               ws=Workspace(ws.buffers, "l1"))
     # layer 2 reads the cells' hidden states side by side, in manifest order:
     # (T, K, B, n) -> (1, T, B, K*n)
     X2 = ws.contiguous("x2", h1.transpose(0, 2, 1, 3)).reshape(1, T, B, spec.n1)
-    _, final, trace2 = layer_forward(params.l2, X2, spec.activation, keep_trace=keep_trace,
-                                     ws=Workspace(ws.buffers, "l2"))
-    pred = dense_head(final.h[0], params.w_dense, params.b_dense)
+    h2, trace2 = layer_forward(params.l2, X2, spec.activation, keep_trace=keep_trace,
+                               ws=Workspace(ws.buffers, "l2"))
+    pred = dense_head(h2[-1, 0], params.w_dense, params.b_dense)
     return pred, (ModelTrace(trace1, trace2, ws) if keep_trace else None)
 
 
@@ -341,14 +336,14 @@ def model_backward(spec: ModelSpec, params: ModelParams, trace: ModelTrace, dy) 
 
     # every gradient is written below, so the buffer needs no zeroing
     grads = ModelParams.from_flat(params.layout, trace.ws.take("grads", params.flat.shape))
-    grads.w_dense[...] = trace.final_hidden.T @ dy
+    grads.w_dense[...] = trace.layer2.h[-1, 0].T @ dy  # the final layer-2 state, (B, n2)
     grads.b_dense[0] = np.sum(dy)
     # head touches only the final step; earlier layer-2 h-grads are zero
     dH2 = trace.ws.take("dH2", (T, 1, B, spec.n2))
     dH2[:-1] = 0.0
     dH2[-1, 0] = np.multiply.outer(dy, params.w_dense)
-    _, dX2, _ = layer_backward(params.l2, trace.layer2, dH2, spec.activation, grads=grads.l2,
-                               ws=trace.ws)
+    _, dX2 = layer_backward(params.l2, trace.layer2, dH2, spec.activation, grads=grads.l2,
+                            ws=trace.ws)
     # (1, T, B, K*n) -> (T, K, B, n): each layer-1 cell's slice of layer 2's input gradient
     dH1 = dX2[0].reshape(T, B, spec.loc_cells, spec.loc_neurons).transpose(0, 2, 1, 3)
     layer_backward(params.l1, trace.layer1, dH1, spec.activation, grads=grads.l1,

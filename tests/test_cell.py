@@ -67,7 +67,7 @@ def scalar_oracle_diff(p, xs, act):
     """The largest difference between a one-cell engine run over the (d,) steps ``xs`` and
     ``scalar_cell_step``, each step of which starts from the run's own previous state: the
     zero state at step 0, then the states the run reached."""
-    _, _, trace = layer_forward(LayerParams.pack([p]), np.reshape(xs, (1, len(xs), 1, p.d)), act)
+    _, trace = layer_forward(LayerParams.pack([p]), np.reshape(xs, (1, len(xs), 1, p.d)), act)
     worst = 0.0
     for t, x in enumerate(xs):
         want = scalar_cell_step(p, trace.c[t, 0, 0], trace.h[t, 0, 0], x, act)
@@ -89,13 +89,13 @@ def test_forward_matches_scalar_loop_oracle(act):
 
 
 def test_zero_params_give_half_gates_zero_state():
-    _, state, trace = layer_forward(LayerParams.zeros(1, 4, 3), np.ones((1, 1, 1, 3)), "tanh")
+    H, trace = layer_forward(LayerParams.zeros(1, 4, 3), np.ones((1, 1, 1, 3)), "tanh")
     i, f, _, o = trace.gates[0, :, 0, 0]
     assert np.array_equal(i, np.full(4, 0.5))
     assert np.array_equal(f, np.full(4, 0.5))
     assert np.array_equal(o, np.full(4, 0.5))
-    assert np.array_equal(state.c, np.zeros((1, 1, 4)))
-    assert np.array_equal(state.h, np.zeros((1, 1, 4)))
+    assert np.array_equal(trace.c[-1], np.zeros((1, 1, 4)))
+    assert np.array_equal(H[-1], np.zeros((1, 1, 4)))
 
 
 def test_saturated_forget_gate_retains_memory():
@@ -107,10 +107,10 @@ def test_saturated_forget_gate_retains_memory():
     p.W_xc[...] = rng.uniform(-1.0, 1.0, size=(5, 2))
     X = np.zeros((1, 6, 1, 2))
     X[0, 0, 0] = rng.normal(size=2)
-    _, final, trace = layer_forward(layer, X, "tanh")
+    _, trace = layer_forward(layer, X, "tanh")
     written = trace.c[1, 0, 0]
     assert np.min(np.abs(written)) > 1e-3
-    assert np.max(np.abs(final.c[0, 0] - written)) < 1e-8
+    assert np.max(np.abs(trace.c[-1, 0, 0] - written)) < 1e-8
 
 
 def test_sequence_length_one_equals_single_step():
@@ -118,10 +118,10 @@ def test_sequence_length_one_equals_single_step():
     rng = np.random.default_rng(3)
     layer = LayerParams.pack([random_cell(3, 2, rng)])
     X = rng.normal(size=(1, 6, 1, 2))
-    H, _, _ = layer_forward(layer, X, "tanh")
-    H_one, state, _ = layer_forward(layer, X[:, :1], "tanh")
+    H, _ = layer_forward(layer, X, "tanh")
+    H_one, one = layer_forward(layer, X[:, :1], "tanh")
     assert H_one.shape == (1, 1, 1, 3)
-    assert np.array_equal(H_one[0], H[0]) and np.array_equal(state.h, H[0])
+    assert np.array_equal(H_one[0], H[0]) and np.array_equal(one.h[-1], H[0])
 
 
 @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
@@ -130,19 +130,19 @@ def test_a_short_run_is_the_bit_identical_prefix_of_a_longer_one(act):
     rng = np.random.default_rng(5)
     layer = LayerParams.pack([random_cell(4, 3, rng) for _ in range(2)])
     X = rng.normal(size=(2, 10, 5, 3))
-    H, _, trace = layer_forward(layer, X, act)
+    H, trace = layer_forward(layer, X, act)
     for T in range(1, 10):
-        H_short, short, _ = layer_forward(layer, X[:, :T], act)
+        H_short, short = layer_forward(layer, X[:, :T], act)
         assert np.array_equal(H_short, H[:T])
-        assert np.array_equal(short.c, trace.c[T]) and np.array_equal(short.h, trace.h[T])
+        assert np.array_equal(short.c, trace.c[:T + 1]) and np.array_equal(short.h, trace.h[:T + 1])
 
 
 def test_zero_params_sequence_stays_zero():
     # holds for tanh, whose g(0) = 0; sigmoid's g(0) = 0.5 feeds the cell
     X = np.arange(6.0).repeat(2).reshape(1, 6, 1, 2)  # step t is (t, t)
-    _, final, _ = layer_forward(LayerParams.zeros(1, 3, 2), X, "tanh")
-    assert np.array_equal(final.c, np.zeros((1, 1, 3)))
-    assert np.array_equal(final.h, np.zeros((1, 1, 3)))
+    H, trace = layer_forward(LayerParams.zeros(1, 3, 2), X, "tanh")
+    assert np.array_equal(trace.c[-1], np.zeros((1, 1, 3)))
+    assert np.array_equal(H[-1], np.zeros((1, 1, 3)))
 
 
 def test_empty_sequence_is_an_error():
@@ -162,7 +162,7 @@ def test_dimension_mismatch_errors():
         as_layer_input([np.zeros((4, 2)), np.zeros(2)], 2)  # batched and not
     # the gradients layer_backward takes are (T, K, B, n), not broadcast
     T, K, B, n = 2, 1, 3, 3
-    _, _, trace = layer_forward(layer, np.zeros((K, T, B, 2)), "tanh")
+    _, trace = layer_forward(layer, np.zeros((K, T, B, 2)), "tanh")
     expected = r"expected \(2, 1, 3, 3\)"
     for shape in ((T, K, 1, n), (T + 2, K, B, n), (T - 1, K, B, n), (K, B, n)):
         with pytest.raises(ShapeError, match=expected):
@@ -186,7 +186,7 @@ def test_hidden_state_bounds(act, lo, hi):
     rng = np.random.default_rng(13)
     for _ in range(20):
         layer = LayerParams.pack([random_cell(4, 3, rng, scale=2.0)])
-        H, _, _ = layer_forward(layer, rng.normal(size=(1, 8, 1, 3)) * 3.0, act)
+        H, _ = layer_forward(layer, rng.normal(size=(1, 8, 1, 3)) * 3.0, act)
         assert np.all(H > lo) and np.all(H < hi)
 
 
@@ -194,11 +194,11 @@ def test_batched_forward_matches_per_sample():
     rng = np.random.default_rng(17)
     layer = LayerParams.pack([random_cell(3, 4, rng)])
     X = rng.normal(size=(1, 1, 5, 4))
-    _, batch_state, _ = layer_forward(layer, X, "tanh")
+    _, batch = layer_forward(layer, X, "tanh")
     for b in range(5):
-        _, one, _ = layer_forward(layer, X[:, :, b:b + 1], "tanh")
-        assert np.allclose(batch_state.c[0, b], one.c[0, 0], atol=1e-15)
-        assert np.allclose(batch_state.h[0, b], one.h[0, 0], atol=1e-15)
+        _, one = layer_forward(layer, X[:, :, b:b + 1], "tanh")
+        assert np.allclose(batch.c[-1, 0, b], one.c[-1, 0, 0], atol=1e-15)
+        assert np.allclose(batch.h[-1, 0, b], one.h[-1, 0, 0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,8 @@ def test_backward_matches_central_finite_differences(act):
              for _ in range(T)]
 
     layer = LayerParams.pack([p])
-    _, _, trace = layer_forward(layer, X, act)
-    grads, dX, _ = layer_backward(layer, trace, np.reshape(u_seq, (T, 1, 1, n)), act)
+    _, trace = layer_forward(layer, X, act)
+    grads, dX = layer_backward(layer, trace, np.reshape(u_seq, (T, 1, 1, n)), act)
 
     step = 1e-5
 
@@ -267,66 +267,23 @@ def test_backward_matches_central_finite_differences(act):
     check(dX, X)
 
 
-def test_backward_initial_state_gradients_match_fd():
-    n, d, T = 2, 2, 3
-    rng = np.random.default_rng(9)
-    p = random_cell(n, d, rng)
-    xs = [rng.normal(size=d) for _ in range(T)]
-    u_seq = [rng.normal(size=n) for _ in range(T)]
-    c0, h0 = np.zeros(n), np.zeros(n)  # the zero state every run starts from
-
-    layer = LayerParams.pack([p])
-    _, _, trace = layer_forward(layer, np.reshape(xs, (1, T, 1, d)), "tanh")
-    _, _, dinit = layer_backward(layer, trace, np.reshape(u_seq, (T, 1, 1, n)), "tanh")
-
-    def loss_from_init(c0, h0):
-        ld = np.longdouble
-        c, h = c0.astype(ld), h0.astype(ld)
-        total = ld(0.0)
-        for x, u in zip(xs, u_seq):
-            x = x.astype(ld)
-            i = 1.0 / (1.0 + np.exp(-(p.W_xi @ x + p.W_hi @ h + p.w_ci * c + p.b_i)))
-            f = 1.0 / (1.0 + np.exp(-(p.W_xf @ x + p.W_hf @ h + p.w_cf * c + p.b_f)))
-            z = np.tanh(p.W_xc @ x + p.W_hc @ h + p.b_c)
-            c = f * c + i * z
-            o = 1.0 / (1.0 + np.exp(-(p.W_xo @ x + p.W_ho @ h + c * p.w_co + p.b_o)))
-            h = o * np.tanh(c)
-            total = total + u.astype(ld) @ h
-        return total
-
-    step = 1e-5
-    for analytic, arr in ((dinit.c[0, 0], c0), (dinit.h[0, 0], h0)):
-        for j in range(n):
-            keep = arr[j]
-            arr[j] = keep + step
-            up = loss_from_init(c0, h0)
-            arr[j] = keep - step
-            down = loss_from_init(c0, h0)
-            arr[j] = keep
-            numeric = float((up - down) / np.longdouble(2 * step))
-            rel = abs(analytic[j] - numeric) / max(abs(analytic[j]), abs(numeric), 1e-8)
-            assert rel < 1e-6
-
-
 def test_zero_upstream_gradients_give_zero_parameter_gradients():
     rng = np.random.default_rng(21)
     layer = LayerParams.pack([random_cell(3, 2, rng)])
-    _, _, trace = layer_forward(layer, rng.normal(size=(1, 4, 1, 2)), "tanh")
-    grads, dX, dinit = layer_backward(layer, trace, np.zeros((4, 1, 1, 3)), "tanh")
+    _, trace = layer_forward(layer, rng.normal(size=(1, 4, 1, 2)), "tanh")
+    grads, dX = layer_backward(layer, trace, np.zeros((4, 1, 1, 3)), "tanh")
     for arr in grads.arrays():
         assert np.array_equal(arr, np.zeros_like(arr))
     assert np.array_equal(dX, np.zeros((1, 4, 1, 2)))
-    assert np.array_equal(dinit.c, np.zeros((1, 1, 3)))
-    assert np.array_equal(dinit.h, np.zeros((1, 1, 3)))
 
 
 def test_causality_loss_on_early_step_ignores_later_inputs():
     rng = np.random.default_rng(23)
     layer = LayerParams.pack([random_cell(3, 2, rng)])
-    _, _, trace = layer_forward(layer, rng.normal(size=(1, 5, 1, 2)), "tanh")
+    _, trace = layer_forward(layer, rng.normal(size=(1, 5, 1, 2)), "tanh")
     dH = np.zeros((5, 1, 1, 3))
     dH[1] = rng.normal(size=3)  # loss depends on h_1 only
-    _, dX, _ = layer_backward(layer, trace, dH, "tanh")
+    _, dX = layer_backward(layer, trace, dH, "tanh")
     assert np.array_equal(dX[0, 2:], np.zeros((3, 1, 2)))
     assert np.any(dX[0, 0] != 0.0)
     assert np.any(dX[0, 1] != 0.0)

@@ -18,10 +18,11 @@ from stlstm.train import CONFIG_FIELDS
 
 
 def run_cli(argv, capsys):
-    """Invoke the CLI in-process; argparse usage errors become exit codes."""
+    """Invoke the CLI in-process; only --help leaves ``main`` through argparse's exit."""
     try:
         code = main(argv)
     except SystemExit as exc:
+        assert "--help" in argv, argv
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -116,11 +117,35 @@ def test_a_negative_seed_exits_2_before_writing(tmp_path, capsys, monkeypatch, a
     assert not list(tmp_path.rglob("*.csv"))
 
 
-@pytest.mark.parametrize("argv", [["gen-synthetic", "--bogus", "1"],
-                                  ["train", "--manifest", "m.txt", "--optimizer", "adam"]])
-def test_unknown_flag_is_a_usage_error(tmp_path, capsys, argv):
-    code, _, err = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
-    assert code == 2 and "unrecognized arguments" in err
+# argv given --out, and the fragment of the one error line it must give
+USAGE_ERRORS = {
+    "unknown-flag": (lambda out: ["gen-synthetic", "--bogus", "1", "--out", out],
+                     "unrecognized arguments: --bogus 1"),
+    "removed-flag": (lambda out: ["train", "--manifest", "m.txt", "--optimizer", "adam",
+                                  "--out", out], "unrecognized arguments: --optimizer adam"),
+    "unknown-flag-with-a-newline": (lambda out: ["gen-synthetic", "--bo\ngus", "--out", out],
+                                    "unrecognized arguments: --bo\\ngus"),
+    "missing-required-flag": (lambda out: ["train", "--out", out],
+                              "the following arguments are required: --manifest"),
+    "flag-without-value": (lambda out: ["train", "--out", out, "--manifest"],
+                           "argument --manifest: expected one argument"),
+    "flag-equals-dashes": (lambda out: ["train", "--manifest", "m.txt", "--out", out,
+                                        "--seed=--"], "argument seed: expected one argument"),
+    "invalid-choice": (lambda out: ["train", "--manifest", "m.txt", "--out", out,
+                                    "--missing-policy", "zz"], "invalid choice: 'zz'"),
+    "no-subcommand": (lambda out: [], "the following arguments are required: command"),
+    "unknown-subcommand": (lambda out: ["frobnicate", "--out", out],
+                           "argument command: invalid choice: 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_usage_error_is_one_error_line_with_exit_2(tmp_path, capsys, case):
+    build, fragment = USAGE_ERRORS[case]
+    code, stdout, err = run_cli(build(str(tmp_path / "out")), capsys)
+    lines = err.splitlines()
+    assert code == 2 and stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0], err
     assert not (tmp_path / "out").exists()
 
 
@@ -379,6 +404,10 @@ REFUSALS = {
         "is after test_end",
         lambda t, m: ["train", "--manifest",
                       _edited(m, TEST_LINE, "test_start=2007-03-23,test_end=2007-03-01\n")]),
+    "manifest-bad-test-date": (
+        "manifest.txt:4: bad ISO date '2007-13-01'",
+        lambda t, m: ["train", "--manifest",
+                      _edited(m, TEST_LINE, "test_start=2007-13-01,test_end=2007-03-31\n")]),
     "manifest-target-without-variable": (
         "target must be <location>:<variable>",
         lambda t, m: ["train", "--manifest", _edited(m, "target=loc1:temperature", "target=loc1")]),

@@ -168,6 +168,15 @@ def test_a_test_range_line_holds_its_two_keys_once_each(tmp_path, line):
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize("start, end", [("2020-13-01", "2020-01-05"), ("2020-01-04", "x")])
+def test_a_bad_test_range_date_is_a_manifest_error(tmp_path, start, end):
+    manifest = two_location_manifest(tmp_path, [(1.0, 2.0)] * 5, [(1.0, 2.0)] * 5,
+                                      test_range=(start, end))
+    bad = start if end == "2020-01-05" else end
+    with pytest.raises(ManifestError, match=f"manifest.txt:4: bad ISO date '{bad}'"):
+        load_manifest(manifest)
+
+
 def test_mismatched_variable_columns(tmp_path):
     write_csv(tmp_path / "a.csv", "2020-01-01", [(1.0, 2.0)] * 3)
     write_csv(tmp_path / "b.csv", "2020-01-01", [(1.0,)] * 3, variables=("temperature",))

@@ -7,11 +7,14 @@ location-CSV reader must also give the same result or error as the
 csv.reader-only reader kept in ``csv_reference.py``. The end-to-end
 property runs the CLI on a tree with one mutated file: every
 exit code must be 0, 2, 3 or 4, and a command that exits 0 must have
-written only finite numbers. The argument property runs ``train``,
-``gradcheck``, ``param-count`` and ``gen-synthetic`` on drawn flag values,
-every spelling of a setting among them, and holds them to the same exit
-codes, with no numpy warning and no file left by a failed run. Runs are
-derandomized so the suite stays deterministic.
+written only finite numbers. The two argument properties run every
+subcommand on drawn flags: ``train``, ``gradcheck``, ``param-count`` and
+``gen-synthetic`` on drawn values, every spelling of a setting among
+them; ``predict``, ``evaluate`` and ``compare`` on real, damaged and
+missing checkpoints, manifests and reports, date ranges and output paths.
+Both hold them to the same exit codes, with exactly one ``error:`` line
+on exit 2 or 3 (a usage error too), no numpy warning and no file left by
+a failed run. Runs are derandomized so the suite stays deterministic.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import math
 import re
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import csv_reference
 import numpy as np
@@ -576,13 +580,108 @@ def test_cli_exit_codes_hold_for_any_train_or_gradcheck_argv(argv_data, case):
     argv = [command, *paths.get(command, []), *SIZES[command], *flags]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors, which exit 2
-            code = "usage" if exc.code == 2 else exc.code
-    assert code in (0, 2, 3, 4, "usage"), (argv, code)
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
     if code in (2, 3):
         assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().startswith("error: "), \
             (argv, stderr.getvalue())
     if code != 0:
         assert not out.exists() or not any(out.iterdir()), (argv, sorted(out.iterdir()))
+
+
+# ---------------------------------------------------------------------------
+# The same contract for the subcommands that read a model or reports (predict,
+# evaluate, compare), on real and damaged checkpoints, manifests and reports
+
+# gen_synthetic's 50 days run 2007-01-01..2007-02-19, its last 5 the test range
+RANGES = ["test", "0001-01-01:9999-12-31", "2007-01-01:2007-02-19", "2007-01-20:2007-02-19",
+          "2007-02-10:2007-01-20", "2007-02-10\n:2007-01-20", "2007-13-01:2007-02-01",
+          "2007-02-01", "2007-02-01:2007-03-01", "2006-12-01:2007-01-20", "2007-01-01:2007-01-03"]
+READ_FLAGS = {
+    "--range": st.one_of(st.sampled_from(RANGES), ARGV_TEXT),
+    "--missing-policy": st.sampled_from(["error", "ffill", "zz", ""]),
+    "--missing_policy": st.sampled_from(["ffill"]),
+}
+
+
+@pytest.fixture(scope="module")
+def read_tree(tmp_path_factory):
+    """Files by role: the real one first, then damaged, mismatched and missing ones."""
+    root = tmp_path_factory.mktemp("read")
+    manifest = gen_synthetic(root / "data", locations=2, vars_per_location=2, days=50,
+                             coupling=0.6, seed=1, test_days=5)
+    text = manifest.read_text()
+    test_line = next(line for line in text.splitlines() if line.startswith("test_start="))
+    manifests = [manifest, root / "data" / "no-test.txt", root / "data" / "bad-date.txt",
+                 root / "data" / "missing.txt"]
+    manifests[1].write_text(text.replace(test_line + "\n", ""))
+    manifests[2].write_text(text.replace(test_line, "test_start=2007-13-01,test_end=2007-02-19"))
+    models = []
+    for kind, locations in (("stacked", 2), ("st_stacked", 2), ("stacked", 3)):
+        spec = ModelSpec(kind=kind, locations=locations, vars_per_location=2, n1=4, n2=2,
+                         seq_len=3)
+        models.append(root / f"{kind}-{locations}.ckpt")
+        save_checkpoint(spec, init_model_params(spec, np.random.default_rng(0)), models[-1])
+    raw = bytearray(models[0].read_bytes())
+    raw[-1] ^= 1
+    models.insert(2, root / "flipped.ckpt")
+    models[2].write_bytes(bytes(raw))
+    models.append(root / "missing.ckpt")
+    reports = []
+    for model in models[:2]:
+        reports.append(root / f"{model.stem}.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["evaluate", "--model", str(model), "--manifest", str(manifest),
+                         "--report", str(reports[-1])]) == 0
+    reports += [root / "truncated.json", root / "missing.json"]
+    reports[2].write_text(reports[0].read_text()[:-20])
+    (root / "out").mkdir()
+    return root, [str(m) for m in manifests], [str(m) for m in models], [str(r) for r in reports]
+
+
+@st.composite
+def read_argv(draw, tree) -> tuple[list[str], list[Path]]:
+    """A predict, evaluate or compare argv, and the files it is asked to write."""
+    root, manifests, models, reports = tree
+
+    def real_or_any(files):  # the real file at least half the time, so most runs get further
+        return st.one_of(st.just(files[0]), st.sampled_from(files))
+
+    command = draw(st.sampled_from(["predict", "evaluate", "compare"]))
+    # an output in an existing directory or a missing one
+    target = st.sampled_from([root / "out" / "written", root / "absent" / "written"])
+    argv, written = [command], []
+    if command == "predict" or draw(st.booleans()):  # predict's --out is required
+        written.append(draw(target))
+        argv += ["--report" if command == "evaluate" else "--out", str(written[0])]
+    if command == "compare":
+        # the two real reports, or up to three of any (none is a usage error)
+        argv += ["--reports", *draw(st.one_of(st.just(reports[:2]),
+                                              st.lists(st.sampled_from(reports), max_size=3)))]
+        return argv, written
+    argv += ["--model", draw(real_or_any(models)), "--manifest", draw(real_or_any(manifests))]
+    flags = dict(READ_FLAGS)
+    if command == "evaluate":
+        flags["--label"] = st.one_of(st.sampled_from(["test", "holdout"]), ARGV_TEXT)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        argv.append(f"{flag}={draw(flags[flag])}")
+    return argv, written
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a refusal is the only report
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_exit_codes_hold_for_any_predict_evaluate_or_compare_argv(read_tree, data):
+    argv, written = data.draw(read_argv(read_tree))
+    for path in written:
+        path.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    if code in (2, 3):
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().startswith("error: "), \
+            (argv, stderr.getvalue())
+    for path in written:
+        assert path.exists() == (code == 0), (argv, code, path)
+        assert not Path(f"{path}.tmp").exists(), (argv, path)

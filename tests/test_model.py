@@ -267,7 +267,7 @@ def test_head_reads_only_the_final_hidden_state():
     shifted.w_dense += delta
     pred_shifted, _ = model_forward(spec, shifted, window)
     # each prediction moves exactly by delta . h_final: no other path exists
-    assert np.max(np.abs((pred_shifted - pred) - trace.final_hidden @ delta)) < 1e-12
+    assert np.max(np.abs((pred_shifted - pred) - trace.layer2.h[-1, 0] @ delta)) < 1e-12
 
 
 def test_is_penalized_excludes_biases():

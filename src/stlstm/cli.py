@@ -4,7 +4,8 @@ Batch tool, no interactive mode. Exit codes are a stable contract:
 0 success, 2 usage or input error, 3 numerical divergence during
 training, 4 verification (gradient-check) failure; exits 2 and 3 print
 one ``error:`` line, a usage error too. Every subcommand prints an
-``effective-config:`` banner with all defaults resolved, to reproduce the run.
+``effective-config:`` banner with all defaults resolved, to reproduce the run;
+``train``'s has the data's shape, which it reads from the manifest, not from flags.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,10 @@ from .metrics import EvalReport, comparison_csv, comparison_report, comparison_t
 from .model import SPEC_FIELDS, ModelSpec, param_count, parse_field
 from .train import CONFIG_FIELDS, TrainConfig, gradcheck, predict_batch, train_repeated
 
-# every config key and train flag: the ModelSpec and TrainConfig fields
-_FIELDS = {**SPEC_FIELDS, **CONFIG_FIELDS}
-# every flag's type under the library's name for it: the config keys and gen_synthetic's
-_TYPES = {**_FIELDS, "days": "int", "coupling": "float", "ar_coef": "float",
-          "noise_std": "float", "test_days": "int"}
+# every flag's type under the library's name for it: the ModelSpec and TrainConfig
+# fields, and gen_synthetic's
+_TYPES = {**SPEC_FIELDS, **CONFIG_FIELDS, "days": "int", "coupling": "float",
+          "ar_coef": "float", "noise_std": "float", "test_days": "int"}
 # the spellings a key takes besides --dashed-key and --raw_key, and the kinds' aliases
 _ALIASES = {"kind": ("--model-kind", "--model_kind"), "vars_per_location": ("--vars",),
             "noise_std": ("--noise",)}
@@ -46,12 +46,12 @@ _KIND_ALIASES = {"st": "st_stacked", "st-stacked": "st_stacked"}
 # the characters str.splitlines breaks on, escaped so that an error message is one line
 _LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
-# each settings subcommand's flags and their defaults; None leaves a value
-# to the library (test_days) or the data (train's locations, vars_per_location)
+# each settings subcommand's flags and their defaults; None leaves test_days to the library
 _GEN_DEFAULTS = {"locations": 5, "vars_per_location": 3, "days": 800, "coupling": 0.6,
                  "seed": 7, "ar_coef": 0.7, "noise_std": 0.3, "test_days": None}
-_TRAIN_DEFAULTS = {f.name: None if f.default is MISSING else f.default
-                   for cls in (ModelSpec, TrainConfig) for f in fields(cls)}
+# train's flags and config keys: the ModelSpec and TrainConfig fields but the data's shape
+_TRAIN_DEFAULTS = {f.name: f.default for cls in (ModelSpec, TrainConfig) for f in fields(cls)
+                   if f.name not in ("locations", "vars_per_location")}
 _TRAIN_DEFAULTS.update(kind="stacked", n1=20, n2=32)
 _GRADCHECK_DEFAULTS = {"activation": "tanh", "seed": 0, "locations": 2, "vars_per_location": 3,
                        "n1": 8, "n2": 4, "seq_len": 5, "l2_lambda": 0.01}
@@ -69,8 +69,8 @@ def _flags(parser, keys, required: bool = False) -> None:
 
 
 def read_config_file(path) -> dict:
-    """Flat ``key = value`` text; keys are TrainConfig / ModelSpec field names, each value
-    parsed by its field's type, and each key set at most once."""
+    """Flat ``key = value`` text; keys are train's settings, each value parsed by its
+    field's type, and each key set at most once."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -84,13 +84,13 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _TRAIN_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in lines:
             raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
         lines[key] = lineno
         try:
-            out[key] = parse_field(_FIELDS, key, value)
+            out[key] = parse_field(_TYPES, key, value)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
@@ -116,18 +116,11 @@ def _banner(args, **resolved) -> None:
     items.update(resolved)
     pairs = " ".join(f"{k}={','.join(v) if isinstance(v, list) else v}"
                      for k, v in sorted(items.items()))
-    print(f"effective-config: command={args.command} {pairs}")
+    print(f"effective-config: command={args.command} {pairs.translate(_LINE_BREAKS)}")
 
 
-def _spec_from_settings(settings: dict, ds: Dataset | None = None) -> ModelSpec:
-    """The settings' ModelSpec; a dataset's shape gives locations and vars_per_location."""
-    data = {} if ds is None else {"locations": len(ds.locations),
-                                  "vars_per_location": len(ds.variables)}
-    for key, actual in data.items():
-        declared = settings.get(key)
-        if declared is not None and declared != actual:
-            raise ConfigError(f"{key}={declared} disagrees with the manifest's data ({actual})")
-    return ModelSpec(**{key: settings[key] for key in SPEC_FIELDS if key in settings} | data)
+def _spec_from_settings(settings: dict) -> ModelSpec:
+    return ModelSpec(**{key: settings[key] for key in SPEC_FIELDS if key in settings})
 
 
 def _windows_for_range(ds: Dataset, spec: ModelSpec, range_text: str) -> WindowArrays:
@@ -182,10 +175,10 @@ def cmd_train(args) -> int:
     config = TrainConfig(**{name: settings[name] for name in CONFIG_FIELDS})
     manifest = load_manifest(args.manifest)
     ds = load_dataset(manifest, missing_policy=args.missing_policy)
-    spec = _spec_from_settings(settings, ds)
+    settings.update(locations=len(ds.locations), vars_per_location=len(ds.variables))
+    spec = _spec_from_settings(settings)
 
-    _banner(args, **settings | {"locations": spec.locations,
-                                "vars_per_location": spec.vars_per_location})
+    _banner(args, **settings)
     tr = train_windows(ds, spec.seq_len, spec.horizon)
     te = (test_windows(ds, spec.seq_len, spec.horizon)
           if ds.test_start_idx is not None else None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -180,7 +182,7 @@ def comparison_report(reports: list[EvalReport]) -> list[ComparisonRow]:
         slot[rep.model_kind] = rep
 
     rows = []
-    for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3])):
+    for key in sorted(cells):
         testset, q, target, act = key
         slot = cells[key]
         for metric in ("MAE", "MSE"):
@@ -200,13 +202,18 @@ def comparison_report(reports: list[EvalReport]) -> list[ComparisonRow]:
 
 
 def comparison_csv(rows: list[ComparisonRow]) -> str:
-    out = [REPORT_CSV_HEADER]
+    """The table as CSV; a field holding a comma, a quote or a line break is quoted (RFC 4180)."""
+    lines = [REPORT_CSV_HEADER]
     for r in rows:
-        a = "" if r.stacked is None else repr(r.stacked)
-        b = "" if r.st_stacked is None else repr(r.st_stacked)
-        out.append(f"{r.testset},{r.steps_ahead},{r.target},{r.activation},"
-                   f"{r.metric},{a},{b},{r.winner}")
-    return "\n".join(out) + "\n"
+        buf = io.StringIO()
+        # csv.writer quotes a field holding a character of its line terminator: "\r\n"
+        # also quotes a lone "\r", which "\n" would leave bare
+        csv.writer(buf, lineterminator="\r\n").writerow(
+            [r.testset, r.steps_ahead, r.target, r.activation, r.metric,
+             "" if r.stacked is None else repr(r.stacked),
+             "" if r.st_stacked is None else repr(r.st_stacked), r.winner])
+        lines.append(buf.getvalue().removesuffix("\r\n"))
+    return "\n".join(lines) + "\n"
 
 
 def comparison_text(rows: list[ComparisonRow]) -> str:

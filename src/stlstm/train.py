@@ -37,13 +37,15 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     l2_lambda: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     repeats: int = 5
     forget_bias_init: bool = False
     validation_holdout: bool = False  # hold out the last 10% of training windows
+    # Adam's constants (Kingma & Ba), not fields: benchmarks/workloads.py:_traced_run reads
+    # them and passes them to Adam positionally, which is why Adam still takes all three
+    adam_beta1 = 0.9
+    adam_beta2 = 0.999
+    adam_eps = 1e-8
 
     def __post_init__(self) -> None:
         self.validate()
@@ -60,9 +62,6 @@ class TrainConfig:
         for name, type_name in CONFIG_FIELDS.items():
             if type_name == "float" and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1 and self.adam_eps > 0):
-            raise ConfigError("Adam needs 0 <= adam_beta1, adam_beta2 < 1 and adam_eps > 0, got "
-                              f"{self.adam_beta1}, {self.adam_beta2}, {self.adam_eps}")
 
     def fitted_windows(self, n_windows: int) -> int:
         """How many leading training windows are fitted: all, or about 90% with a holdout."""

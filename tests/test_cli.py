@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import os
@@ -184,7 +185,9 @@ def test_train_banner_reproduces_the_run_from_a_config_file(tmp_path, capsys):
     assert code == 0
     items = banner_items(stdout)
     cfg = tmp_path / "banner.cfg"
-    cfg.write_text("".join(f"{key} = {items[key]}\n" for key in {**SPEC_FIELDS, **CONFIG_FIELDS}))
+    # every ModelSpec and TrainConfig field but the data's shape, which the manifest gives
+    cfg.write_text("".join(f"{key} = {items[key]}\n" for key in {**SPEC_FIELDS, **CONFIG_FIELDS}
+                           if key not in ("locations", "vars_per_location")))
     again = tmp_path / "again"
     code, _, _ = run_cli(["train", "--manifest", str(manifest), "--config", str(cfg),
                           "--out", str(again)], capsys)
@@ -388,8 +391,22 @@ def _two_by_three_checkpoint(tmp_path):
 # each, the fragment of that line and the arguments before --out, given the
 # test's directory and a gen_tiny manifest (2 locations x 2 variables, 90 days).
 REFUSALS = {
-    "train-locations": ("disagrees with the manifest's data",
+    # train takes the data's shape from the manifest, and Adam's beta1, beta2 and eps
+    # are constants: none of them is a flag or a config key
+    "train-locations": ("unrecognized arguments: --locations 3",
                         lambda t, m: ["train", "--manifest", m, "--locations", "3"]),
+    "train-vars": ("unrecognized arguments: --vars 2",
+                   lambda t, m: ["train", "--manifest", m, "--vars", "2"]),
+    "train-adam-beta1": ("unrecognized arguments: --adam-beta1 0.5",
+                         lambda t, m: ["train", "--manifest", m, "--adam-beta1", "0.5"]),
+    "config-adam-key": (
+        "run.cfg:2: unknown config key 'adam_eps'",
+        lambda t, m: ["train", "--manifest", m, "--config",
+                      _config(t, "n1 = 4\nadam_eps = 1e-6\n")]),
+    "config-shape-key": (
+        "run.cfg:1: unknown config key 'vars_per_location'",
+        lambda t, m: ["train", "--manifest", m, "--config",
+                      _config(t, "vars_per_location = 2\n")]),
     "train-learning-rate": ("learning_rate must be >= 0",
                             lambda t, m: ["train", "--manifest", m, "--learning-rate", "-1"]),
     # the settings are checked before the manifest is read
@@ -676,6 +693,31 @@ def test_compare_refuses_a_string_horizon_beside_an_int_one_with_exit_2(tmp_path
     assert "field 'horizon' has the wrong JSON type" in err
 
 
+def test_a_label_with_a_line_break_a_comma_and_a_quote_survives_compare(tmp_path, capsys):
+    label = 'a\nb,"c'
+    manifest = gen_tiny(tmp_path, capsys)
+    reports = []
+    for kind in ("stacked", "st_stacked"):
+        reports.append(str(tmp_path / f"{kind}.json"))
+        code, stdout, err = run_cli(["evaluate", "--model", str(DATA / f"v3_{kind}.ckpt"),
+                                     "--manifest", str(manifest), "--label", label,
+                                     "--report", reports[-1]], capsys)
+        assert code == 0, err
+        # the banner, the scores and the report's path: the banner stays one line
+        lines = stdout.splitlines()
+        assert len(lines) == 3 and lines[0].startswith("effective-config:"), stdout
+        assert ' label=a\\nb,"c ' in lines[0]
+    table = tmp_path / "table.csv"
+    code, _, err = run_cli(["compare", "--reports", *reports, "--out", str(table)], capsys)
+    assert code == 0, err
+    with table.open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == REPORT_CSV_HEADER.split(",")
+    # the two checkpoints' activations differ, so each report is a cell of its own
+    assert [len(row) for row in rows] == [8] * 5
+    assert [(row[0], row[4]) for row in rows[1:]] == [(label, "MAE"), (label, "MSE")] * 2
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_exits_3(tmp_path, capsys):
     manifest = gen_tiny(tmp_path, capsys)
@@ -813,7 +855,8 @@ def test_param_count_reference_values(capsys):
     assert "layer1=33120" in stdout
 
 
-# three runs, each with another of the three spellings of kind and of vars_per_location
+# three runs, each with another of the three spellings of kind and of vars_per_location;
+# train reads vars_per_location from its manifest (2 variables), so it takes only kind's
 SPELLINGS = [("--kind", "--vars"), ("--model-kind", "--vars-per-location"),
              ("--model_kind", "--vars_per_location")]
 
@@ -828,7 +871,8 @@ def test_every_spelling_of_a_setting_sets_its_one_key(tmp_path, capsys, command)
                            "--repeats", "1", "--n1", "4", "--n2", "3", "--seq-len", "6"],
                  "gradcheck": ["--locations", "2", "--n1", "2", "--n2", "1", "--seq-len", "2"],
                  "param-count": ["--locations", "2", "--n1", "4", "--n2", "3"]}[command]
-        code, stdout, err = run_cli([command, *sizes, kind_flag, "st", vars_flag, "2"], capsys)
+        shape = [] if command == "train" else [vars_flag, "2"]
+        code, stdout, err = run_cli([command, *sizes, kind_flag, "st", *shape], capsys)
         assert code == 0, err
         items = banner_items(stdout)
         assert (items["kind"], items["vars_per_location"]) == ("st_stacked", "2")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -127,7 +129,22 @@ def test_comparison_grid_layout_and_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == REPORT_CSV_HEADER
     assert len(lines) == 7
-    assert lines[1].startswith("nov,1,alpha:temperature,tanh,MAE,")
+    assert lines[1] == "nov,1,alpha:temperature,tanh,MAE,1.0,0.5,st_stacked"
+
+
+@pytest.mark.parametrize("testset", ['a\nb,"c', "x\ry", "x\r\ny", 'say "hi"', "p,q"])
+def test_comparison_csv_quotes_a_text_field_so_each_row_reads_back_whole(testset):
+    rows = comparison_report([make_report("stacked", testset=testset),
+                              make_report("st_stacked", testset=testset, preds=(1.0, 1.5))])
+    text = comparison_csv(rows)
+    # every row ends in "\n": a "\r\n" is only ever inside the quoted label
+    assert text.endswith("\n") and "\r\n" not in text.replace(testset.replace('"', '""'), "")
+    read = list(csv.reader(io.StringIO(text, newline="")))
+    assert read[0] == REPORT_CSV_HEADER.split(",")
+    assert read[1:] == [[testset, "1", "alpha:temperature", "tanh", "MAE", "0.5", "0.25",
+                         "st_stacked"],
+                        [testset, "1", "alpha:temperature", "tanh", "MSE", "0.5", "0.125",
+                         "st_stacked"]]
 
 
 def test_report_invariant_rejects_impossible_pairs():

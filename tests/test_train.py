@@ -443,16 +443,7 @@ def test_non_finite_gradient_is_a_divergence_naming_the_tensor(monkeypatch):
     lambda: ModelSpec(kind="stacked", locations=1, vars_per_location=1, n1=2, n2=2, horizon=0),
     lambda: TrainConfig(learning_rate=float("nan")),
     lambda: TrainConfig(seed=-1),
-    # Adam outside 0 <= beta1, beta2 < 1 and eps > 0, which diverged or trained anyway
-    lambda: TrainConfig(adam_beta1=1.0),
-    lambda: TrainConfig(adam_beta1=2.0),
-    lambda: TrainConfig(adam_beta1=-0.1),
-    lambda: TrainConfig(adam_beta2=1.0),
-    lambda: TrainConfig(adam_beta2=-0.5),
-    lambda: TrainConfig(adam_eps=0.0),
-    lambda: TrainConfig(adam_eps=-1.0),
-], ids=["kind", "activation", "horizon", "learning_rate", "seed", "beta1=1",
-        "beta1=2", "beta1<0", "beta2=1", "beta2<0", "eps=0", "eps<0"])
+], ids=["kind", "activation", "horizon", "learning_rate", "seed"])
 def test_an_invalid_spec_or_config_cannot_be_built(build):
     with pytest.raises(ConfigError):
         build()
